@@ -11,13 +11,14 @@ deadlock that receives a probability-1 self-loop.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable
 
-from qkdmc.errors import BuildError
+from qkdmc.errors import BuildError, QkdmcError
 from qkdmc.lang import ast
 from qkdmc.lang.analysis import compile_expr
 from qkdmc.lang.validate import ValidatedModel
@@ -55,9 +56,25 @@ class Dtmc:
         return {var.name: i for i, var in enumerate(self.variables)}
 
     def describe_state(self, index: int) -> str:
-        return ", ".join(
-            f"{var.name}={value}" for var, value in zip(self.variables, self.states[index])
-        )
+        return describe(self.variables, self.states[index])
+
+    @functools.cached_property
+    def _state_index(self) -> dict[tuple[int, ...], int]:
+        # Built on the first lookup only, so models never queried by
+        # valuation do not carry a dict over every state.
+        return {state: index for index, state in enumerate(self.states)}
+
+    def index_of(self, state: tuple[int, ...]) -> int:
+        """Index of the reachable state with this valuation (in `variables` order).
+
+        Raises QkdmcError (code NO_SUCH_STATE) if no reachable state has it.
+        """
+        index = self._state_index.get(state)
+        if index is None:
+            raise QkdmcError(
+                f"no reachable state ({describe(self.variables, state)})", code="NO_SUCH_STATE"
+            )
+        return index
 
     def export_text(self) -> str:
         """Plain-text dump for diffing; not a stability contract.

@@ -10,7 +10,7 @@ a handful of sweeps; cyclic models just take more sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 from qkdmc.errors import SolverError
@@ -23,13 +23,18 @@ DEFAULT_MAX_ITER = 1_000_000
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Result of one query: value at the initial state plus solver health."""
+    """Result of one query: value at the initial state plus solver health.
+
+    `values` is the whole solved vector, indexed like `Dtmc.states`: the
+    probability of the query from every state, not only the initial one.
+    """
 
     probability: float
     iterations: int
     residual: float
     prob0_count: int
     prob1_count: int
+    values: tuple[float, ...] = field(repr=False)
 
 
 def _predecessors(dtmc: Dtmc) -> list[list[int]]:
@@ -55,38 +60,36 @@ def _backward_closure(
     return reach
 
 
-def _resolve(dtmc: Dtmc, query: PropertyQuery) -> tuple[frozenset[int], frozenset[int]]:
+def _qualitative(
+    dtmc: Dtmc, query: PropertyQuery
+) -> tuple[frozenset[int], frozenset[int], frozenset[int]]:
+    """Target, prob0 and prob1 sets of `constraint U target`, graph-theoretically.
+
+    A state has probability 0 iff it cannot reach the target while staying
+    inside the constraint set. It fails almost-sure satisfaction iff it can
+    reach a probability-0 state through constraint-only non-target states.
+    No floating point is involved.
+    """
     target = resolve_operand(query.target, dtmc)
+    everything = frozenset(range(dtmc.state_count))
     if query.constraint is None:
-        constraint = frozenset(range(dtmc.state_count))
+        constraint = everything
     else:
         constraint = resolve_operand(query.constraint, dtmc)
-    return constraint, target
+    preds = _predecessors(dtmc)
+    zero = everything - _backward_closure(target, constraint, preds)
+    one = everything - _backward_closure(zero, constraint - target, preds)
+    return target, zero, one
 
 
 def prob0_states(dtmc: Dtmc, query: PropertyQuery) -> frozenset[int]:
-    """States with until-probability exactly 0, found graph-theoretically.
-
-    A state has probability 0 iff it cannot reach the target while staying
-    inside the constraint set; no floating point is involved.
-    """
-    constraint, target = _resolve(dtmc, query)
-    reach = _backward_closure(target, constraint, _predecessors(dtmc))
-    return frozenset(range(dtmc.state_count)) - reach
+    """States with until-probability exactly 0."""
+    return _qualitative(dtmc, query)[1]
 
 
 def prob1_states(dtmc: Dtmc, query: PropertyQuery) -> frozenset[int]:
-    """States with until-probability exactly 1 (reported, not used to solve).
-
-    A state fails almost-sure satisfaction iff it can reach a probability-0
-    state through constraint-only non-target states.
-    """
-    constraint, target = _resolve(dtmc, query)
-    preds = _predecessors(dtmc)
-    everything = frozenset(range(dtmc.state_count))
-    zero = everything - _backward_closure(target, constraint, preds)
-    failing = _backward_closure(frozenset(zero), constraint - target, preds)
-    return everything - failing
+    """States with until-probability exactly 1 (reported, not used to solve)."""
+    return _qualitative(dtmc, query)[2]
 
 
 def prob_until(
@@ -96,7 +99,10 @@ def prob_until(
     max_iter: int = DEFAULT_MAX_ITER,
     on_sweep: Callable[[list[float]], None] | None = None,
 ) -> SolveReport:
-    """Probability of `constraint U target` from the initial state.
+    """Probability of `constraint U target` from every state.
+
+    The report's `values` holds the whole vector and `probability` the
+    initial state's entry.
 
     Sweeps until the largest per-state update drops below tol; raises
     SolverError (code NO_CONVERGENCE, reporting the residual) if max_iter
@@ -107,11 +113,7 @@ def prob_until(
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    constraint, target = _resolve(dtmc, query)
-    preds = _predecessors(dtmc)
-    everything = frozenset(range(dtmc.state_count))
-    zero = everything - _backward_closure(target, constraint, preds)
-    one = everything - _backward_closure(frozenset(zero), constraint - target, preds)
+    target, zero, one = _qualitative(dtmc, query)
 
     values = [0.0] * dtmc.state_count
     for index in target:
@@ -154,4 +156,5 @@ def prob_until(
         residual=residual,
         prob0_count=len(zero),
         prob1_count=len(one),
+        values=tuple(values),
     )

@@ -1,10 +1,11 @@
-"""Sweep and figure machinery behind the CLI: one analysis per photon count.
+"""Sweep and figure machinery behind the CLI: one analysis per curve.
 
-A point runs the whole pipeline (generate, parse, validate, build, solve)
-and carries the analytic value alongside the checked one, so every CSV row
-doubles as an oracle cross-check. Figure definitions hard-code the two
-three-curve experiments (channel noise at full interception; interception
-power over a perfect channel).
+A curve runs the whole pipeline (generate, parse, validate, build, solve)
+once, for its largest photon count; the solved vector holds every shorter
+run at a round-start state. Each row carries the analytic value alongside
+the checked one, so every CSV row doubles as an oracle cross-check. Figure
+definitions hard-code the two three-curve experiments (channel noise at
+full interception; interception power over a perfect channel).
 """
 
 from __future__ import annotations
@@ -79,48 +80,45 @@ def analyze(
     return report, dtmc
 
 
-def run_point(
-    params: Bb84Params,
-    tol: float = solver.DEFAULT_TOL,
-    max_iter: int = solver.DEFAULT_MAX_ITER,
-) -> ResultRow:
-    started = time.perf_counter()
-    report, _ = analyze(params, tol, max_iter)
-    wall_ms = (time.perf_counter() - started) * 1000.0
-    p1 = oracle.per_photon_detect_prob(
-        params.channel, params.eve_q, params.bias, params.passthrough
-    )
-    p_oracle = oracle.detect_prob(params.photons, p1)
-    return ResultRow(
-        n=params.photons,
-        p_checked=report.probability,
-        p_oracle=p_oracle,
-        abs_err=abs(report.probability - p_oracle),
-        iterations=report.iterations,
-        wall_ms=wall_ms,
-    )
-
-
 def run_sweep(
     spec: SweepSpec,
     tol: float = solver.DEFAULT_TOL,
     max_iter: int = solver.DEFAULT_MAX_ITER,
 ) -> list[ResultRow]:
-    """One row per photon count, ordered by n.
+    """One row per photon count, ordered by n, from one n_stop-photon model.
 
-    With oracle_check set, a row beyond the 1e-9 agreement tolerance raises
-    AcceptanceViolation naming the offending n.
+    The round-start state with i = n_stop - n (the initial valuation
+    otherwise) has n photons left to send, so its solved value is P(n).
+    Every row carries the curve's solver sweep count and the wall time of
+    its one analysis. With oracle_check set, a row beyond the 1e-9
+    agreement tolerance raises AcceptanceViolation naming the offending n.
     """
+    params = Bb84Params(
+        photons=spec.n_stop,
+        channel=spec.channel,
+        eve_q=spec.eve_q,
+        bias=spec.bias,
+        passthrough=spec.passthrough,
+    )
+    started = time.perf_counter()
+    report, dtmc = analyze(params, tol, max_iter)
+    wall_ms = (time.perf_counter() - started) * 1000.0
+    p1 = oracle.per_photon_detect_prob(spec.channel, spec.eve_q, spec.bias, spec.passthrough)
+    initial = dtmc.states[dtmc.initial]
+    slot = dtmc.var_index["i"]
     rows = []
     for n in spec.points():
-        params = Bb84Params(
-            photons=n,
-            channel=spec.channel,
-            eve_q=spec.eve_q,
-            bias=spec.bias,
-            passthrough=spec.passthrough,
+        round_start = initial[:slot] + (spec.n_stop - n,) + initial[slot + 1:]
+        p_checked = report.values[dtmc.index_of(round_start)]
+        p_oracle = oracle.detect_prob(n, p1)
+        row = ResultRow(
+            n=n,
+            p_checked=p_checked,
+            p_oracle=p_oracle,
+            abs_err=abs(p_checked - p_oracle),
+            iterations=report.iterations,
+            wall_ms=wall_ms,
         )
-        row = run_point(params, tol, max_iter)
         if spec.oracle_check and row.abs_err > ORACLE_TOL:
             raise AcceptanceViolation(
                 f"oracle disagreement at n={n}: checked {row.p_checked!r} vs "

@@ -9,7 +9,7 @@ import pytest
 
 import _machine
 from qkdmc.bb84 import Bb84Params, Passthrough, model_ast
-from qkdmc.errors import BuildError
+from qkdmc.errors import BuildError, QkdmcError
 from qkdmc.explorer import build
 from qkdmc.lang import parse, validate
 
@@ -19,9 +19,8 @@ def explore(source: str):
 
 
 def transition(dtmc, src_state: tuple, dst_state: tuple) -> float:
-    index = {state: i for i, state in enumerate(dtmc.states)}
-    row = dict(dtmc.rows[index[src_state]])
-    return row.get(index[dst_state], 0.0)
+    row = dict(dtmc.rows[dtmc.index_of(src_state)])
+    return row.get(dtmc.index_of(dst_state), 0.0)
 
 
 class TestBasics:
@@ -162,6 +161,22 @@ class TestLabelsAndExport:
     def test_describe_state(self):
         dtmc = explore("dtmc\nmodule m\n  x : [0..2] init 2;\nendmodule\n")
         assert dtmc.describe_state(0) == "x=2"
+
+    def test_index_of_finds_every_reachable_valuation(self):
+        dtmc = explore(
+            "dtmc\nmodule m\n  x : [0..3] init 0;\n"
+            "  [] x=0 -> 0.3:(x'=1) + 0.7:(x'=2);\nendmodule\n"
+        )
+        assert [dtmc.index_of(state) for state in dtmc.states] == [0, 1, 2]
+
+    def test_index_of_an_unreachable_valuation_is_a_typed_error(self):
+        dtmc = explore(
+            "dtmc\nmodule m\n  x : [0..3] init 0;\n  [] x=0 -> (x'=1);\nendmodule\n"
+        )
+        with pytest.raises(QkdmcError) as info:
+            dtmc.index_of((3,))
+        assert info.value.code == "NO_SUCH_STATE"
+        assert "x=3" in str(info.value)
 
     def test_export_text_shape(self):
         dtmc = explore(

@@ -9,12 +9,16 @@ import re
 
 import pytest
 
+import qkdmc.sweep as sweep_module
 from qkdmc import cli
+from qkdmc.bb84 import Bb84Params, Passthrough
 from qkdmc.errors import AcceptanceViolation
 from qkdmc.sweep import (
+    HEAVY_NOISE_CHANNEL,
     LIGHT_NOISE_CHANNEL,
     FIGURES,
     SweepSpec,
+    analyze,
     figure_report,
     format_probability,
     run_figure,
@@ -50,6 +54,28 @@ class TestRunSweep:
         assert row.wall_ms > 0.0
         assert row.abs_err == abs(row.p_checked - row.p_oracle)
 
+    @pytest.mark.parametrize("passthrough", list(Passthrough))
+    def test_curve_values_match_single_point_runs(self, passthrough):
+        # n_stop = 12 is not itself a point, so no row reads the initial state.
+        spec = SweepSpec(2, 12, 3, channel=HEAVY_NOISE_CHANNEL, eve_q=0.5, bias=0.3,
+                         passthrough=passthrough)
+        rows = run_sweep(spec)
+        assert [row.n for row in rows] == [2, 5, 8, 11]
+        for row in rows:
+            report, _ = analyze(Bb84Params(photons=row.n, channel=spec.channel,
+                                           eve_q=spec.eve_q, bias=spec.bias,
+                                           passthrough=passthrough))
+            assert abs(row.p_checked - report.probability) <= 1e-15
+
+    def test_single_photon_sweep(self):
+        report, dtmc = analyze(Bb84Params(photons=1))
+        (i_decl,) = [var for var in dtmc.variables if var.name == "i"]
+        assert (i_decl.low, i_decl.high) == (0, 0)
+        (row,) = run_sweep(SweepSpec(1, 1, oracle_check=True))
+        assert row.n == 1
+        assert row.p_checked == report.probability
+        assert row.abs_err <= 1e-15
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             SweepSpec(0, 5)
@@ -57,6 +83,33 @@ class TestRunSweep:
             SweepSpec(5, 4)
         with pytest.raises(ValueError):
             SweepSpec(1, 5, 0)
+
+
+class TestOneBuildPerCurve:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        real = sweep_module.build
+
+        def counting(vm):
+            calls.append(vm)
+            return real(vm)
+
+        monkeypatch.setattr(sweep_module, "build", counting)
+        return calls
+
+    def test_a_sweep_builds_once(self, builds):
+        rows = run_sweep(SweepSpec(1, 9, 2))
+        assert [row.n for row in rows] == [1, 3, 5, 7, 9]
+        assert len(builds) == 1
+        # iterations and wall_ms describe the curve's one analysis.
+        assert len({(row.iterations, row.wall_ms) for row in rows}) == 1
+
+    def test_a_figure_builds_once_per_curve(self, builds):
+        spec = FIGURES["fig2"]
+        result = run_figure_with(type(spec)(spec.name, 3, 6, spec.curves))
+        assert len(result.curves) == 3
+        assert len(builds) == 3
 
 
 class TestCsv:
@@ -116,8 +169,6 @@ class TestFigures:
 
 
 def run_figure_with(spec):
-    import qkdmc.sweep as sweep_module
-
     original = sweep_module.FIGURES
     sweep_module.FIGURES = dict(original, probe=spec)
     try:
@@ -223,8 +274,6 @@ class TestCliCommands:
         assert cli._parse_range("5..9:2") == (5, 9, 2)
 
     def test_figure_writes_curves_and_report(self, tmp_path, capsys, monkeypatch):
-        import qkdmc.sweep as sweep_module
-
         spec = FIGURES["fig2"]
         short = type(spec)(spec.name, 3, 6, spec.curves)
         monkeypatch.setitem(sweep_module.FIGURES, "fig2", short)
