@@ -1,8 +1,9 @@
 """qkdmc: explicit-state DTMC workbench for BB84 eavesdropping analysis.
 
-The pipeline is parse -> validate -> build -> prob_until; bb84.generate
-produces the model sources, oracle holds the analytic ground truth, and
-sweep/cli drive parameter studies over the photon count.
+The pipeline is parse -> validate -> build -> prob_until, where
+prob_until solves exactly in one SCC-ordered pass; bb84.generate produces
+the model sources, oracle holds the analytic ground truth, and sweep/cli
+drive parameter studies over the photon count.
 """
 
 from qkdmc.bb84 import Bb84Params, Passthrough, detected_event_definition, generate
@@ -12,7 +13,6 @@ from qkdmc.errors import (
     ParseError,
     PropertyError,
     QkdmcError,
-    SolverError,
     ValidationError,
 )
 from qkdmc.explorer import Dtmc, build
@@ -35,7 +35,6 @@ __all__ = [
     "PropertyQuery",
     "QkdmcError",
     "SolveReport",
-    "SolverError",
     "SweepSpec",
     "ValidationError",
     "__version__",

@@ -314,7 +314,7 @@ def model_ast(params: Bb84Params) -> ast.Model:
         _bob_module(),
     )
     labels = (
-        ast.LabelDef("detected", detected_event_definition(params)),
+        ast.LabelDef("detected", detected_event_definition()),
         ast.LabelDef("done", _and(_eq("phase", PHASE_STOPPED), _eq("detected", 0))),
     )
     return ast.Model(constants, modules, labels)
@@ -331,7 +331,7 @@ def generate(params: Bb84Params) -> str:
     return header + print_model(model_ast(params))
 
 
-def detected_event_definition(params: Bb84Params) -> ast.Expr:
+def detected_event_definition() -> ast.Expr:
     """Defining expression of label "detected".
 
     The compare phase raises the flag exactly when Bob used Alice's basis

@@ -5,8 +5,9 @@ sweep (CSV over a photon range), figure (the two three-curve experiments
 with an ordering report).
 
 Exit codes: 0 success, 1 usage or parameter error, 2 parse/validate/build
-or I/O error, 3 solver failure, 4 acceptance violation (curve ordering or
-oracle disagreement).
+or I/O error, 4 acceptance violation (curve ordering or oracle
+disagreement). Code 3 (solver non-convergence) is no longer produced: the
+solver is exact and has nothing to converge.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import click
 
 from qkdmc import solver, sweep
 from qkdmc.bb84 import Bb84Params, Passthrough, detected_event_definition, generate, variable_schema
-from qkdmc.errors import AcceptanceViolation, QkdmcError, SolverError
+from qkdmc.errors import AcceptanceViolation, QkdmcError
 from qkdmc.explorer import build
 from qkdmc.lang import parse, print_expr, validate
 from qkdmc.properties import parse_property
@@ -80,14 +81,10 @@ passthrough_option = click.option(
 @click.option("--model", "model_path", required=True, help="Model file to analyze.")
 @click.option("--prop", "prop_text", required=True,
               help="Property, e.g. 'P=? [ F \"detected\" ]'.")
-@click.option("--tol", default=solver.DEFAULT_TOL, show_default=True,
-              help="Solver convergence tolerance.")
-@click.option("--max-iter", default=solver.DEFAULT_MAX_ITER, show_default=True,
-              help="Maximum solver sweeps.")
-def check(model_path: str, prop_text: str, tol: float, max_iter: int) -> None:
+def check(model_path: str, prop_text: str) -> None:
     """Compute a P=? property on a model file."""
     dtmc = build(validate(parse(_read_model(model_path))))
-    report = solver.prob_until(dtmc, parse_property(prop_text), tol, max_iter)
+    report = solver.prob_until(dtmc, parse_property(prop_text))
     click.echo(format_probability(report.probability))
     click.echo(f"states {dtmc.state_count}")
     click.echo(f"transitions {dtmc.transition_count}")
@@ -126,7 +123,7 @@ def bb84(photons: int, channel_text: str, eve_q: float, bias: float,
     click.echo("variables:")
     for name, low, high, role in variable_schema(params):
         click.echo(f"  {name:<9} [{low}..{high}]  {role}")
-    click.echo(f'label "detected" = {print_expr(detected_event_definition(params))}')
+    click.echo(f'label "detected" = {print_expr(detected_event_definition())}')
 
 
 @cli.command("sweep")
@@ -206,9 +203,6 @@ def main(argv: list[str] | None = None) -> int:
     except AcceptanceViolation as exc:
         click.echo(f"error: {exc}", err=True)
         return 4
-    except SolverError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 3
     except (QkdmcError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 2

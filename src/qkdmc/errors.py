@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by the language front end, explorer and solver.
+"""Exception hierarchy shared by the language front end, explorer and drivers.
 
 Every error carries a short machine-readable ``code`` (stable strings such as
 ``PROB_SUM`` or ``NONDETERMINISM``) so tests and callers can dispatch without
@@ -67,12 +67,6 @@ class PropertyError(QkdmcError):
     """Malformed property text, or a property that does not fit the model."""
 
     code = "PROPERTY"
-
-
-class SolverError(QkdmcError):
-    """Numerical failure in the probability engine."""
-
-    code = "NO_CONVERGENCE"
 
 
 class AcceptanceViolation(QkdmcError):

@@ -69,46 +69,41 @@ class ResultRow:
     wall_ms: float
 
 
-def analyze(
-    params: Bb84Params,
-    tol: float = solver.DEFAULT_TOL,
-    max_iter: int = solver.DEFAULT_MAX_ITER,
-) -> tuple[solver.SolveReport, Dtmc]:
+def analyze(params: Bb84Params) -> tuple[solver.SolveReport, Dtmc]:
     """Full pipeline for one parameter set, querying the detection event."""
     dtmc = build(validate(parse(generate(params))))
-    report = solver.prob_until(dtmc, parse_property(DETECTED_PROPERTY), tol, max_iter)
+    report = solver.prob_until(dtmc, parse_property(DETECTED_PROPERTY))
     return report, dtmc
 
 
-def run_sweep(
-    spec: SweepSpec,
-    tol: float = solver.DEFAULT_TOL,
-    max_iter: int = solver.DEFAULT_MAX_ITER,
-) -> list[ResultRow]:
-    """One row per photon count, ordered by n, from one n_stop-photon model.
+def run_sweep(spec: SweepSpec) -> list[ResultRow]:
+    """One row per photon count, ordered by n, from one model for the top row.
 
-    The round-start state with i = n_stop - n (the initial valuation
-    otherwise) has n photons left to send, so its solved value is P(n).
-    Every row carries the curve's solver sweep count and the wall time of
-    its one analysis. With oracle_check set, a row beyond the 1e-9
-    agreement tolerance raises AcceptanceViolation naming the offending n.
+    The model has as many photons as the range's last point, top. The
+    round-start state with i = top - n (the initial valuation otherwise)
+    has n photons left to send, so its solved value is P(n). Every row
+    carries the curve's solver iteration count and the wall time of its
+    one analysis. With oracle_check set, a row beyond the 1e-9 agreement
+    tolerance raises AcceptanceViolation naming the offending n.
     """
+    points = spec.points()
+    top = points[-1]
     params = Bb84Params(
-        photons=spec.n_stop,
+        photons=top,
         channel=spec.channel,
         eve_q=spec.eve_q,
         bias=spec.bias,
         passthrough=spec.passthrough,
     )
     started = time.perf_counter()
-    report, dtmc = analyze(params, tol, max_iter)
+    report, dtmc = analyze(params)
     wall_ms = (time.perf_counter() - started) * 1000.0
     p1 = oracle.per_photon_detect_prob(spec.channel, spec.eve_q, spec.bias, spec.passthrough)
     initial = dtmc.states[dtmc.initial]
     slot = dtmc.var_index["i"]
     rows = []
-    for n in spec.points():
-        round_start = initial[:slot] + (spec.n_stop - n,) + initial[slot + 1:]
+    for n in points:
+        round_start = initial[:slot] + (top - n,) + initial[slot + 1:]
         p_checked = report.values[dtmc.index_of(round_start)]
         p_oracle = oracle.detect_prob(n, p1)
         row = ResultRow(
@@ -204,12 +199,7 @@ class FigureResult:
         return not self.violations
 
 
-def run_figure(
-    name: str,
-    oracle_check: bool = False,
-    tol: float = solver.DEFAULT_TOL,
-    max_iter: int = solver.DEFAULT_MAX_ITER,
-) -> FigureResult:
+def run_figure(name: str, oracle_check: bool = False) -> FigureResult:
     """Compute a figure's three curves and check their pointwise ordering.
 
     The curves are ordered by increasing disturbance, so at every n the
@@ -228,7 +218,7 @@ def run_figure(
             eve_q=curve.eve_q,
             oracle_check=oracle_check,
         )
-        curves.append((curve, tuple(run_sweep(sweep_spec, tol, max_iter))))
+        curves.append((curve, tuple(run_sweep(sweep_spec))))
     violations = []
     for index in range(len(curves[0][1])):
         n = curves[0][1][index].n

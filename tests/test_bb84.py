@@ -55,7 +55,7 @@ class TestAgainstOracle:
         assert detected.probability + done.probability == pytest.approx(1.0, abs=1e-12)
 
     def test_solver_needs_very_few_sweeps(self):
-        # descending-index order is close to reverse topological order here
+        # the chain is acyclic, so the SCC-ordered pass settles it at once
         report, _ = checked_probability(Bb84Params(photons=5))
         assert report.iterations <= 3
 
@@ -142,7 +142,7 @@ class TestGeneratedSource:
         params = Bb84Params(photons=1)
         model = parse(generate(params))
         printed = {label.name: print_expr(label.expr) for label in model.labels}
-        assert print_expr(detected_event_definition(params)) == printed["detected"]
+        assert print_expr(detected_event_definition()) == printed["detected"]
 
     def test_variable_schema_matches_the_declarations(self):
         params = Bb84Params(photons=6, eve_q=0.5)

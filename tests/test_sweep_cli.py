@@ -26,14 +26,6 @@ from qkdmc.sweep import (
     write_csv,
 )
 
-PING_PONG = (
-    "dtmc\nmodule m\n  x : [0..3] init 0;\n"
-    "  [] x=0 -> 0.9:(x'=1) + 0.1:(x'=2);\n"
-    "  [] x=1 -> 0.9:(x'=0) + 0.1:(x'=3);\nendmodule\n"
-    'label "goal" = x=2;\n'
-)
-
-
 class TestRunSweep:
     def test_rows_cover_the_range_in_order(self):
         rows = run_sweep(SweepSpec(2, 10, 2))
@@ -56,7 +48,7 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("passthrough", list(Passthrough))
     def test_curve_values_match_single_point_runs(self, passthrough):
-        # n_stop = 12 is not itself a point, so no row reads the initial state.
+        # n_stop = 12 is not itself a point: the model stops at the top row, 11.
         spec = SweepSpec(2, 12, 3, channel=HEAVY_NOISE_CHANNEL, eve_q=0.5, bias=0.3,
                          passthrough=passthrough)
         rows = run_sweep(spec)
@@ -104,6 +96,19 @@ class TestOneBuildPerCurve:
         assert len(builds) == 1
         # iterations and wall_ms describe the curve's one analysis.
         assert len({(row.iterations, row.wall_ms) for row in rows}) == 1
+
+    def test_a_sweep_builds_no_photon_beyond_its_top_row(self, monkeypatch):
+        photons = []
+        real = sweep_module.generate
+
+        def recording(params):
+            photons.append(params.photons)
+            return real(params)
+
+        monkeypatch.setattr(sweep_module, "generate", recording)
+        rows = run_sweep(SweepSpec(2, 12, 3, oracle_check=True))
+        assert [row.n for row in rows] == [2, 5, 8, 11]
+        assert photons == [11]
 
     def test_a_figure_builds_once_per_curve(self, builds):
         spec = FIGURES["fig2"]
@@ -214,14 +219,6 @@ class TestCliExitCodes:
         code = cli.main(["check", "--model", str(tmp_path / "absent.pm"),
                          "--prop", 'P=? [ F "t" ]'])
         assert code == 2
-
-    def test_solver_budget_exhaustion_is_exit_3(self, tmp_path, capsys):
-        model = tmp_path / "cyclic.pm"
-        model.write_text(PING_PONG, encoding="utf-8")
-        code = cli.main(["check", "--model", str(model), "--prop", 'P=? [ F "goal" ]',
-                         "--max-iter", "1"])
-        assert code == 3
-        assert "no convergence" in capsys.readouterr().err
 
     def test_usage_error_is_exit_1(self, capsys):
         assert cli.main(["check", "--model"]) == 1
