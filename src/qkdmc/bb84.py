@@ -340,19 +340,23 @@ def detected_event_definition() -> ast.Expr:
     return _eq("detected", 1)
 
 
+_ROLES = {
+    "al_bas": "Alice's basis choice",
+    "al_bit": "Alice's data bit",
+    "phase": "protocol phase (0 draw, 1 load, 2 eavesdrop, 3 resend, "
+             "4 receive, 5 compare, 6 stopped)",
+    "ch_bas": "basis of the photon on the channel",
+    "ch_bit": "bit of the photon on the channel",
+    "i": "zero-based index of the current photon",
+    "detected": 'disturbance flag; defines label "detected"',
+    "eve_bas": "Eve's measurement basis",
+    "eve_bit": "Eve's measured bit",
+    "bob_bas": "Bob's measurement basis",
+    "bob_bit": "Bob's measured bit",
+}
+
+
 def variable_schema(params: Bb84Params) -> tuple[tuple[str, int, int, str], ...]:
     """(name, low, high, role) for every variable of the emitted model."""
-    return (
-        ("al_bas", 0, 1, "Alice's basis choice"),
-        ("al_bit", 0, 1, "Alice's data bit"),
-        ("phase", 0, 6, "protocol phase (0 draw, 1 load, 2 eavesdrop, 3 resend, "
-                        "4 receive, 5 compare, 6 stopped)"),
-        ("ch_bas", 0, 1, "basis of the photon on the channel"),
-        ("ch_bit", 0, 1, "bit of the photon on the channel"),
-        ("i", 0, max(params.photons - 1, 0), "zero-based index of the current photon"),
-        ("detected", 0, 1, 'disturbance flag; defines label "detected"'),
-        ("eve_bas", 0, 1, "Eve's measurement basis"),
-        ("eve_bit", 0, 1, "Eve's measured bit"),
-        ("bob_bas", 0, 1, "Bob's measurement basis"),
-        ("bob_bit", 0, 1, "Bob's measured bit"),
-    )
+    variables = [var for module in model_ast(params).modules for var in module.variables]
+    return tuple((var.name, var.low, var.high, _ROLES[var.name]) for var in variables)

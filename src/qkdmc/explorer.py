@@ -108,8 +108,6 @@ class _Update:
 
 @dataclass(frozen=True)
 class _Command:
-    module: str
-    label: str | None
     line: int
     guard: Callable
     updates: tuple[_Update, ...]
@@ -127,7 +125,7 @@ def build(vm: ValidatedModel) -> Dtmc:
     var_index = vm.var_index
     bounds = {var.name: (var.low, var.high) for var in vm.variables}
 
-    def compile_command(module: ast.Module, mi: int, command: ast.Command, ci: int) -> _Command:
+    def compile_command(mi: int, command: ast.Command, ci: int) -> _Command:
         updates = []
         for ui, update in enumerate(command.updates):
             prob = vm.update_probs[mi][ci][ui]
@@ -145,21 +143,22 @@ def build(vm: ValidatedModel) -> Dtmc:
             )
             updates.append(_Update(prob, assigns))
         guard = compile_expr(command.guard, var_index, vm.constants)
-        return _Command(module.name, command.label, command.pos.line, guard, tuple(updates))
+        return _Command(command.pos.line, guard, tuple(updates))
 
-    unlabeled: list[_Command] = []
+    # A group is each participating module's commands for one action, or one
+    # unlabeled command as a module of its own. It is enabled when each of its
+    # modules has an enabled command.
+    groups: list[tuple[str, tuple[list[_Command], ...]]] = []
     by_action: dict[str, dict[str, list[_Command]]] = {a: {} for a in vm.action_order}
     for mi, module in enumerate(vm.model.modules):
         for ci, command in enumerate(module.commands):
-            compiled = compile_command(module, mi, command, ci)
+            compiled = compile_command(mi, command, ci)
             if command.label is None:
-                unlabeled.append(compiled)
+                groups.append((f"unlabeled command (module {module.name})", ([compiled],)))
             else:
                 by_action[command.label].setdefault(module.name, []).append(compiled)
-    sync = [
-        (action, tuple(tuple(cmds) for cmds in by_action[action].values()))
-        for action in vm.action_order
-    ]
+    for action, module_cmds in by_action.items():
+        groups.append((f"action [{action}]", tuple(module_cmds.values())))
 
     initial = vm.initial_state
     states: list[tuple[int, ...]] = [initial]
@@ -172,34 +171,33 @@ def build(vm: ValidatedModel) -> Dtmc:
         si = queue.popleft()
         state = states[si]
 
-        groups: list[tuple[str, tuple[_Command, ...]]] = []
-        for cmd in unlabeled:
-            if cmd.guard(state):
-                groups.append((f"unlabeled command (module {cmd.module})", (cmd,)))
-        for action, module_cmds in sync:
+        enabled: list[tuple[str, list[_Command]]] = []
+        for name, modules in groups:
             parts: list[_Command] = []
-            for cmds in module_cmds:
+            for cmds in modules:
                 # The validator rejected overlapping same-label guards, so at
                 # most one command per module can be enabled here.
-                chosen = next((c for c in cmds if c.guard(state)), None)
-                if chosen is None:
+                for cmd in cmds:
+                    if cmd.guard(state):
+                        parts.append(cmd)
+                        break
+                else:
                     break
-                parts.append(chosen)
             else:
-                groups.append((f"action [{action}]", tuple(parts)))
+                enabled.append((name, parts))
 
-        if not groups:
+        if not enabled:
             deadlocks.add(si)
             rows.append(((si, 1.0),))
             continue
-        if len(groups) > 1:
-            shown = " and ".join(name for name, _ in groups)
+        if len(enabled) > 1:
+            shown = " and ".join(name for name, _ in enabled)
             raise BuildError(
                 f"{shown} both enabled in state ({describe(vm.variables, state)})",
                 code="NONDETERMINISM",
             )
 
-        _, parts = groups[0]
+        _, parts = enabled[0]
         targets: dict[int, float] = {}
         for combo in itertools.product(*(cmd.updates for cmd in parts)):
             prob = 1.0

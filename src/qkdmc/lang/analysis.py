@@ -4,6 +4,11 @@ Kinds are 'int', 'double' and 'bool'. Guards and label definitions must be
 boolean over integer comparisons; assignment right-hand sides must be integer
 arithmetic; probability expressions must fold to a numeric constant at
 validation time (no state variables).
+
+A kind-checked expression compiles to one Python function of the state
+tuple: it is rendered as Python source, with variables read as ``s[i]`` and
+constants inlined, and evaluated once with no builtins in scope. The
+parser's nesting limit keeps that source within what Python compiles.
 """
 
 from __future__ import annotations
@@ -12,11 +17,13 @@ from typing import Callable, Mapping
 
 from qkdmc.errors import ValidationError
 from qkdmc.lang import ast
+from qkdmc.lang.parser import BIN_PREC, NEG_PREC, NOT_PREC
 
 _NUMERIC = ("int", "double")
 _COMPARISONS = frozenset({"=", "!=", "<", "<=", ">", ">="})
 _ARITHMETIC = frozenset({"+", "-", "*", "/"})
 _BOOLEAN = frozenset({"&", "|"})
+_PYTHON_OPS = {"=": "==", "&": "and", "|": "or", "!": "not "}
 
 
 def _err(message: str, pos: ast.Pos, code: str = "TYPE") -> ValidationError:
@@ -119,50 +126,29 @@ def compile_expr(
     var_index: Mapping[str, int],
     constants: Mapping[str, int | float],
 ) -> Callable[[tuple[int, ...]], int | bool]:
-    """Compile a kind-checked expression to a closure over a state tuple.
+    """Compile a kind-checked expression to one function over a state tuple.
 
-    Constants are folded in; variables index into the tuple. Used on the hot
+    Constants are inlined; variables index into the tuple. Used on the hot
     path of state exploration and for guard-overlap enumeration.
     """
-    if isinstance(expr, (ast.IntLit, ast.RealLit, ast.BoolLit)):
-        value = expr.value
-        return lambda state: value
-    if isinstance(expr, ast.Name):
-        if expr.ident in var_index:
-            i = var_index[expr.ident]
-            return lambda state: state[i]
-        value = constants[expr.ident]
-        return lambda state: value
-    if isinstance(expr, ast.Unary):
-        operand = compile_expr(expr.operand, var_index, constants)
-        if expr.op == "!":
-            return lambda state: not operand(state)
-        return lambda state: -operand(state)
-    assert isinstance(expr, ast.Binary)
-    left = compile_expr(expr.left, var_index, constants)
-    right = compile_expr(expr.right, var_index, constants)
-    op = expr.op
-    if op == "=":
-        return lambda state: left(state) == right(state)
-    if op == "!=":
-        return lambda state: left(state) != right(state)
-    if op == "<":
-        return lambda state: left(state) < right(state)
-    if op == "<=":
-        return lambda state: left(state) <= right(state)
-    if op == ">":
-        return lambda state: left(state) > right(state)
-    if op == ">=":
-        return lambda state: left(state) >= right(state)
-    if op == "&":
-        return lambda state: left(state) and right(state)
-    if op == "|":
-        return lambda state: left(state) or right(state)
-    if op == "+":
-        return lambda state: left(state) + right(state)
-    if op == "-":
-        return lambda state: left(state) - right(state)
-    if op == "*":
-        return lambda state: left(state) * right(state)
-    assert op == "/"
-    return lambda state: left(state) / right(state)
+
+    def render(expr: ast.Expr, min_prec: int) -> str:
+        # Minimal parentheses, as in printer._expr. The model orders Python's
+        # operators the same way, and comparison operands are always
+        # integers, so Python's comparison chaining never applies.
+        if isinstance(expr, (ast.IntLit, ast.RealLit, ast.BoolLit)):
+            return f"({expr.value!r})"
+        if isinstance(expr, ast.Name):
+            if expr.ident in var_index:
+                return f"s[{var_index[expr.ident]}]"
+            return f"({constants[expr.ident]!r})"
+        op = _PYTHON_OPS.get(expr.op, expr.op)
+        if isinstance(expr, ast.Unary):
+            prec = NOT_PREC if expr.op == "!" else NEG_PREC
+            text = op + render(expr.operand, prec + 1)
+        else:
+            prec = BIN_PREC[expr.op]
+            text = f"{render(expr.left, prec)} {op} {render(expr.right, prec + 1)}"
+        return f"({text})" if prec < min_prec else text
+
+    return eval(f"lambda s: {render(expr, 0)}", {"__builtins__": {}})

@@ -31,6 +31,11 @@ BIN_PREC = {
 NOT_PREC = 25
 NEG_PREC = 60
 
+# Each '(' and each prefix '!' or '-' opens one nesting level. The limit keeps
+# parsing, kind checking and compilation inside Python's default recursion
+# limit and inside the parenthesis nesting Python's own parser accepts.
+MAX_NESTING = 100
+
 
 class TokenStream:
     """Cursor over a token list with single-token error reporting."""
@@ -38,6 +43,7 @@ class TokenStream:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._index = 0
+        self.depth = 0
 
     def peek(self, ahead: int = 0) -> Token:
         i = min(self._index + ahead, len(self._tokens) - 1)
@@ -237,14 +243,10 @@ def _parse_labeldef(stream: TokenStream) -> ast.LabelDef:
 def parse_expression(stream: TokenStream, min_prec: int = 0) -> ast.Expr:
     """Precedence-climbing expression parser over the unified grammar."""
     pos = stream.pos()
-    if stream.at("!"):
-        stream.advance()
-        operand = parse_expression(stream, NOT_PREC)
-        left: ast.Expr = ast.Unary("!", operand, pos)
-    elif stream.at("-"):
-        stream.advance()
-        operand = parse_expression(stream, NEG_PREC)
-        left = ast.Unary("-", operand, pos)
+    if stream.accept("!"):
+        left: ast.Expr = ast.Unary("!", _parse_nested(stream, NOT_PREC, pos), pos)
+    elif stream.accept("-"):
+        left = ast.Unary("-", _parse_nested(stream, NEG_PREC, pos), pos)
     else:
         left = _parse_primary(stream)
     while True:
@@ -258,6 +260,21 @@ def parse_expression(stream: TokenStream, min_prec: int = 0) -> ast.Expr:
         right = parse_expression(stream, prec + 1)
         left = ast.Binary(tok.text, left, right, ast.Pos(tok.line, tok.col))
     return left
+
+
+def _parse_nested(stream: TokenStream, min_prec: int, pos: ast.Pos) -> ast.Expr:
+    """Parse the operand of the '(' or prefix operator at pos, one level down."""
+    if stream.depth == MAX_NESTING:
+        raise ParseError(
+            f"expression nested more than {MAX_NESTING} levels deep",
+            pos.line,
+            pos.col,
+            code="NESTING",
+        )
+    stream.depth += 1
+    expr = parse_expression(stream, min_prec)
+    stream.depth -= 1
+    return expr
 
 
 def _parse_primary(stream: TokenStream) -> ast.Expr:
@@ -275,7 +292,7 @@ def _parse_primary(stream: TokenStream) -> ast.Expr:
     if stream.at(TokenType.IDENT):
         return ast.Name(stream.advance().text, pos)
     if stream.accept("("):
-        expr = parse_expression(stream)
+        expr = _parse_nested(stream, 0, pos)
         stream.expect(")", "parenthesized expression")
         return expr
     return stream.fail("an expression")  # type: ignore[return-value]

@@ -24,9 +24,7 @@ class ValidatedModel:
     constants: dict[str, int | float] = field(compare=False)
     variables: tuple[ast.VarDecl, ...] = field(compare=False)
     var_index: dict[str, int] = field(compare=False)
-    owner: dict[str, str] = field(compare=False)
     update_probs: tuple[tuple[tuple[float, ...], ...], ...] = field(compare=False)
-    alphabets: dict[str, frozenset[str]] = field(compare=False)
     action_order: tuple[str, ...] = field(compare=False)
 
     @property
@@ -81,10 +79,6 @@ def validate(model: ast.Model) -> ValidatedModel:
     for label in model.labels:
         analysis.check_kind(label.expr, "bool", const_kinds, var_decls, "label definition")
 
-    alphabets = {
-        module.name: frozenset(c.label for c in module.commands if c.label is not None)
-        for module in model.modules
-    }
     action_order: list[str] = []
     for module in model.modules:
         for command in module.commands:
@@ -99,9 +93,7 @@ def validate(model: ast.Model) -> ValidatedModel:
         constants=constants,
         variables=tuple(variables),
         var_index=var_index,
-        owner=dict(symbols.owner),
         update_probs=tuple(update_probs),
-        alphabets=alphabets,
         action_order=tuple(action_order),
     )
 

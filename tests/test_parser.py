@@ -2,8 +2,11 @@
 
 import pytest
 
-from qkdmc.errors import ParseError
-from qkdmc.lang import IntLit, Name, Unary, parse, print_expr
+from qkdmc.errors import ParseError, ValidationError
+from qkdmc.explorer import build
+from qkdmc.lang import IntLit, Name, Unary, parse, print_expr, validate
+from qkdmc.lang.parser import MAX_NESTING
+from qkdmc.properties import parse_property, resolve_operand
 
 
 def wrap(body: str, decls: str = "  x : [0..1] init 0;") -> str:
@@ -214,3 +217,68 @@ class TestErrors:
             assert str(error).startswith(f"{error.line}:{error.col}:")
         else:
             pytest.fail("expected a parse error")
+
+
+def _nest(template: str, innermost: str, levels: int) -> str:
+    for _ in range(levels):
+        innermost = template.format(innermost)
+    return innermost
+
+
+def _halves(template: str, odd: str, even: str, levels: int) -> str:
+    """Two levels per template repeat; an odd level count starts from odd."""
+    repeats, extra = divmod(levels, 2)
+    return _nest(template, odd if extra else even, repeats)
+
+
+# Guards nested exactly `levels` deep, where each '(' and each prefix '!' or
+# '-' counts one level.
+NESTED_GUARDS = {
+    "subtraction": lambda n: "x=" + _nest("0-({})", "x", n),
+    "negated_conjunction": lambda n: _halves("!(x=0 & {})", "!x=0", "x=0", n),
+    "disjunction": lambda n: _nest("(x=0 | {})", "x=0", n),
+    "negation": lambda n: "x=" + _halves("-({})", "-x", "x", n),
+    "product": lambda n: "x=" + _nest("2*({})", "x", n),
+    "parentheses": lambda n: "(" * n + "x=0" + ")" * n,
+    "not_chain": lambda n: "!" * n + "x=0",
+}
+
+
+def _guarded(guard: str) -> str:
+    return wrap(f"  [] {guard} -> (x'=1);")
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("shape", sorted(NESTED_GUARDS))
+    def test_guard_at_the_limit_builds(self, shape):
+        dtmc = build(validate(parse(_guarded(NESTED_GUARDS[shape](MAX_NESTING)))))
+        assert dtmc.state_count in (1, 2)
+
+    @pytest.mark.parametrize("shape", sorted(NESTED_GUARDS))
+    def test_guard_past_the_limit_is_a_nesting_error(self, shape):
+        with pytest.raises(ParseError) as info:
+            parse(_guarded(NESTED_GUARDS[shape](MAX_NESTING + 1)))
+        assert info.value.code == "NESTING"
+        assert info.value.line == 4
+
+    def test_error_points_at_the_level_past_the_limit(self):
+        with pytest.raises(ParseError) as info:
+            parse(_guarded(NESTED_GUARDS["parentheses"](MAX_NESTING + 1)))
+        # "  [] " puts the first '(' in column 6.
+        assert (info.value.line, info.value.col) == (4, 6 + MAX_NESTING)
+
+    def test_every_precedence_level_inside_each_parenthesis(self):
+        # Parses at the limit, so the parser's recursion stays bounded; the
+        # kind checker then rejects it with a typed error.
+        guard = _nest("(x=0 | x=0 & x = x + x*{})", "x", MAX_NESTING)
+        with pytest.raises(ValidationError) as info:
+            validate(parse(_guarded(guard)))
+        assert info.value.code == "TYPE"
+
+    def test_property_operands_share_the_limit(self):
+        dtmc = build(validate(parse(_guarded("x=0"))))
+        query = parse_property(f"P=? [ F {NESTED_GUARDS['parentheses'](MAX_NESTING)} ]")
+        assert resolve_operand(query.target, dtmc) == frozenset({0})
+        with pytest.raises(ParseError) as info:
+            parse_property(f"P=? [ F {NESTED_GUARDS['parentheses'](MAX_NESTING + 1)} ]")
+        assert info.value.code == "NESTING"

@@ -13,6 +13,7 @@ import qkdmc.sweep as sweep_module
 from qkdmc import cli
 from qkdmc.bb84 import Bb84Params, Passthrough
 from qkdmc.errors import AcceptanceViolation
+from qkdmc.lang.parser import MAX_NESTING
 from qkdmc.sweep import (
     HEAVY_NOISE_CHANNEL,
     LIGHT_NOISE_CHANNEL,
@@ -214,6 +215,22 @@ class TestCliExitCodes:
         code = cli.main(["check", "--model", str(model), "--prop", 'P=? [ F "nope" ]'])
         assert code == 2
         assert "no label" in capsys.readouterr().err
+
+    def test_nesting_past_the_limit_is_exit_2(self, tmp_path, capsys):
+        deep = "(" * (MAX_NESTING + 1) + "x=0" + ")" * (MAX_NESTING + 1)
+        model = tmp_path / "deep.pm"
+        model.write_text(
+            f"dtmc\nmodule m\n  x : [0..1] init 0;\n  [] {deep} -> (x'=1);\nendmodule\n",
+            encoding="utf-8",
+        )
+        assert cli.main(["check", "--model", str(model), "--prop", "P=? [ F (x=1) ]"]) == 2
+        assert "nested more than" in capsys.readouterr().err
+        model.write_text(
+            "dtmc\nmodule m\n  x : [0..1] init 0;\n  [] x=0 -> (x'=1);\nendmodule\n",
+            encoding="utf-8",
+        )
+        assert cli.main(["check", "--model", str(model), "--prop", f"P=? [ F {deep} ]"]) == 2
+        assert "nested more than" in capsys.readouterr().err
 
     def test_missing_model_file_is_exit_2(self, tmp_path):
         code = cli.main(["check", "--model", str(tmp_path / "absent.pm"),

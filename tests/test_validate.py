@@ -192,15 +192,12 @@ class TestValidatedModel:
         assert [v.name for v in vm.variables] == ["x", "y"]
         assert vm.var_index == {"x": 0, "y": 1}
         assert vm.initial_state == (0, 2)
-        assert vm.owner == {"x": "m", "y": "w"}
 
     def test_action_alphabets(self):
         vm = check(
             "dtmc\nmodule m\n  x : [0..1] init 0;\n  [go] x=0 -> (x'=1);\nendmodule\n"
             "module w\n  y : [0..1] init 0;\n  [go] y=0 -> (y'=1);\n  [] y=1 -> (y'=0);\nendmodule\n"
         )
-        assert vm.alphabets["m"] == frozenset({"go"})
-        assert vm.alphabets["w"] == frozenset({"go"})
         assert vm.action_order == ("go",)
 
 
