@@ -7,6 +7,30 @@ participating commands' distributions. Unlabeled commands fire alone. The
 semantics of a state is therefore deterministic: exactly one group (action or
 unlabeled command) may be enabled; zero enabled groups makes a flagged
 deadlock that receives a probability-1 self-loop.
+
+`build` renders the whole model as the Python source of one function,
+``successors(s)``, compiles it once and calls it on each state in
+breadth-first order. In it, every guard is inlined: one selection per
+module and group picks the module's command, one line per group records
+whether the group is enabled, and the one enabled group returns its
+(probability, successor) pairs. Each command's updates are one tuple of
+(probability, new values) per update, and a group's successors come from
+one comprehension over its branching modules' tuples, in the order of the
+product of their distributions. The function still checks, in every state
+it is called on:
+
+- that a module has at most one enabled command for an action (it
+  evaluates every such guard, not the first true one; NONDETERMINISM
+  names the module, the action, both command lines and the state);
+- that at most one group is enabled (NONDETERMINISM, naming the groups and
+  the state);
+- that each assigned value lies in its variable's range (BOUNDS, naming
+  the command line, the variable, the value and the state). Only an
+  assignment of a constant already known to be in range skips the test.
+
+`build` itself merges and sorts each row, checks that it sums to 1 within
+ROW_SUM_TOL (ROW_SUM, naming the state), evaluates the labels and
+assembles the Dtmc.
 """
 
 from __future__ import annotations
@@ -14,13 +38,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 from qkdmc.errors import BuildError, QkdmcError
-from qkdmc.lang import ast
-from qkdmc.lang.analysis import compile_expr
+from qkdmc.lang import ast, names
+from qkdmc.lang.analysis import compile_expr, render_expr
 from qkdmc.lang.validate import ValidatedModel
 
 ROW_SUM_TOL = 1e-9
@@ -99,143 +122,61 @@ class Dtmc:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class _Update:
-    prob: float
-    # (variable index, name, low, high, compiled rhs)
-    assigns: tuple[tuple[int, str, int, int, Callable], ...]
-
-
-@dataclass(frozen=True)
-class _Command:
-    line: int
-    guard: Callable
-    updates: tuple[_Update, ...]
-
-
 def build(vm: ValidatedModel) -> Dtmc:
     """Breadth-first exploration from the initial valuation.
 
     State indices follow discovery order, so two builds of the same model
     are identical structure for structure. Raises BuildError with code
-    NONDETERMINISM (two groups enabled; reports the state), BOUNDS (an
-    update leaves a variable's range; reports state, command line and
-    variable) or ROW_SUM (post-build stochasticity assert).
+    NONDETERMINISM (two groups, or two commands of one module for one
+    action, enabled; reports the state), BOUNDS (an update leaves a
+    variable's range; reports state, command line and variable) or ROW_SUM
+    (post-build stochasticity assert).
     """
-    var_index = vm.var_index
-    bounds = {var.name: (var.low, var.high) for var in vm.variables}
-
-    def compile_command(mi: int, command: ast.Command, ci: int) -> _Command:
-        updates = []
-        for ui, update in enumerate(command.updates):
-            prob = vm.update_probs[mi][ci][ui]
-            if prob == 0.0:
-                continue
-            assigns = tuple(
-                (
-                    var_index[a.var],
-                    a.var,
-                    bounds[a.var][0],
-                    bounds[a.var][1],
-                    compile_expr(a.value, var_index, vm.constants),
-                )
-                for a in update.assignments
-            )
-            updates.append(_Update(prob, assigns))
-        guard = compile_expr(command.guard, var_index, vm.constants)
-        return _Command(command.pos.line, guard, tuple(updates))
-
-    # A group is each participating module's commands for one action, or one
-    # unlabeled command as a module of its own. It is enabled when each of its
-    # modules has an enabled command.
-    groups: list[tuple[str, tuple[list[_Command], ...]]] = []
-    by_action: dict[str, dict[str, list[_Command]]] = {a: {} for a in vm.action_order}
-    for mi, module in enumerate(vm.model.modules):
-        for ci, command in enumerate(module.commands):
-            compiled = compile_command(mi, command, ci)
-            if command.label is None:
-                groups.append((f"unlabeled command (module {module.name})", ([compiled],)))
-            else:
-                by_action[command.label].setdefault(module.name, []).append(compiled)
-    for action, module_cmds in by_action.items():
-        groups.append((f"action [{action}]", tuple(module_cmds.values())))
-
+    successors = _successor_function(vm)
     initial = vm.initial_state
     states: list[tuple[int, ...]] = [initial]
     state_index: dict[tuple[int, ...], int] = {initial: 0}
     rows: list[tuple[tuple[int, float], ...]] = []
     deadlocks: set[int] = set()
-    queue: deque[int] = deque([0])
 
-    while queue:
-        si = queue.popleft()
-        state = states[si]
-
-        enabled: list[tuple[str, list[_Command]]] = []
-        for name, modules in groups:
-            parts: list[_Command] = []
-            for cmds in modules:
-                # The validator rejected overlapping same-label guards, so at
-                # most one command per module can be enabled here.
-                for cmd in cmds:
-                    if cmd.guard(state):
-                        parts.append(cmd)
-                        break
-                else:
-                    break
-            else:
-                enabled.append((name, parts))
-
-        if not enabled:
+    # states grows while it is walked, so the walk is breadth-first.
+    for si, state in enumerate(states):
+        out = successors(state)
+        if out is None:
             deadlocks.add(si)
             rows.append(((si, 1.0),))
             continue
-        if len(enabled) > 1:
-            shown = " and ".join(name for name, _ in enabled)
-            raise BuildError(
-                f"{shown} both enabled in state ({describe(vm.variables, state)})",
-                code="NONDETERMINISM",
-            )
-
-        _, parts = enabled[0]
-        targets: dict[int, float] = {}
-        for combo in itertools.product(*(cmd.updates for cmd in parts)):
-            prob = 1.0
-            for update in combo:
-                prob *= update.prob
-            if prob == 0.0:
-                continue
-            successor = list(state)
-            for update, cmd in zip(combo, parts):
-                for vi, name, low, high, fn in update.assigns:
-                    value = fn(state)
-                    if not low <= value <= high:
-                        raise BuildError(
-                            f"update at line {cmd.line} sets {name}={value}, outside "
-                            f"[{low}..{high}], in state ({describe(vm.variables, state)})",
-                            code="BOUNDS",
-                        )
-                    successor[vi] = value
-            key = tuple(successor)
-            ti = state_index.get(key)
-            if ti is None:
-                ti = len(states)
-                state_index[key] = ti
+        if len(out) == 1:
+            # One successor, the common case: no merge, no sort, no fsum.
+            ((total, key),) = out
+            fresh = len(states)
+            ti = state_index.setdefault(key, fresh)
+            if ti == fresh:
                 states.append(key)
-                queue.append(ti)
-            targets[ti] = targets.get(ti, 0.0) + prob
-
-        total = math.fsum(targets.values())
+            row = ((ti, total),)
+        else:
+            targets: dict[int, float] = {}
+            for prob, key in out:
+                fresh = len(states)
+                ti = state_index.setdefault(key, fresh)
+                if ti == fresh:
+                    states.append(key)
+                targets[ti] = targets.get(ti, 0.0) + prob
+            total = math.fsum(targets.values())
+            row = tuple(sorted(targets.items()))
         if abs(total - 1.0) > ROW_SUM_TOL:
             raise BuildError(
                 f"row for state ({describe(vm.variables, state)}) sums to {total:.12g}",
                 code="ROW_SUM",
             )
-        rows.append(tuple(sorted(targets.items())))
+        rows.append(row)
+    # The index holds an entry per state; freeing it before the label sets
+    # and the Dtmc's tuples are built lowers the build's peak memory.
+    del state_index
 
     labels: dict[str, frozenset[int]] = {}
     for labeldef in vm.model.labels:
-        fn = compile_expr(labeldef.expr, var_index, vm.constants)
+        fn = compile_expr(labeldef.expr, vm.var_index, vm.constants)
         labels[labeldef.name] = frozenset(i for i, s in enumerate(states) if fn(s))
 
     return Dtmc(
@@ -247,6 +188,225 @@ def build(vm: ValidatedModel) -> Dtmc:
         labels=labels,
         deadlocks=frozenset(deadlocks),
     )
+
+
+# A group with more participating modules than this gets its joint
+# distribution from _joint instead of a comprehension with one `for` clause
+# per module, whose depth Python's compiler pays for in recursion.
+MAX_INLINE_MODULES = 100
+
+
+def _successor_function(vm: ValidatedModel) -> Callable[[tuple[int, ...]], list | None]:
+    """Compile the model into successors(s): None for a deadlock, else the
+    enabled group's (probability, successor) pairs in product order.
+    """
+    var_index = vm.var_index
+    modules = vm.model.modules
+
+    # A group is each participating module's commands for one action, or one
+    # unlabeled command as a module of its own. It is enabled when each of its
+    # modules has an enabled command.
+    groups: list[tuple[str, str | None, list[tuple[int, list[tuple[int, ast.Command]]]]]] = []
+    by_action: dict[str, dict[int, list[tuple[int, ast.Command]]]] = {
+        action: {} for action in vm.action_order
+    }
+    for mi, module in enumerate(modules):
+        for ci, command in enumerate(module.commands):
+            if command.label is None:
+                name = f"unlabeled command (module {module.name})"
+                groups.append((name, None, [(mi, [(ci, command)])]))
+            else:
+                by_action[command.label].setdefault(mi, []).append((ci, command))
+    for action, parts in by_action.items():
+        groups.append((f"action [{action}]", action, list(parts.items())))
+
+    picks: list[tuple[str, str | None, list[int]]] = []
+    bound_sites: list[tuple[int, ast.VarDecl]] = []
+
+    def render(expr: ast.Expr) -> str:
+        return render_expr(expr, var_index, vm.constants)
+
+    def checked(line: int, var: ast.VarDecl, value: ast.Expr) -> str:
+        source = render(value)
+        if not names.expr_names(value) & var_index.keys():
+            constant = eval(source, {"__builtins__": {}})
+            if var.low <= constant <= var.high:
+                return repr(constant)
+        bound_sites.append((line, var))
+        site = len(bound_sites) - 1
+        return f"(t if {var.low} <= (t := {source}) <= {var.high} else _bounds(s, {site}, t))"
+
+    def update_tuples(mi: int, ci: int, command: ast.Command, writes: list[int]) -> list[str]:
+        # One (probability, value per written variable) tuple per update;
+        # a variable this update does not assign keeps its value s[i].
+        tuples = []
+        for ui, update in enumerate(command.updates):
+            prob = vm.update_probs[mi][ci][ui]
+            if prob == 0.0:
+                continue
+            values = {
+                var_index[a.var]: checked(command.pos.line, vm.variables[var_index[a.var]], a.value)
+                for a in update.assignments
+            }
+            tuples.append(f"({prob!r}, {_fields(writes, values)})")
+        return tuples
+
+    enable: list[str] = []
+    fire: list[str] = []
+    for gi, (_, action, parts) in enumerate(groups):
+        terms, body, unpacks, loops, joint_parts, group_writes = [], [], [], [], [], []
+        for j, (mi, commands) in enumerate(parts):
+            writes = sorted(
+                {var_index[a.var] for _, c in commands for u in c.updates for a in u.assignments}
+            )
+            group_writes.append(writes)
+            target = ", ".join([f"p{j}"] + [f"v{i}" for i in writes]) + ","
+            choices = [update_tuples(mi, ci, command, writes) for ci, command in commands]
+            if all(len(tuples) == 1 for tuples in choices):
+                # Deterministic here: unpack the one update, loop over nothing.
+                rhs = [tuples[0] for tuples in choices]
+                unpacks.append(f"{target} = u{j}")
+                joint_parts.append(f"(u{j},)")
+            else:
+                rhs = [f"({', '.join(tuples)},)" for tuples in choices]
+                loops.append(f"for {target} in u{j}")
+                joint_parts.append(f"u{j}")
+            if len(commands) == 1:
+                terms.append(render(commands[0][1].guard))
+                body.append(f"u{j} = {rhs[0]}")
+            else:
+                guards = ", ".join(render(command.guard) for _, command in commands)
+                terms.append(f"(k{gi}_{j} := _pick(({guards}), s, {len(picks)})) >= 0")
+                lines = [command.pos.line for _, command in commands]
+                picks.append((modules[mi].name, action, lines))
+                body.extend(f"if k{gi}_{j} == {k}: u{j} = {choice}" for k, choice in enumerate(rhs))
+        written = {i: f"v{i}" for writes in group_writes for i in writes}
+        successor = f"({_fields(range(len(vm.variables)), written)},)"
+        product = " * ".join(f"p{j}" for j in range(len(parts)))
+        if len(parts) > MAX_INLINE_MODULES:
+            body.append(f"return _joint(s, ({', '.join(joint_parts)},), {group_writes!r})")
+        else:
+            body.extend(unpacks)
+            if not loops:
+                # One combination; a zero product fails the row-sum check either way.
+                body.append(f"return [({product}, {successor})]")
+            elif len(parts) == 1:
+                body.append(f"return [(p0, {successor}) {loops[0]}]")
+            else:
+                body.append(f"return [(p, {successor}) {' '.join(loops)} if (p := {product})]")
+        enable.append(f"if {' and '.join(terms)}: e.append({gi})")
+        fire.append(f"if g == {gi}:")
+        fire.extend(f"    {line}" for line in body)
+
+    source = "\n    ".join(
+        [
+            "def successors(s):",
+            "e = []",
+            *enable,
+            "if len(e) != 1:",
+            "    if e:",
+            "        _nondeterminism(s, e)",
+            "    return None",
+            "g = e[0]",
+            *fire,
+        ]
+    )
+
+    def pick(hits: tuple[bool, ...], state: tuple[int, ...], site: int) -> int:
+        if hits.count(True) > 1:
+            module, action, lines = picks[site]
+            first, second = [line for line, hit in zip(lines, hits) if hit][:2]
+            raise BuildError(
+                f"module {module}: commands at line {first} and line {second} are both "
+                f"enabled for action [{action}] in state ({describe(vm.variables, state)})",
+                code="NONDETERMINISM",
+            )
+        return hits.index(True) if True in hits else -1
+
+    def bounds(state: tuple[int, ...], site: int, value: int) -> None:
+        line, var = bound_sites[site]
+        raise BuildError(
+            f"update at line {line} sets {var.name}={value}, outside "
+            f"[{var.low}..{var.high}], in state ({describe(vm.variables, state)})",
+            code="BOUNDS",
+        )
+
+    def nondeterminism(state: tuple[int, ...], enabled: list[int]) -> None:
+        shown = " and ".join(groups[gi][0] for gi in enabled)
+        raise BuildError(
+            f"{shown} both enabled in state ({describe(vm.variables, state)})",
+            code="NONDETERMINISM",
+        )
+
+    namespace = {
+        "__builtins__": {},
+        "len": len,
+        "_pick": pick,
+        "_bounds": bounds,
+        "_nondeterminism": nondeterminism,
+        "_joint": _joint,
+    }
+    exec(compile(source, "<successors>", "exec"), namespace)
+    return namespace["successors"]
+
+
+# A run of more unset variables than this is copied into a tuple as one
+# slice of s; a shorter one indexes s, which is about three times faster.
+MAX_INDEXED_RUN = 16
+
+
+def _fields(indices: Iterable[int], values: dict[int, str]) -> str:
+    """Tuple fields: values[i] for each of the ascending indices, else s[i].
+
+    A run of unset, consecutive indices longer than MAX_INDEXED_RUN is one
+    slice, so the text grows with len(values), not with len(indices).
+    """
+    fields: list[str] = []
+    run: list[int] = []
+
+    def close_run() -> None:
+        if len(run) > MAX_INDEXED_RUN:
+            fields.append(f"*s[{run[0]}:{run[-1] + 1}]")
+        else:
+            fields.extend(f"s[{i}]" for i in run)
+        run.clear()
+
+    for i in indices:
+        if i in values:
+            close_run()
+            fields.append(values[i])
+        else:
+            if run and i != run[-1] + 1:
+                close_run()
+            run.append(i)
+    close_run()
+    return ", ".join(fields)
+
+
+def _joint(
+    state: tuple[int, ...],
+    parts: tuple[tuple[tuple, ...], ...],
+    writes: list[list[int]],
+) -> list[tuple[float, tuple[int, ...]]]:
+    """The generated comprehension's flat form, for groups of many modules.
+
+    parts holds each module's update tuples, writes the variable index of
+    each value in them. Combinations come in the comprehension's order, and
+    the probability is multiplied left to right as there.
+    """
+    out = []
+    for combo in itertools.product(*parts):
+        prob = combo[0][0]
+        for update in combo[1:]:
+            prob *= update[0]
+        if prob == 0.0:
+            continue
+        successor = list(state)
+        for update, indices in zip(combo, writes):
+            for index, value in zip(indices, update[1:]):
+                successor[index] = value
+        out.append((prob, tuple(successor)))
+    return out
 
 
 def describe(variables: tuple[ast.VarDecl, ...], state: tuple[int, ...]) -> str:

@@ -5,10 +5,11 @@ boolean over integer comparisons; assignment right-hand sides must be integer
 arithmetic; probability expressions must fold to a numeric constant at
 validation time (no state variables).
 
-A kind-checked expression compiles to one Python function of the state
-tuple: it is rendered as Python source, with variables read as ``s[i]`` and
-constants inlined, and evaluated once with no builtins in scope. The
-parser's nesting limit keeps that source within what Python compiles.
+A kind-checked expression renders as Python source over the state tuple
+``s`` (variables read as ``s[i]``, constants inlined). ``compile_expr``
+evaluates that source as one function; the explorer inlines it into the
+model's generated successor function. The parser's nesting and operator
+limits keep that source within what Python compiles.
 """
 
 from __future__ import annotations
@@ -121,6 +122,37 @@ def fold_number(expr: ast.Expr, constants: Mapping[str, int | float]) -> float:
     raise _err("expected a numeric constant expression", expr.pos)
 
 
+def render_expr(
+    expr: ast.Expr,
+    var_index: Mapping[str, int],
+    constants: Mapping[str, int | float],
+    min_prec: int = 0,
+) -> str:
+    """Python source of a kind-checked expression over a state tuple ``s``.
+
+    Variables read ``s[i]``; constants are inlined by ``repr``. Parentheses
+    are minimal, as in printer._expr: the model orders Python's operators
+    the same way, and comparison operands are always integers, so Python's
+    comparison chaining never applies.
+    """
+    if isinstance(expr, (ast.IntLit, ast.RealLit, ast.BoolLit)):
+        return f"({expr.value!r})"
+    if isinstance(expr, ast.Name):
+        if expr.ident in var_index:
+            return f"s[{var_index[expr.ident]}]"
+        return f"({constants[expr.ident]!r})"
+    op = _PYTHON_OPS.get(expr.op, expr.op)
+    if isinstance(expr, ast.Unary):
+        prec = NOT_PREC if expr.op == "!" else NEG_PREC
+        text = op + render_expr(expr.operand, var_index, constants, prec + 1)
+    else:
+        prec = BIN_PREC[expr.op]
+        left = render_expr(expr.left, var_index, constants, prec)
+        right = render_expr(expr.right, var_index, constants, prec + 1)
+        text = f"{left} {op} {right}"
+    return f"({text})" if prec < min_prec else text
+
+
 def compile_expr(
     expr: ast.Expr,
     var_index: Mapping[str, int],
@@ -128,27 +160,7 @@ def compile_expr(
 ) -> Callable[[tuple[int, ...]], int | bool]:
     """Compile a kind-checked expression to one function over a state tuple.
 
-    Constants are inlined; variables index into the tuple. Used on the hot
-    path of state exploration and for guard-overlap enumeration.
+    Used for labels, property operands and guard-overlap enumeration.
     """
-
-    def render(expr: ast.Expr, min_prec: int) -> str:
-        # Minimal parentheses, as in printer._expr. The model orders Python's
-        # operators the same way, and comparison operands are always
-        # integers, so Python's comparison chaining never applies.
-        if isinstance(expr, (ast.IntLit, ast.RealLit, ast.BoolLit)):
-            return f"({expr.value!r})"
-        if isinstance(expr, ast.Name):
-            if expr.ident in var_index:
-                return f"s[{var_index[expr.ident]}]"
-            return f"({constants[expr.ident]!r})"
-        op = _PYTHON_OPS.get(expr.op, expr.op)
-        if isinstance(expr, ast.Unary):
-            prec = NOT_PREC if expr.op == "!" else NEG_PREC
-            text = op + render(expr.operand, prec + 1)
-        else:
-            prec = BIN_PREC[expr.op]
-            text = f"{render(expr.left, prec)} {op} {render(expr.right, prec + 1)}"
-        return f"({text})" if prec < min_prec else text
-
-    return eval(f"lambda s: {render(expr, 0)}", {"__builtins__": {}})
+    source = render_expr(expr, var_index, constants)
+    return eval(f"lambda s: {source}", {"__builtins__": {}})

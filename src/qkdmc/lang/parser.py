@@ -36,6 +36,19 @@ NEG_PREC = 60
 # limit and inside the parenthesis nesting Python's own parser accepts.
 MAX_NESTING = 100
 
+# A flat chain such as x=0 & x=0 & ... opens no level, but it is one binary
+# operator deeper per term, and every walk over the syntax tree recurses once
+# per level, as does Python's compiler on the rendered source. Under pytest
+# on CPython 3.11, `qkdmc check` run in process handles a chain 849 binary
+# operators deep below 99 prefix '!' levels, and fails past that at the
+# default recursion limit; this limit leaves about 150 frames to spare.
+MAX_OPERATOR_DEPTH = 700
+
+# Longer integer literals are a ParseError. Up to this length every literal
+# converts to a float (probability folding) and back to text (messages)
+# whatever Python's int/str conversion limit is set to (at least 640 digits).
+MAX_INT_DIGITS = 300
+
 
 class TokenStream:
     """Cursor over a token list with single-token error reporting."""
@@ -132,7 +145,7 @@ def _parse_literal(stream: TokenStream) -> ast.Expr:
     pos = stream.pos()
     negate = stream.accept("-") is not None
     if stream.at(TokenType.INT):
-        value: ast.Expr = ast.IntLit(int(stream.advance().text), pos)
+        value: ast.Expr = ast.IntLit(_int(stream.advance()), pos)
     elif stream.at(TokenType.REAL):
         value = ast.RealLit(float(stream.advance().text), pos)
     else:
@@ -140,6 +153,18 @@ def _parse_literal(stream: TokenStream) -> ast.Expr:
     if negate:
         value = ast.Unary("-", value, pos)
     return value
+
+
+def _int(tok: Token) -> int:
+    """Value of an integer literal token, refusing over-long ones."""
+    if len(tok.text) > MAX_INT_DIGITS:
+        raise ParseError(
+            f"integer literal of {len(tok.text)} digits (at most {MAX_INT_DIGITS})",
+            tok.line,
+            tok.col,
+            code="LITERAL",
+        )
+    return int(tok.text)
 
 
 def _parse_module(stream: TokenStream) -> ast.Module:
@@ -163,12 +188,12 @@ def _parse_vardecl(stream: TokenStream) -> ast.VarDecl:
     name = stream.expect(TokenType.IDENT).text
     stream.expect(":", "variable declaration")
     stream.expect("[", "variable declaration")
-    low = int(stream.expect(TokenType.INT, "variable bounds").text)
+    low = _int(stream.expect(TokenType.INT, "variable bounds"))
     stream.expect("..", "variable bounds")
-    high = int(stream.expect(TokenType.INT, "variable bounds").text)
+    high = _int(stream.expect(TokenType.INT, "variable bounds"))
     stream.expect("]", "variable declaration")
     stream.expect("init", "variable declaration")
-    init = int(stream.expect(TokenType.INT, "initial value").text)
+    init = _int(stream.expect(TokenType.INT, "initial value"))
     stream.expect(";", "variable declaration")
     return ast.VarDecl(name, low, high, init, pos)
 
@@ -240,15 +265,22 @@ def _parse_labeldef(stream: TokenStream) -> ast.LabelDef:
     return ast.LabelDef(name, expr, pos)
 
 
-def parse_expression(stream: TokenStream, min_prec: int = 0) -> ast.Expr:
+def parse_expression(stream: TokenStream) -> ast.Expr:
     """Precedence-climbing expression parser over the unified grammar."""
+    return _parse_binary(stream, 0)[0]
+
+
+def _parse_binary(stream: TokenStream, min_prec: int) -> tuple[ast.Expr, int]:
+    """The expression and its depth in binary operators."""
     pos = stream.pos()
     if stream.accept("!"):
-        left: ast.Expr = ast.Unary("!", _parse_nested(stream, NOT_PREC, pos), pos)
+        operand, depth = _parse_nested(stream, NOT_PREC, pos)
+        left: ast.Expr = ast.Unary("!", operand, pos)
     elif stream.accept("-"):
-        left = ast.Unary("-", _parse_nested(stream, NEG_PREC, pos), pos)
+        operand, depth = _parse_nested(stream, NEG_PREC, pos)
+        left = ast.Unary("-", operand, pos)
     else:
-        left = _parse_primary(stream)
+        left, depth = _parse_primary(stream)
     while True:
         tok = stream.peek()
         if tok.type is not TokenType.PUNCT:
@@ -257,12 +289,20 @@ def parse_expression(stream: TokenStream, min_prec: int = 0) -> ast.Expr:
         if prec is None or prec < min_prec:
             break
         stream.advance()
-        right = parse_expression(stream, prec + 1)
+        right, right_depth = _parse_binary(stream, prec + 1)
+        depth = max(depth, right_depth) + 1
+        if depth > MAX_OPERATOR_DEPTH:
+            raise ParseError(
+                f"expression more than {MAX_OPERATOR_DEPTH} binary operators deep",
+                tok.line,
+                tok.col,
+                code="NESTING",
+            )
         left = ast.Binary(tok.text, left, right, ast.Pos(tok.line, tok.col))
-    return left
+    return left, depth
 
 
-def _parse_nested(stream: TokenStream, min_prec: int, pos: ast.Pos) -> ast.Expr:
+def _parse_nested(stream: TokenStream, min_prec: int, pos: ast.Pos) -> tuple[ast.Expr, int]:
     """Parse the operand of the '(' or prefix operator at pos, one level down."""
     if stream.depth == MAX_NESTING:
         raise ParseError(
@@ -272,27 +312,27 @@ def _parse_nested(stream: TokenStream, min_prec: int, pos: ast.Pos) -> ast.Expr:
             code="NESTING",
         )
     stream.depth += 1
-    expr = parse_expression(stream, min_prec)
+    parsed = _parse_binary(stream, min_prec)
     stream.depth -= 1
-    return expr
+    return parsed
 
 
-def _parse_primary(stream: TokenStream) -> ast.Expr:
+def _parse_primary(stream: TokenStream) -> tuple[ast.Expr, int]:
     pos = stream.pos()
     if stream.at(TokenType.INT):
-        return ast.IntLit(int(stream.advance().text), pos)
+        return ast.IntLit(_int(stream.advance()), pos), 0
     if stream.at(TokenType.REAL):
-        return ast.RealLit(float(stream.advance().text), pos)
+        return ast.RealLit(float(stream.advance().text), pos), 0
     if stream.at("true"):
         stream.advance()
-        return ast.BoolLit(True, pos)
+        return ast.BoolLit(True, pos), 0
     if stream.at("false"):
         stream.advance()
-        return ast.BoolLit(False, pos)
+        return ast.BoolLit(False, pos), 0
     if stream.at(TokenType.IDENT):
-        return ast.Name(stream.advance().text, pos)
+        return ast.Name(stream.advance().text, pos), 0
     if stream.accept("("):
-        expr = _parse_nested(stream, 0, pos)
+        parsed = _parse_nested(stream, 0, pos)
         stream.expect(")", "parenthesized expression")
-        return expr
+        return parsed
     return stream.fail("an expression")  # type: ignore[return-value]

@@ -5,13 +5,21 @@ tests/_machine.py, an abstract enumerator that shares no code with the
 language front end or the builder.
 """
 
+import hashlib
+import importlib
+
 import pytest
 
 import _machine
+from qkdmc import explorer as explorer_module
 from qkdmc.bb84 import Bb84Params, Passthrough, model_ast
 from qkdmc.errors import BuildError, QkdmcError
 from qkdmc.explorer import build
 from qkdmc.lang import parse, validate
+from qkdmc.sweep import HEAVY_NOISE_CHANNEL
+
+# The package re-exports the validate function under the module's own name.
+validate_module = importlib.import_module("qkdmc.lang.validate")
 
 
 def explore(source: str):
@@ -92,6 +100,24 @@ class TestSynchronization:
         assert transition(dtmc, (0, 0), (0, 1)) == pytest.approx(0.35)
         assert transition(dtmc, (0, 0), (0, 0)) == pytest.approx(0.15)
 
+    def test_states_are_discovered_in_product_order(self):
+        # The first module's updates vary slowest, each module's in its
+        # written order.
+        dtmc = explore(self.SYNC)
+        assert dtmc.states == ((0, 0), (1, 1), (1, 0), (0, 1))
+
+    def test_an_underflowing_joint_probability_is_dropped(self):
+        # 1e-200 * 1e-200 is 0.0 in floating point, so (x=1, y=1) is never
+        # reached, like the target of an explicit zero-probability update.
+        dtmc = explore(
+            "dtmc\nmodule m\n  x : [0..1] init 0;\n"
+            "  [go] x=0 -> 1e-200:(x'=1) + 1:(x'=0);\nendmodule\n"
+            "module w\n  y : [0..1] init 0;\n"
+            "  [go] y=0 -> 1e-200:(y'=1) + 1:(y'=0);\nendmodule\n"
+        )
+        assert (1, 1) not in dtmc.states
+        assert dtmc.state_count == 3
+
     def test_action_blocks_until_all_participants_are_ready(self):
         # w never enables [go], so the action never fires anywhere
         dtmc = explore(
@@ -108,6 +134,20 @@ class TestSynchronization:
             "module w\n  y : [0..1] init 0;\nendmodule\n"
         )
         assert transition(dtmc, (0, 0), (1, 0)) == 1.0
+
+    def test_each_action_keeps_its_own_command_choice(self):
+        # In x=0 and x=1, module a's choice for [stop] is made (it differs
+        # from the one for [go]) before module b blocks [stop]; [go] must
+        # still fire the command it chose.
+        dtmc = explore(
+            "dtmc\nmodule a\n  x : [0..2] init 0;\n"
+            "  [go] x=0 -> (x'=1);\n  [go] x=1 -> (x'=2);\n"
+            "  [stop] x=1 -> (x'=0);\n  [stop] x=0 -> (x'=2);\nendmodule\n"
+            "module b\n  y : [0..1] init 0;\n  [stop] y=1 -> (y'=0);\nendmodule\n"
+        )
+        assert dtmc.states == ((0, 0), (1, 0), (2, 0))
+        assert transition(dtmc, (0, 0), (1, 0)) == 1.0
+        assert transition(dtmc, (1, 0), (2, 0)) == 1.0
 
     def test_evaluation_uses_the_source_state(self):
         # the copy reads al before the synchronized step, not after
@@ -139,13 +179,65 @@ class TestBuildErrors:
             explore(source)
         assert info.value.code == "NONDETERMINISM"
 
+    def test_two_enabled_commands_of_one_module_are_nondeterminism(self, monkeypatch):
+        # The validator rejects these overlapping guards statically; with its
+        # check switched off, exploration must still refuse to pick one.
+        monkeypatch.setattr(validate_module, "_check_overlaps", lambda *args: None)
+        source = (
+            "dtmc\nmodule m\n  x : [0..2] init 0;\n"
+            "  [a] x=0 -> (x'=1);\n  [a] x<2 -> (x'=2);\nendmodule\n"
+        )
+        with pytest.raises(BuildError) as info:
+            explore(source)
+        assert info.value.code == "NONDETERMINISM"
+        message = str(info.value)
+        assert "module m" in message and "[a]" in message
+        assert "line 4" in message and "line 5" in message
+        assert "(x=0)" in message
+
     def test_update_leaving_the_range_is_reported(self):
         source = "dtmc\nmodule m\n  x : [0..1] init 0;\n  [] x<2 -> (x'=x+1);\nendmodule\n"
         with pytest.raises(BuildError) as info:
             explore(source)
         assert info.value.code == "BOUNDS"
+        assert "line 4" in str(info.value)
         assert "sets x=2" in str(info.value)
         assert "(x=1)" in str(info.value)
+
+    def test_constant_assignment_out_of_range_is_reported(self):
+        source = (
+            "dtmc\nconst int k = 1;\nmodule m\n  x : [0..1] init 0;\n"
+            "  [] x=0 -> 0.5:(x'=k) + 0.5:(x'=k+1);\nendmodule\n"
+        )
+        with pytest.raises(BuildError) as info:
+            explore(source)
+        assert info.value.code == "BOUNDS"
+        assert "line 5" in str(info.value)
+        assert "sets x=2" in str(info.value)
+        assert "(x=0)" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "updates",
+        [
+            # about 1 + 1.8e-9 over four successors
+            "0.5000000009:({0}'=1) + 0.5:({0}'=0)",
+            # about 1 - 1.8e-9 on the one successor
+            "0.9999999991:({0}'=1)",
+        ],
+    )
+    def test_synchronized_row_sum_is_checked(self, updates):
+        # each command passes the 1e-9 PROB_SUM tolerance on its own, but the
+        # product distribution misses 1 by about 1.8e-9
+        source = (
+            "dtmc\nmodule m\n  x : [0..1] init 0;\n"
+            f"  [go] x=0 -> {updates.format('x')};\nendmodule\n"
+            "module w\n  y : [0..1] init 0;\n"
+            f"  [go] y=0 -> {updates.format('y')};\nendmodule\n"
+        )
+        with pytest.raises(BuildError) as info:
+            explore(source)
+        assert info.value.code == "ROW_SUM"
+        assert "(x=0, y=0)" in str(info.value)
 
 
 class TestLabelsAndExport:
@@ -254,3 +346,96 @@ class TestProtocolStateCounts:
         outcomes = {dtmc.describe_state(i) for i in dtmc.deadlocks}
         assert all("phase=6" in desc for desc in outcomes)
         assert {"detected=1" in desc for desc in outcomes} == {True, False}
+
+
+# sha256 of export_text(), recorded before the explorer was rewritten as one
+# generated successor function; any change to state order, row order or
+# probability bits shows here.
+EXPORT_DIGESTS = {
+    "channel_heavy_noise.pm": "c7b34448be99e6263601d4b8c1d23e1c879dcc434681a1a28d2271e30ecb9612",
+    "channel_light_noise.pm": "a11c95c68c486e5d9d5f5ffdfcb5ac5629938aa4e228fa514f4403c174085463",
+    "channel_perfect.pm": "45dd90bb74e007ac95738508ea85b6751a084746b17dad25becd94a99c852531",
+    "eve_full.pm": "45dd90bb74e007ac95738508ea85b6751a084746b17dad25becd94a99c852531",
+    "eve_medium.pm": "45dd90bb74e007ac95738508ea85b6751a084746b17dad25becd94a99c852531",
+    "eve_weak.pm": "45dd90bb74e007ac95738508ea85b6751a084746b17dad25becd94a99c852531",
+}
+PROTOCOL_DIGESTS = [
+    (
+        Bb84Params(photons=70, channel=HEAVY_NOISE_CHANNEL, eve_q=0.5),
+        "4ab6c96cf12539a4d40287b9b92d2d87d54556ca41b4f869ea2a492680fef658",
+    ),
+    (
+        Bb84Params(
+            photons=40,
+            channel=HEAVY_NOISE_CHANNEL,
+            eve_q=0.5,
+            bias=0.3,
+            passthrough=Passthrough.SOURCE_VALUES,
+        ),
+        "d955f323720a8dab4f72e38a8c2ec47c85f565cefd1c3cf36227da499d9c1e9b",
+    ),
+]
+
+
+def _digest(dtmc) -> str:
+    return hashlib.sha256(dtmc.export_text().encode()).hexdigest()
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("name", sorted(EXPORT_DIGESTS))
+    def test_golden_model_export(self, golden, name):
+        assert _digest(explore(golden(name))) == EXPORT_DIGESTS[name]
+
+    @pytest.mark.parametrize("params, digest", PROTOCOL_DIGESTS)
+    def test_protocol_model_export(self, params, digest):
+        assert _digest(build(validate(model_ast(params)))) == digest
+
+
+class TestScale:
+    def test_many_modules_on_one_action(self):
+        # Past MAX_INLINE_MODULES, so the group's successors come from _joint.
+        # The first two modules branch; the other 148 move deterministically.
+        branching = "0.5:(x{0}'=1) + 0.5:(x{0}'=0)"
+        moving = "(x{0}'=1)"
+        modules = [
+            f"module m{k}\n  x{k} : [0..1] init 0;\n"
+            f"  [go] x{k}=0 -> {(branching if k < 2 else moving).format(k)};\nendmodule\n"
+            for k in range(150)
+        ]
+        dtmc = explore("dtmc\n" + "".join(modules))
+        assert dtmc.state_count == 5
+        assert dtmc.rows[0] == ((1, 0.25), (2, 0.25), (3, 0.25), (4, 0.25))
+        # Product order: the first module's updates vary slowest.
+        assert [state[:2] for state in dtmc.states[1:]] == [(1, 1), (1, 0), (0, 1), (0, 0)]
+        assert all(state[2:] == (1,) * 148 for state in dtmc.states[1:])
+
+    def test_long_unwritten_runs_are_copied(self):
+        # Each step writes one of 40 variables and copies the rest, runs of
+        # up to 39 untouched variables on either side.
+        modules = [
+            f"module m{k}\n  x{k} : [0..1] init 0;\n"
+            f"  [] {f'x{k - 1}=1 & ' if k else ''}x{k}=0 -> (x{k}'=1);\nendmodule\n"
+            for k in range(40)
+        ]
+        dtmc = explore("dtmc\n" + "".join(modules))
+        assert dtmc.states == tuple((1,) * k + (0,) * (40 - k) for k in range(41))
+        assert dtmc.deadlocks == frozenset({40})
+
+    def test_flat_form_matches_the_comprehension(self, monkeypatch):
+        params = Bb84Params(photons=3, channel=HEAVY_NOISE_CHANNEL, eve_q=0.5)
+        inline = build(validate(model_ast(params))).export_text()
+        monkeypatch.setattr(explorer_module, "MAX_INLINE_MODULES", 1)
+        assert build(validate(model_ast(params))).export_text() == inline
+
+    def test_many_unlabeled_commands(self, monkeypatch):
+        # The validator's pairwise overlap check enumerates x's range for
+        # each of the 44,850 command pairs; this test is about the build.
+        monkeypatch.setattr(validate_module, "_check_overlaps", lambda *args: None)
+        source = (
+            "dtmc\nmodule m\n  x : [0..300] init 0;\n"
+            + "".join(f"  [] x={k} -> (x'={k + 1});\n" for k in range(300))
+            + "endmodule\n"
+        )
+        dtmc = explore(source)
+        assert dtmc.state_count == 301
+        assert dtmc.deadlocks == frozenset({300})

@@ -5,7 +5,7 @@ import pytest
 from qkdmc.errors import ParseError, ValidationError
 from qkdmc.explorer import build
 from qkdmc.lang import IntLit, Name, Unary, parse, print_expr, validate
-from qkdmc.lang.parser import MAX_NESTING
+from qkdmc.lang.parser import MAX_INT_DIGITS, MAX_NESTING, MAX_OPERATOR_DEPTH
 from qkdmc.properties import parse_property, resolve_operand
 
 
@@ -282,3 +282,101 @@ class TestNestingLimit:
         with pytest.raises(ParseError) as info:
             parse_property(f"P=? [ F {NESTED_GUARDS['parentheses'](MAX_NESTING + 1)} ]")
         assert info.value.code == "NESTING"
+
+
+def _conjunction(depth: int) -> str:
+    """x=0 & x=0 & ..., `depth` binary operators deep."""
+    return " & ".join(["x=0"] * depth)
+
+
+def _sum(depth: int) -> str:
+    """x+x+...=0, `depth` binary operators deep."""
+    return "+".join(["x"] * depth) + "=0"
+
+
+class TestOperatorDepthLimit:
+    @pytest.mark.parametrize("chain", [_conjunction, _sum])
+    def test_chain_at_the_limit_builds_below_the_deepest_nesting(self, chain):
+        # The deepest tree the two limits allow: MAX_NESTING - 1 prefix '!'
+        # levels and one '(' around a chain as deep as allowed.
+        guard = "!" * (MAX_NESTING - 1) + f"({chain(MAX_OPERATOR_DEPTH)})"
+        dtmc = build(validate(parse(_guarded(guard))))
+        assert dtmc.state_count in (1, 2)
+
+    @pytest.mark.parametrize("chain", [_conjunction, _sum])
+    def test_chain_past_the_limit_is_a_nesting_error(self, chain):
+        with pytest.raises(ParseError) as info:
+            parse(_guarded(chain(MAX_OPERATOR_DEPTH + 1)))
+        assert info.value.code == "NESTING"
+        assert "binary operators deep" in str(info.value)
+
+    def test_error_points_at_the_operator_past_the_limit(self):
+        with pytest.raises(ParseError) as info:
+            parse(_guarded(_sum(MAX_OPERATOR_DEPTH + 1)))
+        # The '+' chain is exactly as deep as allowed; the '=' after it is one
+        # operator too many. "  [] " puts the first x in column 6, and each
+        # of the MAX_OPERATOR_DEPTH + 1 x's before the '=' takes two columns
+        # with the operator after it.
+        assert (info.value.line, info.value.col) == (4, 6 + 2 * MAX_OPERATOR_DEPTH + 1)
+
+    def test_depth_counts_the_deepest_path_not_every_operator(self):
+        # 2 * MAX_OPERATOR_DEPTH operators, but only MAX_OPERATOR_DEPTH deep
+        # on either side of the top '|'.
+        guard = f"({_conjunction(MAX_OPERATOR_DEPTH - 1)}) | ({_conjunction(MAX_OPERATOR_DEPTH - 1)})"
+        assert build(validate(parse(_guarded(guard)))).state_count == 2
+
+    def test_a_deep_right_operand_counts(self):
+        guard = f"x=0 | ({_conjunction(MAX_OPERATOR_DEPTH)})"
+        with pytest.raises(ParseError) as info:
+            parse(_guarded(guard))
+        assert info.value.code == "NESTING"
+        # The error is at the '|', column 10 after "  [] x=0 ".
+        assert (info.value.line, info.value.col) == (4, 10)
+
+    def test_property_operands_share_the_limit(self):
+        dtmc = build(validate(parse(_guarded("x=0"))))
+        query = parse_property(f"P=? [ F ({_conjunction(MAX_OPERATOR_DEPTH)}) ]")
+        assert resolve_operand(query.target, dtmc) == frozenset({0})
+        with pytest.raises(ParseError) as info:
+            parse_property(f"P=? [ F ({_conjunction(MAX_OPERATOR_DEPTH + 1)}) ]")
+        assert info.value.code == "NESTING"
+
+
+class TestIntegerLiterals:
+    def test_longest_literal_parses(self):
+        model = parse(_guarded("x=" + "0" * (MAX_INT_DIGITS - 1) + "1"))
+        assert model.modules[0].commands[0].guard.right == IntLit(1)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "  [] x={} -> (x'=1);",
+            "  [] x=0 -> (x'={});",
+        ],
+    )
+    def test_overlong_literal_is_a_parse_error(self, body):
+        digits = "9" * (MAX_INT_DIGITS + 1)
+        with pytest.raises(ParseError) as info:
+            parse(wrap(body.format(digits)))
+        assert info.value.code == "LITERAL"
+
+    @pytest.mark.parametrize(
+        "decl",
+        [
+            "const int k = {};",
+            "const int k = -{};",
+        ],
+    )
+    def test_overlong_constant_is_a_parse_error(self, decl):
+        source = "dtmc\n" + decl.format("9" * (MAX_INT_DIGITS + 1)) + "\nmodule m\nendmodule\n"
+        with pytest.raises(ParseError) as info:
+            parse(source)
+        assert info.value.code == "LITERAL"
+
+    @pytest.mark.parametrize(
+        "decls", ["  x : [{}..1] init 0;", "  x : [0..{}] init 0;", "  x : [0..1] init {};"]
+    )
+    def test_overlong_bound_or_initial_value_is_a_parse_error(self, decls):
+        with pytest.raises(ParseError) as info:
+            parse(wrap("", decls.format("9" * (MAX_INT_DIGITS + 1))))
+        assert info.value.code == "LITERAL"

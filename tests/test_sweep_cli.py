@@ -232,6 +232,27 @@ class TestCliExitCodes:
         assert cli.main(["check", "--model", str(model), "--prop", f"P=? [ F {deep} ]"]) == 2
         assert "nested more than" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "guard", [" & ".join(["x=0"] * 1500), "+".join(["x"] * 1500) + "=0"]
+    )
+    def test_long_operator_chain_is_exit_2(self, tmp_path, capsys, guard):
+        model = tmp_path / "chain.pm"
+        model.write_text(
+            f"dtmc\nmodule m\n  x : [0..1] init 0;\n  [] {guard} -> (x'=1);\nendmodule\n",
+            encoding="utf-8",
+        )
+        assert cli.main(["check", "--model", str(model), "--prop", "P=? [ F (x=1) ]"]) == 2
+        assert "binary operators deep" in capsys.readouterr().err
+
+    def test_overlong_integer_literal_is_exit_2(self, tmp_path, capsys):
+        model = tmp_path / "big.pm"
+        model.write_text(
+            f"dtmc\nmodule m\n  x : [0..1] init 0;\n  [] x={'9' * 5000} -> (x'=1);\nendmodule\n",
+            encoding="utf-8",
+        )
+        assert cli.main(["check", "--model", str(model), "--prop", "P=? [ F (x=1) ]"]) == 2
+        assert "integer literal of 5000 digits" in capsys.readouterr().err
+
     def test_missing_model_file_is_exit_2(self, tmp_path):
         code = cli.main(["check", "--model", str(tmp_path / "absent.pm"),
                          "--prop", 'P=? [ F "t" ]'])
