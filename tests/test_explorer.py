@@ -7,11 +7,11 @@ language front end or the builder.
 
 import hashlib
 import importlib
+import itertools
 
 import pytest
 
 import _machine
-from qkdmc import explorer as explorer_module
 from qkdmc.bb84 import Bb84Params, Passthrough, model_ast
 from qkdmc.errors import BuildError, QkdmcError
 from qkdmc.explorer import build
@@ -392,22 +392,29 @@ class TestPinnedOutput:
 
 
 class TestScale:
-    def test_many_modules_on_one_action(self):
-        # Past MAX_INLINE_MODULES, so the group's successors come from _joint.
-        # The first two modules branch; the other 148 move deterministically.
-        branching = "0.5:(x{0}'=1) + 0.5:(x{0}'=0)"
-        moving = "(x{0}'=1)"
+    @pytest.mark.parametrize("branching", [2, 0])
+    def test_many_modules_on_one_action(self, branching):
+        # The first `branching` modules branch; the others move
+        # deterministically. CPython 3.11 compiles one expression
+        # p0 * p1 * ... of at most 2,986 factors (at the top of the stack),
+        # so the generated function must not multiply the group's 3,000
+        # probabilities in one expression, with or without a loop.
         modules = [
             f"module m{k}\n  x{k} : [0..1] init 0;\n"
-            f"  [go] x{k}=0 -> {(branching if k < 2 else moving).format(k)};\nendmodule\n"
-            for k in range(150)
+            f"  [go] x{k}=0 -> "
+            + (f"0.5:(x{k}'=1) + 0.5:(x{k}'=0)" if k < branching else f"(x{k}'=1)")
+            + ";\nendmodule\n"
+            for k in range(3000)
         ]
         dtmc = explore("dtmc\n" + "".join(modules))
-        assert dtmc.state_count == 5
-        assert dtmc.rows[0] == ((1, 0.25), (2, 0.25), (3, 0.25), (4, 0.25))
+        successors = 2**branching
+        assert dtmc.state_count == 1 + successors
+        assert dtmc.rows[0] == tuple((i, 0.5**branching) for i in range(1, successors + 1))
         # Product order: the first module's updates vary slowest.
-        assert [state[:2] for state in dtmc.states[1:]] == [(1, 1), (1, 0), (0, 1), (0, 0)]
-        assert all(state[2:] == (1,) * 148 for state in dtmc.states[1:])
+        assert [state[:branching] for state in dtmc.states[1:]] == list(
+            itertools.product((1, 0), repeat=branching)
+        )
+        assert all(state[branching:] == (1,) * (3000 - branching) for state in dtmc.states[1:])
 
     def test_long_unwritten_runs_are_copied(self):
         # Each step writes one of 40 variables and copies the rest, runs of
@@ -420,12 +427,6 @@ class TestScale:
         dtmc = explore("dtmc\n" + "".join(modules))
         assert dtmc.states == tuple((1,) * k + (0,) * (40 - k) for k in range(41))
         assert dtmc.deadlocks == frozenset({40})
-
-    def test_flat_form_matches_the_comprehension(self, monkeypatch):
-        params = Bb84Params(photons=3, channel=HEAVY_NOISE_CHANNEL, eve_q=0.5)
-        inline = build(validate(model_ast(params))).export_text()
-        monkeypatch.setattr(explorer_module, "MAX_INLINE_MODULES", 1)
-        assert build(validate(model_ast(params))).export_text() == inline
 
     def test_many_unlabeled_commands(self, monkeypatch):
         # The validator's pairwise overlap check enumerates x's range for
