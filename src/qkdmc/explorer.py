@@ -34,16 +34,22 @@ still checks, in every state it is called on:
   assignment of a constant already known to be in range skips the test.
 
 `build` itself merges and sorts each row, checks that it sums to 1 within
-ROW_SUM_TOL (ROW_SUM, naming the state), evaluates the labels and
-assembles the Dtmc.
+ROW_SUM_TOL (ROW_SUM, naming the state) and appends it to the Dtmc's CSR
+columns. The walk keys states by tuple, since the generated function reads
+``s[i]``. Once it ends, build packs each state into a fixed-width record
+(see `record_struct`), evaluates the labels on the tuples and drops them.
+The Dtmc keeps the records and the CSR arrays: a few flat buffers, not a
+container per row and per state for the cyclic garbage collector to scan.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import struct
+from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from qkdmc.errors import BuildError, QkdmcError
 from qkdmc.lang import ast, names
@@ -52,51 +58,100 @@ from qkdmc.lang.validate import ValidatedModel
 
 ROW_SUM_TOL = 1e-9
 
+# Unsigned struct formats (standard sizes) from narrowest to widest.
+FIELD_FORMATS = (("B", 2**8 - 1), ("H", 2**16 - 1), ("I", 2**32 - 1), ("Q", 2**64 - 1))
+
+
+def record_struct(variables: Iterable[ast.VarDecl]) -> struct.Struct:
+    """Fixed-width record of one state: per variable, in order, the narrowest
+    unsigned field that holds its high. Bounds are unsigned literals and
+    validation caps high at 2**64 - 1, so every valuation in range fits. A
+    model without variables gets one pad byte, so no record is empty.
+    """
+    fields = "".join(
+        next(fmt for fmt, top in FIELD_FORMATS if var.high <= top) for var in variables
+    )
+    return struct.Struct("<" + (fields or "x"))
+
 
 @dataclass(frozen=True)
 class Dtmc:
-    """Sparse explicit DTMC with BFS state indexing.
+    """Sparse explicit DTMC with BFS state indexing, stored flat.
 
     Immutable once built; safe to share across threads for read-only
-    solving. Rows hold (target index, probability) pairs sorted by target,
-    duplicates merged, zero-probability entries dropped.
+    solving. The rows are in compressed sparse row (CSR) form, three stdlib
+    arrays: row s occupies positions row_starts[s] to row_starts[s + 1] - 1
+    of `targets` (state indices, 'q') and `probs` (probabilities, 'd').
+    Each row is sorted by target, duplicates merged, zero-probability
+    entries dropped; `row_starts` ('q') has state_count + 1 entries.
+
+    `records` holds the states as one `record_struct(variables)` record
+    each, in index order: 12 bytes per state in a 500-photon bb84 model.
+    Read them with `state`, `iter_states`, `describe_state` and `index_of`.
     """
 
     variables: tuple[ast.VarDecl, ...]
     constants: dict[str, int | float] = field(compare=False)
-    states: tuple[tuple[int, ...], ...] = field(compare=False)
+    records: bytes = field(compare=False)
     initial: int = field(compare=False)
-    rows: tuple[tuple[tuple[int, float], ...], ...] = field(compare=False)
+    row_starts: array[int] = field(compare=False)
+    targets: array[int] = field(compare=False)
+    probs: array[float] = field(compare=False)
     labels: dict[str, frozenset[int]] = field(compare=False)
     deadlocks: frozenset[int] = field(compare=False)
 
     @property
     def state_count(self) -> int:
-        return len(self.states)
+        return len(self.row_starts) - 1
 
     @property
     def transition_count(self) -> int:
-        return sum(len(row) for row in self.rows)
+        return len(self.targets)
 
     @property
     def var_index(self) -> dict[str, int]:
         return {var.name: i for i, var in enumerate(self.variables)}
 
+    @functools.cached_property
+    def _record(self) -> struct.Struct:
+        return record_struct(self.variables)
+
+    def state(self, index: int) -> tuple[int, ...]:
+        """The valuation of state `index` (in `variables` order)."""
+        if not 0 <= index < self.state_count:
+            raise IndexError(f"state index {index} out of range")
+        return self._record.unpack_from(self.records, index * self._record.size)
+
+    def iter_states(self) -> Iterator[tuple[int, ...]]:
+        """Every state's valuation, in index order."""
+        return self._record.iter_unpack(self.records)
+
+    def row(self, index: int) -> tuple[tuple[int, float], ...]:
+        """The (target, probability) pairs of one row, sorted by target."""
+        begin, end = self.row_starts[index], self.row_starts[index + 1]
+        return tuple(zip(self.targets[begin:end], self.probs[begin:end]))
+
     def describe_state(self, index: int) -> str:
-        return describe(self.variables, self.states[index])
+        return describe(self.variables, self.state(index))
 
     @functools.cached_property
-    def _state_index(self) -> dict[tuple[int, ...], int]:
+    def _state_index(self) -> dict[bytes, int]:
         # Built on the first lookup only, so models never queried by
         # valuation do not carry a dict over every state.
-        return {state: index for index, state in enumerate(self.states)}
+        size = self._record.size
+        records = self.records
+        return {records[at:at + size]: i for i, at in enumerate(range(0, len(records), size))}
 
     def index_of(self, state: tuple[int, ...]) -> int:
         """Index of the reachable state with this valuation (in `variables` order).
 
         Raises QkdmcError (code NO_SUCH_STATE) if no reachable state has it.
         """
-        index = self._state_index.get(state)
+        try:
+            key = self._record.pack(*state)
+        except struct.error:
+            key = None  # wrong length or out of range: no record holds it
+        index = self._state_index.get(key)
         if index is None:
             raise QkdmcError(
                 f"no reachable state ({describe(self.variables, state)})", code="NO_SUCH_STATE"
@@ -114,9 +169,10 @@ class Dtmc:
             f"initial {self.initial}",
             f"transitions {self.transition_count}",
         ]
-        for src, row in enumerate(self.rows):
-            for dst, prob in row:
-                lines.append(f"{src} {dst} {prob!r}")
+        starts, targets, probs = self.row_starts, self.targets, self.probs
+        for src in range(self.state_count):
+            for k in range(starts[src], starts[src + 1]):
+                lines.append(f"{src} {targets[k]} {probs[k]!r}")
         lines.append("labels")
         for name in sorted(self.labels):
             members = " ".join(str(i) for i in sorted(self.labels[name]))
@@ -138,36 +194,49 @@ def build(vm: ValidatedModel) -> Dtmc:
     """
     successors = _successor_function(vm)
     initial = vm.initial_state
+    # The generated function reads s[i], so the walk keys states by tuple.
     states: list[tuple[int, ...]] = [initial]
     state_index: dict[tuple[int, ...], int] = {initial: 0}
-    rows: list[tuple[tuple[int, float], ...]] = []
+    row_starts = array("q", [0])
+    targets = array("q")
+    probs = array("d")
     deadlocks: set[int] = set()
+    # Bound once: the loop calls them once per transition.
+    add_target, add_prob = targets.append, probs.append
 
     # states grows while it is walked, so the walk is breadth-first.
     for si, state in enumerate(states):
         out = successors(state)
         if out is None:
             deadlocks.add(si)
-            rows.append(((si, 1.0),))
+            add_target(si)
+            add_prob(1.0)
+            row_starts.append(len(targets))
             continue
-        targets: dict[int, float] = {}
+        merged: dict[int, float] = {}
         for prob, key in out:
             fresh = len(states)
             ti = state_index.setdefault(key, fresh)
             if ti == fresh:
                 states.append(key)
-            targets[ti] = targets.get(ti, 0.0) + prob
-        total = math.fsum(targets.values())
-        row = tuple(sorted(targets.items()))
+            merged[ti] = merged.get(ti, 0.0) + prob
+        total = math.fsum(merged.values())
         if abs(total - 1.0) > ROW_SUM_TOL:
             raise BuildError(
                 f"row for state ({describe(vm.variables, state)}) sums to {total:.12g}",
                 code="ROW_SUM",
             )
-        rows.append(row)
-    # The index holds an entry per state; freeing it before the label sets
-    # and the Dtmc's tuples are built lowers the build's peak memory.
+        for ti, prob in sorted(merged.items()):
+            add_target(ti)
+            add_prob(prob)
+        row_starts.append(len(targets))
+    # The index holds an entry per state; freeing it before the records and
+    # the label sets are built lowers the build's peak memory.
     del state_index
+    pack = record_struct(vm.variables).pack
+    records = bytearray()
+    for state in states:
+        records += pack(*state)
 
     labels: dict[str, frozenset[int]] = {}
     for labeldef in vm.model.labels:
@@ -177,9 +246,11 @@ def build(vm: ValidatedModel) -> Dtmc:
     return Dtmc(
         variables=vm.variables,
         constants=dict(vm.constants),
-        states=tuple(states),
+        records=bytes(records),
         initial=0,
-        rows=tuple(rows),
+        row_starts=row_starts,
+        targets=targets,
+        probs=probs,
         labels=labels,
         deadlocks=frozenset(deadlocks),
     )

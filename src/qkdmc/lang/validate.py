@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from qkdmc.errors import ValidationError
 from qkdmc.lang import analysis, ast, names
 
 PROB_SUM_TOL = 1e-9
+
+# The explorer stores each variable in an unsigned field of at most 8 bytes.
+MAX_HIGH = 2**64 - 1
 
 
 @dataclass(frozen=True)
@@ -51,6 +55,13 @@ def validate(model: ast.Model) -> ValidatedModel:
             if var.low > var.high:
                 raise ValidationError(
                     f"variable '{var.name}' has empty range [{var.low}..{var.high}]",
+                    "BAD_RANGE",
+                    var.pos.line,
+                    var.pos.col,
+                )
+            if var.high > MAX_HIGH:
+                raise ValidationError(
+                    f"variable '{var.name}' has upper bound {var.high}, above 2**64 - 1",
                     "BAD_RANGE",
                     var.pos.line,
                     var.pos.col,
@@ -103,7 +114,7 @@ def _fold_constants(model: ast.Model) -> dict[str, int | float]:
     for const in model.constants:
         value = analysis.fold_number(const.value, constants)
         if const.kind == "int":
-            if value != int(value):
+            if not math.isfinite(value) or value != int(value):
                 raise ValidationError(
                     f"constant '{const.name}' declared int but equals {value}",
                     "TYPE",

@@ -114,7 +114,7 @@ def resolve_operand(operand: Operand, dtmc: Dtmc) -> frozenset[int]:
     except ValidationError as exc:
         raise PropertyError(str(exc), code="TYPE") from exc
     fn = compile_expr(operand.expr, var_index, dtmc.constants)
-    return frozenset(i for i, state in enumerate(dtmc.states) if fn(state))
+    return frozenset(i for i, state in enumerate(dtmc.iter_states()) if fn(state))
 
 
 __all__ = [

@@ -16,6 +16,14 @@ Each SCC is then settled on the spot, qualitatively and numerically:
 
 There is nothing to converge: the generated BB84 chains are DAGs apart from
 absorbing self-loops, and every cyclic SCC is solved directly.
+
+The pass reads the Dtmc's CSR columns (`row_starts`, `targets`, `probs`)
+in place, by position, and copies no row. For the state it is searching,
+the search keeps the position of its next edge, the REACH/MISS bits of
+the successors settled so far and their sum of prob * value. An edge into
+a state the search descends to is read again once that state is done, so
+a one-state SCC is settled with the edges of its one walk, in row order.
+Only a cyclic SCC reads its rows again.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ MISS = 2  # some path misses it: not in prob1
 class SolveReport:
     """Result of one query: value at the initial state plus solver health.
 
-    `values` is the whole solved vector, indexed like `Dtmc.states`: the
+    `values` is the whole solved vector, indexed by state like the Dtmc: the
     probability of the query from every state, not only the initial one.
     `iterations` is 1 if any state needed solving, else 0; `residual` is
     max |sum_t p_st x_t - x_s| over the states of cyclic SCCs (0.0 if none).
@@ -48,34 +56,42 @@ class SolveReport:
     values: tuple[float, ...] = field(repr=False)
 
 
-def _eliminate(
-    rows: tuple, members: list[int], slot: dict[int, int], values: list[float]
-) -> float:
-    """Solve one cyclic SCC into `values`; returns its residual.
+def _settle_cyclic(
+    dtmc: Dtmc, members: list[int], kind: bytearray, values: list[float]
+) -> tuple[int, float]:
+    """Settle one cyclic SCC: its REACH/MISS bits and residual.
 
-    `members` lists the SCC's states in ascending order and `slot` maps
-    each to its position there. Every edge leaving the SCC reaches a
-    settled state, so it folds into the state's exit mass and reward.
-    Eliminating state j divides its row by the pivot (1 - p_jj, taken as
-    its remaining outflow plus its exit mass) and reroutes each remaining
-    predecessor's edge into j over that row.
+    `members` lists the SCC's states in ascending order. Every edge leaving
+    the SCC reaches a settled state, so it folds into the state's exit mass
+    and reward. If no such edge reaches the target, every member is prob0
+    and keeps its value 0.0. Otherwise `values` gets the solve: eliminating
+    state j divides its row by the pivot (1 - p_jj, taken as its remaining
+    outflow plus its exit mass) and reroutes each remaining predecessor's
+    edge into j over that row.
     """
+    starts, targets, probs = dtmc.row_starts, dtmc.targets, dtmc.probs
+    slot = {s: j for j, s in enumerate(members)}
     size = len(members)
     out: list[dict[int, float]] = []  # off-diagonal edges inside the SCC, by slot
     into: list[list[int]] = [[] for _ in members]  # slots with an edge into this one
     exit_mass = [0.0] * size
     reward = [0.0] * size
+    flags = 0
     for j, s in enumerate(members):
         edges: dict[int, float] = {}
-        for t, prob in rows[s]:
+        for e in range(starts[s], starts[s + 1]):
+            t, prob = targets[e], probs[e]
             k = slot.get(t)
             if k is None:
+                flags |= kind[t]
                 exit_mass[j] += prob
                 reward[j] += prob * values[t]
             elif k != j:
                 edges[k] = prob
                 into[k].append(j)
         out.append(edges)
+    if not flags & REACH:
+        return MISS, 0.0
 
     for j in range(size):
         edges = out[j]
@@ -111,17 +127,18 @@ def _eliminate(
 
     residual = 0.0
     for s in members:
-        gap = abs(sum(prob * values[t] for t, prob in rows[s]) - values[s])
+        row = range(starts[s], starts[s + 1])
+        gap = abs(sum(probs[e] * values[targets[e]] for e in row) - values[s])
         if gap > residual:
             residual = gap
-    return residual
+    return flags, residual
 
 
 def _solve(dtmc: Dtmc, query: PropertyQuery) -> tuple[list[float], bytearray, float, bool]:
     """The single pass: values, per-state REACH/MISS bits, residual, and
     whether any state needed a numeric solve."""
     n = dtmc.state_count
-    rows = dtmc.rows
+    starts, targets, probs = dtmc.row_starts, dtmc.targets, dtmc.probs
     target = resolve_operand(query.target, dtmc)
     if query.constraint is None:
         kind = bytearray(n)
@@ -146,66 +163,62 @@ def _solve(dtmc: Dtmc, query: PropertyQuery) -> tuple[list[float], bytearray, fl
         counter += 1
         order[root] = low[root] = counter
         stack.append(root)
-        calls = [(root, iter(rows[root]))]
-        while calls:
-            v, edges = calls[-1]
-            for t, _ in edges:
-                if kind[t]:
-                    continue
-                if not order[t]:
+        # The frame of the state v being searched: its next edge k, its row
+        # end, and what its settled successors contribute so far.
+        v, k, end = root, starts[root], starts[root + 1]
+        flags, incoming, self_prob = 0, 0.0, 0.0
+        calls: list[tuple[int, int, int, int, float, float]] = []  # suspended frames
+        while True:
+            if k < end:
+                t = targets[k]
+                bits = kind[t]
+                if bits:
+                    flags |= bits
+                    incoming += probs[k] * values[t]
+                elif not order[t]:
+                    # Descend; edge k is looked at again once t is done.
+                    calls.append((v, k, end, flags, incoming, self_prob))
                     counter += 1
                     order[t] = low[t] = counter
                     stack.append(t)
-                    calls.append((t, iter(rows[t])))
-                    break
-                # Visited but unsettled: t is on the Tarjan stack.
-                if order[t] < low[v]:
-                    low[v] = order[t]
-            else:
-                calls.pop()
-                if low[v] < order[v]:
-                    parent = calls[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
+                    v, k, end = t, starts[t], starts[t + 1]
+                    flags, incoming, self_prob = 0, 0.0, 0.0
                     continue
+                elif t == v:
+                    self_prob = probs[k]
+                elif order[t] < low[v]:
+                    # Visited but unsettled: t is on the Tarjan stack.
+                    low[v] = order[t]
+                k += 1
+                continue
+            if low[v] == order[v]:
                 # v roots an SCC; every edge leaving it reaches a settled state.
                 if stack[-1] == v:
                     stack.pop()
-                    flags = 0
-                    incoming = 0.0
-                    self_prob = 0.0
-                    for t, prob in rows[v]:
-                        if t == v:
-                            self_prob = prob
-                        else:
-                            flags |= kind[t]
-                            incoming += prob * values[t]
                     if flags & REACH:
                         solved = True
                         values[v] = incoming / (1.0 - self_prob)
                     else:
                         flags = MISS
                     kind[v] = flags
-                    continue
-                base = len(stack) - 1
-                while stack[base] != v:
-                    base -= 1
-                members = stack[base:]
-                del stack[base:]
-                members.sort()
-                slot = {s: j for j, s in enumerate(members)}
-                flags = 0
-                for s in members:
-                    for t, _ in rows[s]:
-                        if t not in slot:
-                            flags |= kind[t]
-                if flags & REACH:
-                    solved = True
-                    residual = max(residual, _eliminate(rows, members, slot, values))
                 else:
-                    flags = MISS
-                for s in members:
-                    kind[s] = flags
+                    base = len(stack) - 1
+                    while stack[base] != v:
+                        base -= 1
+                    members = sorted(stack[base:])
+                    del stack[base:]
+                    flags, gap = _settle_cyclic(dtmc, members, kind, values)
+                    if flags & REACH:
+                        solved = True
+                        residual = max(residual, gap)
+                    for s in members:
+                        kind[s] = flags
+            if not calls:
+                break
+            child_low = low[v]
+            v, k, end, flags, incoming, self_prob = calls.pop()
+            if child_low < low[v]:
+                low[v] = child_low
     return values, kind, residual, solved
 
 

@@ -99,7 +99,7 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     report, dtmc = analyze(params)
     wall_ms = (time.perf_counter() - started) * 1000.0
     p1 = oracle.per_photon_detect_prob(spec.channel, spec.eve_q, spec.bias, spec.passthrough)
-    initial = dtmc.states[dtmc.initial]
+    initial = dtmc.state(dtmc.initial)
     slot = dtmc.var_index["i"]
     rows = []
     for n in points:

@@ -154,7 +154,7 @@ def test_criterion_8_solver_sanity():
     query = parse_property('P=? [ F "t" ]')
     report = prob_until(chain, query)
     assert abs(report.probability - 0.3) <= 1e-12
-    absorbing = {chain.states[i] for i in prob0_states(chain, query)}
+    absorbing = {chain.state(i) for i in prob0_states(chain, query)}
     assert absorbing == {(2,)}
 
     loop = build(validate(parse(

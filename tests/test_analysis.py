@@ -104,4 +104,4 @@ class TestLongChains:
         for guard in (" & ".join(["x=0"] * 600), "+".join(["x"] * 600) + "=0"):
             dtmc = build(validate(parse(_single_command_model(guard))))
             assert dtmc.state_count == 2
-            assert dtmc.rows[0] == ((1, 1.0),)
+            assert dtmc.row(0) == ((1, 1.0),)

@@ -6,15 +6,17 @@ language front end or the builder.
 """
 
 import hashlib
+import gc
 import importlib
 import itertools
+import tracemalloc
 
 import pytest
 
 import _machine
 from qkdmc.bb84 import Bb84Params, Passthrough, model_ast
 from qkdmc.errors import BuildError, QkdmcError
-from qkdmc.explorer import build
+from qkdmc.explorer import build, record_struct
 from qkdmc.lang import parse, validate
 from qkdmc.sweep import HEAVY_NOISE_CHANNEL
 
@@ -27,7 +29,7 @@ def explore(source: str):
 
 
 def transition(dtmc, src_state: tuple, dst_state: tuple) -> float:
-    row = dict(dtmc.rows[dtmc.index_of(src_state)])
+    row = dict(dtmc.row(dtmc.index_of(src_state)))
     return row.get(dtmc.index_of(dst_state), 0.0)
 
 
@@ -47,13 +49,13 @@ class TestBasics:
             "dtmc\nmodule m\n  x : [0..1] init 0;\n  [] x=0 -> (x'=1);\nendmodule\n"
         )
         assert dtmc.deadlocks == frozenset({1})
-        assert dtmc.rows[1] == ((1, 1.0),)
+        assert dtmc.row(1) == ((1, 1.0),)
 
     def test_module_without_commands_is_one_deadlocked_state(self):
         dtmc = explore("dtmc\nmodule m\n  x : [0..1] init 1;\nendmodule\n")
         assert dtmc.state_count == 1
         assert dtmc.deadlocks == frozenset({0})
-        assert dtmc.rows[0] == ((0, 1.0),)
+        assert dtmc.row(0) == ((0, 1.0),)
 
     def test_rows_are_sorted_and_merged(self):
         dtmc = explore(
@@ -61,6 +63,13 @@ class TestBasics:
             "  [] x=0 -> 0.5:(x'=1) + 0.5:(x'=1);\nendmodule\n"
         )
         assert transition(dtmc, (0,), (1,)) == 1.0
+        # x=1 finds the new state x=2 before the known x=0: its row still
+        # lists x=0 first.
+        dtmc = explore(
+            "dtmc\nmodule m\n  x : [0..2] init 0;\n"
+            "  [] x=0 -> (x'=1);\n  [] x=1 -> 0.5:(x'=2) + 0.5:(x'=0);\nendmodule\n"
+        )
+        assert dtmc.row(1) == ((0, 0.5), (2, 0.5))
 
     def test_zero_probability_branches_are_dropped(self):
         dtmc = explore(
@@ -104,7 +113,7 @@ class TestSynchronization:
         # The first module's updates vary slowest, each module's in its
         # written order.
         dtmc = explore(self.SYNC)
-        assert dtmc.states == ((0, 0), (1, 1), (1, 0), (0, 1))
+        assert list(dtmc.iter_states()) == [(0, 0), (1, 1), (1, 0), (0, 1)]
 
     def test_an_underflowing_joint_probability_is_dropped(self):
         # 1e-200 * 1e-200 is 0.0 in floating point, so (x=1, y=1) is never
@@ -115,7 +124,7 @@ class TestSynchronization:
             "module w\n  y : [0..1] init 0;\n"
             "  [go] y=0 -> 1e-200:(y'=1) + 1:(y'=0);\nendmodule\n"
         )
-        assert (1, 1) not in dtmc.states
+        assert (1, 1) not in dtmc.iter_states()
         assert dtmc.state_count == 3
 
     def test_action_blocks_until_all_participants_are_ready(self):
@@ -145,7 +154,7 @@ class TestSynchronization:
             "  [stop] x=1 -> (x'=0);\n  [stop] x=0 -> (x'=2);\nendmodule\n"
             "module b\n  y : [0..1] init 0;\n  [stop] y=1 -> (y'=0);\nendmodule\n"
         )
-        assert dtmc.states == ((0, 0), (1, 0), (2, 0))
+        assert list(dtmc.iter_states()) == [(0, 0), (1, 0), (2, 0)]
         assert transition(dtmc, (0, 0), (1, 0)) == 1.0
         assert transition(dtmc, (1, 0), (2, 0)) == 1.0
 
@@ -248,7 +257,7 @@ class TestLabelsAndExport:
             'label "goal" = x=2;\n'
         )
         (goal_state,) = dtmc.labels["goal"]
-        assert dtmc.states[goal_state] == (2,)
+        assert dtmc.state(goal_state) == (2,)
 
     def test_describe_state(self):
         dtmc = explore("dtmc\nmodule m\n  x : [0..2] init 2;\nendmodule\n")
@@ -259,7 +268,7 @@ class TestLabelsAndExport:
             "dtmc\nmodule m\n  x : [0..3] init 0;\n"
             "  [] x=0 -> 0.3:(x'=1) + 0.7:(x'=2);\nendmodule\n"
         )
-        assert [dtmc.index_of(state) for state in dtmc.states] == [0, 1, 2]
+        assert [dtmc.index_of(state) for state in dtmc.iter_states()] == [0, 1, 2]
 
     def test_index_of_an_unreachable_valuation_is_a_typed_error(self):
         dtmc = explore(
@@ -294,8 +303,64 @@ class TestLabelsAndExport:
         )
         first = explore(source)
         second = explore(source)
-        assert first.states == second.states
-        assert first.rows == second.rows
+        assert first.records == second.records
+        assert first.row_starts == second.row_starts
+        assert first.targets == second.targets
+        assert first.probs == second.probs
+
+
+# Each variable's high sits on one side of a field-width edge: 1, 2, 4 and
+# 8 unsigned bytes.
+EDGE_HIGHS = (255, 256, 65535, 65536, 2**32 - 1, 2**32, 2**64 - 1)
+
+
+class TestFlatStorage:
+    def test_records_round_trip_at_each_field_width_edge(self):
+        # State 1 holds every variable at its high, state 2 one below it.
+        names = [f"v{k}" for k in range(len(EDGE_HIGHS))]
+        decls = "".join(f"  {v} : [0..{high}] init 0;\n" for v, high in zip(names, EDGE_HIGHS))
+        to_top = " & ".join(f"({v}'={high})" for v, high in zip(names, EDGE_HIGHS))
+        below = " & ".join(f"({v}'={high - 1})" for v, high in zip(names, EDGE_HIGHS))
+        dtmc = explore(
+            f"dtmc\nmodule m\n{decls}  [] v0=0 -> {to_top};\n"
+            f"  [] v0={EDGE_HIGHS[0]} -> {below};\nendmodule\n"
+        )
+        assert record_struct(dtmc.variables).format == "<BHHIIQQ"
+        assert len(dtmc.records) == 3 * 29
+        expected = [(0,) * 7, EDGE_HIGHS, tuple(high - 1 for high in EDGE_HIGHS)]
+        assert list(dtmc.iter_states()) == expected
+        for i, values in enumerate(expected):
+            assert dtmc.state(i) == values
+            assert dtmc.index_of(dtmc.state(i)) == i
+            assert dtmc.describe_state(i) == ", ".join(
+                f"{v}={value}" for v, value in zip(names, values)
+            )
+        with pytest.raises(QkdmcError) as info:
+            dtmc.index_of((256,) + EDGE_HIGHS[1:])  # does not fit v0's byte
+        assert info.value.code == "NO_SUCH_STATE"
+        with pytest.raises(IndexError):
+            dtmc.state(3)
+
+    def test_a_model_without_variables_has_one_empty_state(self):
+        dtmc = explore("dtmc\nmodule m\nendmodule\n")
+        assert list(dtmc.iter_states()) == [()]
+        assert dtmc.index_of(()) == 0
+        assert dtmc.row(0) == ((0, 1.0),)
+
+    def test_retained_size_per_transition(self):
+        # Flat columns cost 16 bytes per transition plus a row start and a
+        # record per state; a tuple per transition alone would cost 56.
+        vm = validate(model_ast(Bb84Params(photons=70, channel=HEAVY_NOISE_CHANNEL, eve_q=0.5)))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            dtmc = build(vm)
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained <= 48 * dtmc.transition_count
 
 
 def protocol_dtmc(**kwargs):
@@ -409,12 +474,12 @@ class TestScale:
         dtmc = explore("dtmc\n" + "".join(modules))
         successors = 2**branching
         assert dtmc.state_count == 1 + successors
-        assert dtmc.rows[0] == tuple((i, 0.5**branching) for i in range(1, successors + 1))
+        assert dtmc.row(0) == tuple((i, 0.5**branching) for i in range(1, successors + 1))
         # Product order: the first module's updates vary slowest.
-        assert [state[:branching] for state in dtmc.states[1:]] == list(
+        assert [state[:branching] for state in itertools.islice(dtmc.iter_states(), 1, None)] == list(
             itertools.product((1, 0), repeat=branching)
         )
-        assert all(state[branching:] == (1,) * (3000 - branching) for state in dtmc.states[1:])
+        assert all(state[branching:] == (1,) * (3000 - branching) for state in itertools.islice(dtmc.iter_states(), 1, None))
 
     def test_long_unwritten_runs_are_copied(self):
         # Each step writes one of 40 variables and copies the rest, runs of
@@ -425,7 +490,7 @@ class TestScale:
             for k in range(40)
         ]
         dtmc = explore("dtmc\n" + "".join(modules))
-        assert dtmc.states == tuple((1,) * k + (0,) * (40 - k) for k in range(41))
+        assert list(dtmc.iter_states()) == [(1,) * k + (0,) * (40 - k) for k in range(41)]
         assert dtmc.deadlocks == frozenset({40})
 
     def test_many_unlabeled_commands(self, monkeypatch):

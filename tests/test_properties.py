@@ -69,12 +69,12 @@ class TestParsing:
 class TestResolution:
     def test_label_operand(self, dtmc):
         states = resolve_operand(LabelOperand("goal"), dtmc)
-        assert {dtmc.states[i] for i in states} == {(2,)}
+        assert {dtmc.state(i) for i in states} == {(2,)}
 
     def test_expression_operand(self, dtmc):
         query = parse_property("P=? [ F (x=1) ]")
         states = resolve_operand(query.target, dtmc)
-        assert {dtmc.states[i] for i in states} == {(1,)}
+        assert {dtmc.state(i) for i in states} == {(1,)}
 
     def test_true_covers_every_state(self, dtmc):
         query = parse_property('P=? [ true U "goal" ]')

@@ -1,5 +1,6 @@
 """Reachability solver: exact toys, qualitative states, cyclic accuracy."""
 
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -107,7 +108,7 @@ class TestQualitativeStates:
         dtmc = build(validate(parse(CHAIN)))
         query = parse_property('P=? [ F "t" ]')
         zero = prob0_states(dtmc, query)
-        assert {dtmc.states[i] for i in zero} == {(2,)}
+        assert {dtmc.state(i) for i in zero} == {(2,)}
 
     def test_prob1_contains_the_target_and_sure_predecessors(self):
         dtmc = build(validate(parse(GEOMETRIC)))
@@ -118,7 +119,7 @@ class TestQualitativeStates:
         dtmc = build(validate(parse(UNTIL_TOY)))
         query = parse_property('P=? [ "safe" U "goal" ]')
         zero = prob0_states(dtmc, query)
-        assert {dtmc.states[i] for i in zero} == {(1,)}
+        assert {dtmc.state(i) for i in zero} == {(1,)}
 
     def test_report_counts_match_the_sets(self):
         dtmc = build(validate(parse(CHAIN)))
@@ -146,6 +147,20 @@ class TestCyclicAccuracy:
         report, _ = solve(GRID, 'P=? [ F "win" ]')
         assert report.probability == pytest.approx(0.25, abs=1e-13)
 
+    def test_a_ring_entered_at_one_state_is_one_scc(self):
+        # 0 -> 1 -> 2 -> 0, and 2 exits to the goal 3. The search meets the
+        # back edge 2 -> 0 two levels below 0, so 1 must inherit 2's low
+        # link; split into {0} and {1, 2}, the ring would settle at 0.5.
+        report, _ = solve(
+            "dtmc\nmodule m\n  x : [0..3] init 0;\n"
+            "  [] x=0 -> (x'=1);\n  [] x=1 -> (x'=2);\n"
+            "  [] x=2 -> 0.5:(x'=0) + 0.5:(x'=3);\nendmodule\n"
+            'label "goal" = x=3;\n',
+            'P=? [ F "goal" ]',
+        )
+        assert report.values[:3] == pytest.approx([1.0, 1.0, 1.0], abs=1e-15)
+        assert report.prob1_count == 4
+
 
 @st.composite
 def small_chains(draw):
@@ -164,12 +179,17 @@ def small_chains(draw):
     target = draw(st.frozensets(st.sampled_from(states)))
     constraint = draw(st.none() | st.frozensets(st.sampled_from(states)))
     labels = {"t": target, "c": constraint if constraint is not None else frozenset()}
+    row_starts = array("q", [0])
+    for row in rows:
+        row_starts.append(row_starts[-1] + len(row))
     dtmc = Dtmc(
         variables=(ast.VarDecl("x", 0, size - 1, 0),),
         constants={},
-        states=tuple((s,) for s in states),
+        records=bytes(states),  # x < 256 takes one unsigned byte
         initial=0,
-        rows=tuple(rows),
+        row_starts=row_starts,
+        targets=array("q", [t for row in rows for t, _ in row]),
+        probs=array("d", [prob for row in rows for _, prob in row]),
         labels=labels,
         deadlocks=frozenset(),
     )
@@ -177,29 +197,29 @@ def small_chains(draw):
     return dtmc, parse_property(prop), target, constraint
 
 
-def _backward(seeds: set[int], allowed: set[int], rows) -> set[int]:
+def _backward(seeds: set[int], allowed: set[int], dtmc: Dtmc) -> set[int]:
     """Seeds plus every state reaching them through `allowed` states."""
     reach = set(seeds)
     grew = True
     while grew:
         grew = False
-        for s, row in enumerate(rows):
-            if s not in reach and s in allowed and any(t in reach for t, _ in row):
+        for s in range(dtmc.state_count):
+            if s not in reach and s in allowed and any(t in reach for t, _ in dtmc.row(s)):
                 reach.add(s)
                 grew = True
     return reach
 
 
-def _exact_values(rows, target, zero) -> list[Fraction]:
+def _exact_values(dtmc: Dtmc, target, zero) -> list[Fraction]:
     """x = P x with targets at 1 and prob0 at 0, by Fraction Gaussian elimination."""
-    unknowns = [s for s in range(len(rows)) if s not in target and s not in zero]
+    unknowns = [s for s in range(dtmc.state_count) if s not in target and s not in zero]
     slot = {s: i for i, s in enumerate(unknowns)}
     size = len(unknowns)
     matrix = [[Fraction(0)] * (size + 1) for _ in range(size)]
     for s in unknowns:
         line = matrix[slot[s]]
         line[slot[s]] += 1
-        for t, prob in rows[s]:
+        for t, prob in dtmc.row(s):
             if t in target:
                 line[size] += Fraction(prob)
             elif t in slot:
@@ -211,7 +231,7 @@ def _exact_values(rows, target, zero) -> list[Fraction]:
             if r != col and matrix[r][col] != 0:
                 factor = matrix[r][col] / matrix[col][col]
                 matrix[r] = [a - factor * b for a, b in zip(matrix[r], matrix[col])]
-    values = [Fraction(1) if s in target else Fraction(0) for s in range(len(rows))]
+    values = [Fraction(1) if s in target else Fraction(0) for s in range(dtmc.state_count)]
     for s in unknowns:
         values[s] = matrix[slot[s]][size] / matrix[slot[s]][slot[s]]
     return values
@@ -223,13 +243,13 @@ class TestAgainstExactArithmetic:
         dtmc, query, target, constraint = case
         everything = set(range(dtmc.state_count))
         allowed = everything if constraint is None else set(constraint)
-        zero = everything - _backward(set(target), allowed, dtmc.rows)
-        one = everything - _backward(zero, allowed - target, dtmc.rows)
+        zero = everything - _backward(set(target), allowed, dtmc)
+        one = everything - _backward(zero, allowed - target, dtmc)
         assert prob0_states(dtmc, query) == zero
         assert prob1_states(dtmc, query) == one
 
         report = prob_until(dtmc, query)
-        exact = _exact_values(dtmc.rows, target, zero)
+        exact = _exact_values(dtmc, target, zero)
         for value, truth in zip(report.values, exact):
             assert abs(value - float(truth)) <= 1e-12
         assert report.prob0_count == len(zero)

@@ -253,6 +253,23 @@ class TestCliExitCodes:
         assert cli.main(["check", "--model", str(model), "--prop", "P=? [ F (x=1) ]"]) == 2
         assert "integer literal of 5000 digits" in capsys.readouterr().err
 
+    def test_infinite_int_constant_is_exit_2(self, tmp_path, capsys):
+        model = tmp_path / "inf.pm"
+        model.write_text(
+            "dtmc\nconst int k = 1e999;\nmodule m\n  x : [0..1] init 0;\nendmodule\n",
+            encoding="utf-8",
+        )
+        assert cli.main(["check", "--model", str(model), "--prop", "P=? [ F (x=1) ]"]) == 2
+        assert "declared int but equals inf" in capsys.readouterr().err
+
+    def test_variable_above_64_bits_is_exit_2(self, tmp_path, capsys):
+        model = tmp_path / "wide.pm"
+        model.write_text(
+            f"dtmc\nmodule m\n  x : [0..{2**64}] init 0;\nendmodule\n", encoding="utf-8"
+        )
+        assert cli.main(["check", "--model", str(model), "--prop", "P=? [ F (x=1) ]"]) == 2
+        assert "above 2**64 - 1" in capsys.readouterr().err
+
     def test_missing_model_file_is_exit_2(self, tmp_path):
         code = cli.main(["check", "--model", str(tmp_path / "absent.pm"),
                          "--prop", 'P=? [ F "t" ]'])

@@ -79,6 +79,13 @@ class TestVariables:
     def test_empty_range(self):
         fails("dtmc\nmodule m\n  x : [5..1] init 5;\nendmodule\n", "BAD_RANGE")
 
+    def test_upper_bound_fits_an_unsigned_64_bit_field(self):
+        top = 2**64 - 1
+        vm = check(f"dtmc\nmodule m\n  x : [0..{top}] init {top};\nendmodule\n")
+        assert vm.initial_state == (top,)
+        error = fails(f"dtmc\nmodule m\n  x : [0..{top + 1}] init 0;\nendmodule\n", "BAD_RANGE")
+        assert "above 2**64 - 1" in str(error)
+
     def test_foreign_write_is_rejected(self):
         error = fails(
             "dtmc\nmodule m\n  x : [0..1] init 0;\nendmodule\n"
@@ -133,6 +140,11 @@ class TestKinds:
     def test_int_constant_with_fractional_value(self):
         error = fails("dtmc\nconst int k = 2.5;\n", "TYPE")
         assert "declared int" in str(error)
+
+    @pytest.mark.parametrize("literal", ["1e999", "-1e999"])
+    def test_int_constant_that_overflows_to_infinity(self, literal):
+        error = fails(f"dtmc\nconst int k = {literal};\n", "TYPE")
+        assert "declared int but equals" in str(error)
 
     def test_label_expression_must_be_bool(self):
         fails(
