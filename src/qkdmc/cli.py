@@ -20,7 +20,7 @@ import click
 
 from qkdmc import solver, sweep
 from qkdmc.bb84 import Bb84Params, Passthrough, detected_event_definition, generate, variable_schema
-from qkdmc.errors import AcceptanceViolation, QkdmcError
+from qkdmc.errors import AcceptanceViolation, ParseError, QkdmcError
 from qkdmc.explorer import build
 from qkdmc.lang import parse, print_expr, validate
 from qkdmc.properties import parse_property
@@ -57,8 +57,15 @@ def _parse_range(text: str) -> tuple[int, int, int]:
 
 
 def _read_model(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file at once, so exc.start is a file offset.
+        raise ParseError(
+            f"{path} is not UTF-8: byte {exc.object[exc.start]:#04x} at offset {exc.start}",
+            code="ENCODING",
+        ) from None
 
 
 channel_option = click.option(

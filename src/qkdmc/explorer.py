@@ -37,9 +37,11 @@ still checks, in every state it is called on:
 ROW_SUM_TOL (ROW_SUM, naming the state) and appends it to the Dtmc's CSR
 columns. The walk keys states by tuple, since the generated function reads
 ``s[i]``. Once it ends, build packs each state into a fixed-width record
-(see `record_struct`), evaluates the labels on the tuples and drops them.
-The Dtmc keeps the records and the CSR arrays: a few flat buffers, not a
-container per row and per state for the cyclic garbage collector to scan.
+(see `record_struct`) and drops the tuples. It evaluates no label: the
+Dtmc keeps their definitions, and `Dtmc.states_where` answers each state
+query in one scan of the records. The Dtmc keeps the records and the CSR
+arrays: a few flat buffers, not a container per row and per state for the
+cyclic garbage collector to scan.
 """
 
 from __future__ import annotations
@@ -48,10 +50,11 @@ import functools
 import math
 import struct
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import compress, count
 from typing import Callable, Iterable, Iterator
 
-from qkdmc.errors import BuildError, QkdmcError
+from qkdmc.errors import BuildError
 from qkdmc.lang import ast, names
 from qkdmc.lang.analysis import compile_expr, render_expr
 from qkdmc.lang.validate import ValidatedModel
@@ -74,31 +77,34 @@ def record_struct(variables: Iterable[ast.VarDecl]) -> struct.Struct:
     return struct.Struct("<" + (fields or "x"))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dtmc:
     """Sparse explicit DTMC with BFS state indexing, stored flat.
 
     Immutable once built; safe to share across threads for read-only
-    solving. The rows are in compressed sparse row (CSR) form, three stdlib
-    arrays: row s occupies positions row_starts[s] to row_starts[s + 1] - 1
-    of `targets` (state indices, 'q') and `probs` (probabilities, 'd').
-    Each row is sorted by target, duplicates merged, zero-probability
-    entries dropped; `row_starts` ('q') has state_count + 1 entries.
+    solving. Two Dtmcs are equal only if they are the same object. The rows
+    are in compressed sparse row (CSR) form, three stdlib arrays: row s
+    occupies positions row_starts[s] to row_starts[s + 1] - 1 of `targets`
+    (state indices, 'q') and `probs` (probabilities, 'd'). Each row is
+    sorted by target, duplicates merged, zero-probability entries dropped;
+    `row_starts` ('q') has state_count + 1 entries.
 
     `records` holds the states as one `record_struct(variables)` record
     each, in index order: 12 bytes per state in a 500-photon bb84 model.
-    Read them with `state`, `iter_states`, `describe_state` and `index_of`.
+    Read them with `state`, `iter_states` and `describe_state`. `labels`
+    maps each label name to its defining expression; `states_where` finds
+    the states where one holds.
     """
 
     variables: tuple[ast.VarDecl, ...]
-    constants: dict[str, int | float] = field(compare=False)
-    records: bytes = field(compare=False)
-    initial: int = field(compare=False)
-    row_starts: array[int] = field(compare=False)
-    targets: array[int] = field(compare=False)
-    probs: array[float] = field(compare=False)
-    labels: dict[str, frozenset[int]] = field(compare=False)
-    deadlocks: frozenset[int] = field(compare=False)
+    constants: dict[str, int | float]
+    records: bytes
+    initial: int
+    row_starts: array[int]
+    targets: array[int]
+    probs: array[float]
+    labels: dict[str, ast.Expr]
+    deadlocks: frozenset[int]
 
     @property
     def state_count(self) -> int:
@@ -126,6 +132,13 @@ class Dtmc:
         """Every state's valuation, in index order."""
         return self._record.iter_unpack(self.records)
 
+    def states_where(self, expr: ast.Expr) -> frozenset[int]:
+        """Indices of the states where a kind-checked boolean expression over
+        the variables and constants holds, from one scan of the records.
+        """
+        holds = compile_expr(expr, self.var_index, self.constants)
+        return frozenset(compress(count(), map(holds, self.iter_states())))
+
     def row(self, index: int) -> tuple[tuple[int, float], ...]:
         """The (target, probability) pairs of one row, sorted by target."""
         begin, end = self.row_starts[index], self.row_starts[index + 1]
@@ -133,30 +146,6 @@ class Dtmc:
 
     def describe_state(self, index: int) -> str:
         return describe(self.variables, self.state(index))
-
-    @functools.cached_property
-    def _state_index(self) -> dict[bytes, int]:
-        # Built on the first lookup only, so models never queried by
-        # valuation do not carry a dict over every state.
-        size = self._record.size
-        records = self.records
-        return {records[at:at + size]: i for i, at in enumerate(range(0, len(records), size))}
-
-    def index_of(self, state: tuple[int, ...]) -> int:
-        """Index of the reachable state with this valuation (in `variables` order).
-
-        Raises QkdmcError (code NO_SUCH_STATE) if no reachable state has it.
-        """
-        try:
-            key = self._record.pack(*state)
-        except struct.error:
-            key = None  # wrong length or out of range: no record holds it
-        index = self._state_index.get(key)
-        if index is None:
-            raise QkdmcError(
-                f"no reachable state ({describe(self.variables, state)})", code="NO_SUCH_STATE"
-            )
-        return index
 
     def export_text(self) -> str:
         """Plain-text dump for diffing; not a stability contract.
@@ -175,7 +164,7 @@ class Dtmc:
                 lines.append(f"{src} {targets[k]} {probs[k]!r}")
         lines.append("labels")
         for name in sorted(self.labels):
-            members = " ".join(str(i) for i in sorted(self.labels[name]))
+            members = " ".join(str(i) for i in sorted(self.states_where(self.labels[name])))
             lines.append(f'"{name}" {members}'.rstrip())
         dead = " ".join(str(i) for i in sorted(self.deadlocks))
         lines.append(f"deadlocks {dead}".rstrip())
@@ -230,18 +219,13 @@ def build(vm: ValidatedModel) -> Dtmc:
             add_target(ti)
             add_prob(prob)
         row_starts.append(len(targets))
-    # The index holds an entry per state; freeing it before the records and
-    # the label sets are built lowers the build's peak memory.
+    # The index holds an entry per state; freeing it before the records are
+    # built lowers the build's peak memory.
     del state_index
     pack = record_struct(vm.variables).pack
     records = bytearray()
     for state in states:
         records += pack(*state)
-
-    labels: dict[str, frozenset[int]] = {}
-    for labeldef in vm.model.labels:
-        fn = compile_expr(labeldef.expr, vm.var_index, vm.constants)
-        labels[labeldef.name] = frozenset(i for i, s in enumerate(states) if fn(s))
 
     return Dtmc(
         variables=vm.variables,
@@ -251,7 +235,7 @@ def build(vm: ValidatedModel) -> Dtmc:
         row_starts=row_starts,
         targets=targets,
         probs=probs,
-        labels=labels,
+        labels={label.name: label.expr for label in vm.model.labels},
         deadlocks=frozenset(deadlocks),
     )
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from qkdmc.errors import PropertyError, ValidationError
 from qkdmc.explorer import Dtmc
 from qkdmc.lang import ast
-from qkdmc.lang.analysis import check_kind, compile_expr
+from qkdmc.lang.analysis import check_kind
 from qkdmc.lang.lexer import TokenType, tokenize
 from qkdmc.lang.names import expr_names
 from qkdmc.lang.parser import TokenStream, parse_expression
@@ -91,7 +91,13 @@ def _parse_operand(stream: TokenStream, allow_f: bool = False) -> Operand | None
 
 
 def resolve_operand(operand: Operand, dtmc: Dtmc) -> frozenset[int]:
-    """States satisfying an operand; raises PropertyError if it does not fit."""
+    """States satisfying an operand, from one `Dtmc.states_where` scan.
+
+    A label operand scans for its definition; PropertyError UNKNOWN_LABEL
+    lists the labels the model defines. An expression operand must name
+    only the model's variables and constants (UNKNOWN_IDENT) and be boolean
+    (TYPE).
+    """
     if isinstance(operand, LabelOperand):
         if operand.name not in dtmc.labels:
             known = ", ".join(sorted(dtmc.labels)) or "none"
@@ -99,11 +105,10 @@ def resolve_operand(operand: Operand, dtmc: Dtmc) -> frozenset[int]:
                 f'model defines no label "{operand.name}" (labels: {known})',
                 code="UNKNOWN_LABEL",
             )
-        return dtmc.labels[operand.name]
-    var_index = dtmc.var_index
+        return dtmc.states_where(dtmc.labels[operand.name])
     decls = {var.name: var for var in dtmc.variables}
     for ident in sorted(expr_names(operand.expr)):
-        if ident not in var_index and ident not in dtmc.constants:
+        if ident not in decls and ident not in dtmc.constants:
             raise PropertyError(f"unknown identifier '{ident}' in property", code="UNKNOWN_IDENT")
     const_kinds = {
         name: ("int" if isinstance(value, int) else "double")
@@ -113,8 +118,7 @@ def resolve_operand(operand: Operand, dtmc: Dtmc) -> frozenset[int]:
         check_kind(operand.expr, "bool", const_kinds, decls, "property expression")
     except ValidationError as exc:
         raise PropertyError(str(exc), code="TYPE") from exc
-    fn = compile_expr(operand.expr, var_index, dtmc.constants)
-    return frozenset(i for i, state in enumerate(dtmc.iter_states()) if fn(state))
+    return dtmc.states_where(operand.expr)
 
 
 __all__ = [

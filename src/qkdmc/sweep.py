@@ -81,10 +81,11 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
 
     The model has as many photons as the range's last point, top. The
     round-start state with i = top - n (the initial valuation otherwise)
-    has n photons left to send, so its solved value is P(n). Every row
-    carries the curve's solver iteration count and the wall time of its
-    one analysis. With oracle_check set, a row beyond the 1e-9 agreement
-    tolerance raises AcceptanceViolation naming the offending n.
+    has n photons left to send, so its solved value is P(n); one scan of
+    the states finds every row's. Every row carries the curve's solver
+    iteration count and the wall time of its one analysis. With
+    oracle_check set, a row beyond the 1e-9 agreement tolerance raises
+    AcceptanceViolation naming the offending n.
     """
     points = spec.points()
     top = points[-1]
@@ -101,10 +102,11 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     p1 = oracle.per_photon_detect_prob(spec.channel, spec.eve_q, spec.bias, spec.passthrough)
     initial = dtmc.state(dtmc.initial)
     slot = dtmc.var_index["i"]
+    row_of = {initial[:slot] + (top - n,) + initial[slot + 1:]: n for n in points}
+    start = {row_of[state]: s for s, state in enumerate(dtmc.iter_states()) if state in row_of}
     rows = []
     for n in points:
-        round_start = initial[:slot] + (top - n,) + initial[slot + 1:]
-        p_checked = report.values[dtmc.index_of(round_start)]
+        p_checked = report.values[start[n]]
         p_oracle = oracle.detect_prob(n, p1)
         row = ResultRow(
             n=n,

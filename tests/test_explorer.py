@@ -14,10 +14,10 @@ import tracemalloc
 import pytest
 
 import _machine
-from qkdmc.bb84 import Bb84Params, Passthrough, model_ast
-from qkdmc.errors import BuildError, QkdmcError
+from qkdmc.bb84 import Bb84Params, Passthrough, generate, model_ast
+from qkdmc.errors import BuildError
 from qkdmc.explorer import build, record_struct
-from qkdmc.lang import parse, validate
+from qkdmc.lang import parse, print_expr, validate
 from qkdmc.sweep import HEAVY_NOISE_CHANNEL
 
 # The package re-exports the validate function under the module's own name.
@@ -29,8 +29,8 @@ def explore(source: str):
 
 
 def transition(dtmc, src_state: tuple, dst_state: tuple) -> float:
-    row = dict(dtmc.row(dtmc.index_of(src_state)))
-    return row.get(dtmc.index_of(dst_state), 0.0)
+    index = {state: i for i, state in enumerate(dtmc.iter_states())}
+    return dict(dtmc.row(index[src_state])).get(index[dst_state], 0.0)
 
 
 class TestBasics:
@@ -256,28 +256,26 @@ class TestLabelsAndExport:
             "  [] x=0 -> 0.3:(x'=1) + 0.7:(x'=2);\nendmodule\n"
             'label "goal" = x=2;\n'
         )
-        (goal_state,) = dtmc.labels["goal"]
+        assert print_expr(dtmc.labels["goal"]) == "x=2"
+        (goal_state,) = dtmc.states_where(dtmc.labels["goal"])
         assert dtmc.state(goal_state) == (2,)
 
     def test_describe_state(self):
         dtmc = explore("dtmc\nmodule m\n  x : [0..2] init 2;\nendmodule\n")
         assert dtmc.describe_state(0) == "x=2"
 
-    def test_index_of_finds_every_reachable_valuation(self):
-        dtmc = explore(
-            "dtmc\nmodule m\n  x : [0..3] init 0;\n"
+    def test_equality_is_identity(self):
+        # Both chains have the one variable x : [0..2]; only their states
+        # and rows differ.
+        three = explore(
+            "dtmc\nmodule m\n  x : [0..2] init 0;\n"
             "  [] x=0 -> 0.3:(x'=1) + 0.7:(x'=2);\nendmodule\n"
         )
-        assert [dtmc.index_of(state) for state in dtmc.iter_states()] == [0, 1, 2]
-
-    def test_index_of_an_unreachable_valuation_is_a_typed_error(self):
-        dtmc = explore(
-            "dtmc\nmodule m\n  x : [0..3] init 0;\n  [] x=0 -> (x'=1);\nendmodule\n"
-        )
-        with pytest.raises(QkdmcError) as info:
-            dtmc.index_of((3,))
-        assert info.value.code == "NO_SUCH_STATE"
-        assert "x=3" in str(info.value)
+        two = explore("dtmc\nmodule m\n  x : [0..2] init 0;\n  [] x=0 -> (x'=2);\nendmodule\n")
+        assert three.variables == two.variables
+        assert three != two
+        assert len({three, two}) == 2
+        assert three == three
 
     def test_export_text_shape(self):
         dtmc = explore(
@@ -331,26 +329,22 @@ class TestFlatStorage:
         assert list(dtmc.iter_states()) == expected
         for i, values in enumerate(expected):
             assert dtmc.state(i) == values
-            assert dtmc.index_of(dtmc.state(i)) == i
             assert dtmc.describe_state(i) == ", ".join(
                 f"{v}={value}" for v, value in zip(names, values)
             )
-        with pytest.raises(QkdmcError) as info:
-            dtmc.index_of((256,) + EDGE_HIGHS[1:])  # does not fit v0's byte
-        assert info.value.code == "NO_SUCH_STATE"
         with pytest.raises(IndexError):
             dtmc.state(3)
 
     def test_a_model_without_variables_has_one_empty_state(self):
         dtmc = explore("dtmc\nmodule m\nendmodule\n")
         assert list(dtmc.iter_states()) == [()]
-        assert dtmc.index_of(()) == 0
+        assert dtmc.state(0) == ()
         assert dtmc.row(0) == ((0, 1.0),)
 
-    def test_retained_size_per_transition(self):
-        # Flat columns cost 16 bytes per transition plus a row start and a
-        # record per state; a tuple per transition alone would cost 56.
-        vm = validate(model_ast(Bb84Params(photons=70, channel=HEAVY_NOISE_CHANNEL, eve_q=0.5)))
+    PARAMS = Bb84Params(photons=70, channel=HEAVY_NOISE_CHANNEL, eve_q=0.5)
+
+    @staticmethod
+    def retained_per_transition(vm) -> float:
         gc.collect()
         tracemalloc.start()
         try:
@@ -360,7 +354,17 @@ class TestFlatStorage:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert retained <= 48 * dtmc.transition_count
+        return retained / dtmc.transition_count
+
+    def test_retained_size_per_transition(self):
+        # Flat columns cost 16 bytes per transition plus a row start and a
+        # record per state; a tuple per transition alone would cost 56.
+        assert self.retained_per_transition(validate(model_ast(self.PARAMS))) <= 48
+
+    def test_a_label_on_every_state_costs_no_size(self):
+        # A label is kept as its definition, not as a set of its states.
+        vm = validate(parse(generate(self.PARAMS) + 'label "all" = i>=0;\n'))
+        assert self.retained_per_transition(vm) <= 48
 
 
 def protocol_dtmc(**kwargs):

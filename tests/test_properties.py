@@ -1,11 +1,14 @@
 """Property grammar and operand resolution."""
 
+import struct
+
 import pytest
 
 from qkdmc.errors import ParseError, PropertyError
 from qkdmc.explorer import build
 from qkdmc.lang import parse, print_expr, validate
 from qkdmc.properties import ExprOperand, LabelOperand, parse_property, resolve_operand
+from qkdmc.solver import prob_until
 
 MODEL = (
     "dtmc\nmodule m\n  x : [0..2] init 0;\n"
@@ -96,3 +99,28 @@ class TestResolution:
         query = parse_property("P=? [ F (y=1) ]")
         with pytest.raises(PropertyError):
             resolve_operand(query.target, dtmc)
+
+
+# A cyclic walk with two labels, so the solved values are not all 0 or 1.
+WALK = (
+    "dtmc\nconst int top = 6;\nmodule m\n  x : [0..6] init 3;\n"
+    "  [] x>0 & x<top -> 0.4:(x'=x+1) + 0.6:(x'=x-1);\nendmodule\n"
+    'label "goal" = x=top;\nlabel "c" = x!=1;\n'
+)
+
+
+@pytest.mark.parametrize(
+    "by_label, by_expression",
+    [
+        ('P=? [ F "goal" ]', "P=? [ F (x=top) ]"),
+        ('P=? [ "c" U "goal" ]', "P=? [ (x!=1) U (x=top) ]"),
+    ],
+)
+def test_a_label_and_its_definition_solve_alike(by_label, by_expression):
+    dtmc = build(validate(parse(WALK)))
+    labelled = prob_until(dtmc, parse_property(by_label)).values
+    defined = prob_until(dtmc, parse_property(by_expression)).values
+    assert 0.0 < labelled[dtmc.initial] < 1.0
+    assert struct.pack(f"{len(labelled)}d", *labelled) == struct.pack(
+        f"{len(defined)}d", *defined
+    )

@@ -162,6 +162,15 @@ class TestCyclicAccuracy:
         assert report.prob1_count == 4
 
 
+def _one_of(states: frozenset[int]) -> ast.Expr:
+    """The label x=a | x=b | ... over the given values of x; false if none."""
+    terms = [ast.Binary("=", ast.Name("x"), ast.IntLit(s)) for s in sorted(states)]
+    expr: ast.Expr = terms[0] if terms else ast.BoolLit(False)
+    for term in terms[1:]:
+        expr = ast.Binary("|", expr, term)
+    return expr
+
+
 @st.composite
 def small_chains(draw):
     """(Dtmc, query) over at most 8 states with arbitrary cycles.
@@ -178,7 +187,7 @@ def small_chains(draw):
     states = range(size)
     target = draw(st.frozensets(st.sampled_from(states)))
     constraint = draw(st.none() | st.frozensets(st.sampled_from(states)))
-    labels = {"t": target, "c": constraint if constraint is not None else frozenset()}
+    labels = {"t": _one_of(target), "c": _one_of(constraint or frozenset())}
     row_starts = array("q", [0])
     for row in rows:
         row_starts.append(row_starts[-1] + len(row))

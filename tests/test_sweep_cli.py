@@ -270,6 +270,14 @@ class TestCliExitCodes:
         assert cli.main(["check", "--model", str(model), "--prop", "P=? [ F (x=1) ]"]) == 2
         assert "above 2**64 - 1" in capsys.readouterr().err
 
+    def test_model_file_that_is_not_utf8_is_exit_2(self, tmp_path, capsys):
+        model = tmp_path / "latin1.pm"
+        model.write_bytes(b"dtmc\n// caf\xe9\nmodule m\n  x : [0..1] init 0;\nendmodule\n")
+        assert cli.main(["check", "--model", str(model), "--prop", "P=? [ F (x=1) ]"]) == 2
+        err = capsys.readouterr().err
+        assert "latin1.pm is not UTF-8" in err
+        assert "byte 0xe9 at offset 11" in err
+
     def test_missing_model_file_is_exit_2(self, tmp_path):
         code = cli.main(["check", "--model", str(tmp_path / "absent.pm"),
                          "--prop", 'P=? [ F "t" ]'])
