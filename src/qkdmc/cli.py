@@ -12,6 +12,7 @@ solver is exact and has nothing to converge.
 
 from __future__ import annotations
 
+import codecs
 import re
 import sys
 from pathlib import Path
@@ -57,15 +58,20 @@ def _parse_range(text: str) -> tuple[int, int, int]:
 
 
 def _read_model(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
+    # utf-8-sig skips a leading byte order mark, as some editors write one.
+    with open(path, "r", encoding="utf-8-sig") as handle:
+        try:
             return handle.read()
-    except UnicodeDecodeError as exc:
-        # read() decodes the whole file at once, so exc.start is a file offset.
-        raise ParseError(
-            f"{path} is not UTF-8: byte {exc.object[exc.start]:#04x} at offset {exc.start}",
-            code="ENCODING",
-        ) from None
+        except UnicodeDecodeError as exc:
+            # read() decodes the whole file at once, so exc.start is an offset
+            # into it, counted from the end of the byte order mark if any.
+            handle.buffer.seek(0)
+            mark = len(codecs.BOM_UTF8) if handle.buffer.read(3) == codecs.BOM_UTF8 else 0
+            raise ParseError(
+                f"{path} is not UTF-8: byte {exc.object[exc.start]:#04x} "
+                f"at offset {exc.start + mark}",
+                code="ENCODING",
+            ) from None
 
 
 channel_option = click.option(

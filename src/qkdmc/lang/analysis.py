@@ -8,7 +8,7 @@ validation time (no state variables).
 A kind-checked expression renders as Python source over the state tuple
 ``s`` (variables read as ``s[i]``, constants inlined). ``compile_expr``
 evaluates that source as one function; the explorer inlines it into the
-model's generated successor function. The parser's nesting and operator
+model's generated walk function. The parser's nesting and operator
 limits keep that source within what Python compiles.
 """
 

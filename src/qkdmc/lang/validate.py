@@ -189,17 +189,32 @@ def _check_overlaps(
 ) -> None:
     """Reject same-label (or both-unlabeled) command pairs with joint guards.
 
-    The check enumerates the full box of every variable either guard
-    mentions, so it is exact: a pair is rejected iff some in-bounds valuation
-    enables both. Guards may reference other modules' variables, so the box
-    is not restricted to locals.
+    The check enumerates the box of every variable either guard mentions, so
+    it is exact: a pair is rejected iff some in-bounds valuation enables
+    both. Guards may reference other modules' variables, so the box is not
+    restricted to locals. A guard's pins (see `_pins`) narrow the box: a
+    pair whose pins disagree, or a guard whose own pins contradict, enables
+    nothing jointly and is skipped, and a pinned variable is enumerated at
+    its pin alone. The witness is still the first joint valuation in the
+    order of the whole box.
     """
     groups: dict[str | None, list[ast.Command]] = {}
     for command in module.commands:
         groups.setdefault(command.label, []).append(command)
     for label, commands in groups.items():
-        for first, second in itertools.combinations(commands, 2):
-            witness = _joint_valuation(first.guard, second.guard, var_decls, constants)
+        if len(commands) < 2:
+            continue
+        pinned = [
+            (command, pins)
+            for command in commands
+            if (pins := _pins(command.guard, var_decls, constants)) is not None
+        ]
+        for (first, pins_a), (second, pins_b) in itertools.combinations(pinned, 2):
+            if any(pins_b.get(var, pin) != pin for var, pin in pins_a.items()):
+                continue
+            witness = _joint_valuation(
+                first.guard, second.guard, pins_a | pins_b, var_decls, constants
+            )
             if witness is None:
                 continue
             shown = ", ".join(f"{k}={v}" for k, v in witness.items()) or "any valuation"
@@ -213,9 +228,44 @@ def _check_overlaps(
             )
 
 
+def _pins(
+    guard: ast.Expr,
+    var_decls: dict[str, ast.VarDecl],
+    constants: dict[str, int | float],
+) -> dict[str, int] | None:
+    """The guard's pins: the value of each variable that a top-level
+    `var = constant` conjunct (in either operand order) fixes. None if two
+    pins of one variable disagree, so the guard holds nowhere.
+
+    A pin is evaluated as the generated code evaluates it, exactly, as an
+    int: a float would round above 2**53 and could hide an overlap.
+    """
+    pins: dict[str, int] = {}
+    conjuncts = [guard]
+    while conjuncts:
+        expr = conjuncts.pop()
+        if not isinstance(expr, ast.Binary):
+            continue
+        if expr.op == "&":
+            conjuncts += (expr.left, expr.right)
+            continue
+        if expr.op != "=":
+            continue
+        for var, value in ((expr.left, expr.right), (expr.right, expr.left)):
+            if isinstance(var, ast.Name) and var.ident in var_decls:
+                if not names.expr_names(value) & var_decls.keys():
+                    source = analysis.render_expr(value, {}, constants)
+                    pin = eval(source, {"__builtins__": {}})
+                    if pins.setdefault(var.ident, pin) != pin:
+                        return None
+                break
+    return pins
+
+
 def _joint_valuation(
     guard_a: ast.Expr,
     guard_b: ast.Expr,
+    pins: dict[str, int],
     var_decls: dict[str, ast.VarDecl],
     constants: dict[str, int | float],
 ) -> dict[str, int] | None:
@@ -225,7 +275,13 @@ def _joint_valuation(
     index = {name: i for i, name in enumerate(mentioned)}
     check_a = analysis.compile_expr(guard_a, index, constants)
     check_b = analysis.compile_expr(guard_b, index, constants)
-    ranges = [range(var_decls[name].low, var_decls[name].high + 1) for name in mentioned]
+    ranges = []
+    for name in mentioned:
+        values = range(var_decls[name].low, var_decls[name].high + 1)
+        if name in pins:
+            pin = pins[name]
+            values = range(pin, pin + 1) if pin in values else range(0)
+        ranges.append(values)
     for valuation in itertools.product(*ranges):
         if check_a(valuation) and check_b(valuation):
             return dict(zip(mentioned, valuation))

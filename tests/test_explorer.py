@@ -345,15 +345,20 @@ class TestFlatStorage:
 
     @staticmethod
     def retained_per_transition(vm) -> float:
+        # The collector stays off during the build and nothing is collected
+        # after it, so whatever a reference cycle keeps alive counts too.
         gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             dtmc = build(vm)
-            gc.collect()
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
+            if enabled:
+                gc.enable()
         return retained / dtmc.transition_count
 
     def test_retained_size_per_transition(self):
@@ -497,10 +502,21 @@ class TestScale:
         assert list(dtmc.iter_states()) == [(1,) * k + (0,) * (40 - k) for k in range(41)]
         assert dtmc.deadlocks == frozenset({40})
 
-    def test_many_unlabeled_commands(self, monkeypatch):
-        # The validator's pairwise overlap check enumerates x's range for
-        # each of the 44,850 command pairs; this test is about the build.
-        monkeypatch.setattr(validate_module, "_check_overlaps", lambda *args: None)
+    def test_many_groups(self):
+        # One group per action: the generated walk tests 3,000 groups in
+        # turn, which must not nest 3,000 statements deep.
+        source = (
+            "dtmc\nmodule m\n  x : [0..3000] init 0;\n"
+            + "".join(f"  [a{k}] x={k} -> (x'={k + 1});\n" for k in range(3000))
+            + "endmodule\n"
+        )
+        dtmc = explore(source)
+        assert dtmc.state_count == 3001
+        assert dtmc.row(2999) == ((3000, 1.0),)
+        assert dtmc.deadlocks == frozenset({3000})
+
+    def test_many_unlabeled_commands(self):
+        # 44,850 command pairs for the overlap check, each skipped on its pin.
         source = (
             "dtmc\nmodule m\n  x : [0..300] init 0;\n"
             + "".join(f"  [] x={k} -> (x'={k + 1});\n" for k in range(300))

@@ -1,15 +1,19 @@
 """Reachability solver: exact toys, qualitative states, cyclic accuracy."""
 
+import hashlib
+import struct
 from array import array
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from qkdmc.bb84 import Bb84Params, Passthrough, model_ast
 from qkdmc.explorer import Dtmc, build
 from qkdmc.lang import ast, parse, validate
 from qkdmc.properties import parse_property
 from qkdmc.solver import prob0_states, prob1_states, prob_until
+from qkdmc.sweep import DETECTED_PROPERTY, HEAVY_NOISE_CHANNEL
 
 CHAIN = (
     "dtmc\nmodule m\n  x : [0..2] init 0;\n"
@@ -133,6 +137,39 @@ class TestConvergence:
     def test_residual_below_tolerance_at_the_end(self):
         report, _ = solve(PING_PONG, 'P=? [ F "goal" ]')
         assert report.residual < 1e-12
+
+
+# sha256 of each solved vector as little-endian doubles, recorded before the
+# search took its roots from the highest index: any change to a value's bits
+# shows here. The protocol models are those of test_explorer's export digests.
+VALUE_DIGESTS = [
+    (
+        Bb84Params(photons=70, channel=HEAVY_NOISE_CHANNEL, eve_q=0.5),
+        DETECTED_PROPERTY,
+        "95cc2447872337b9f7cd4ff2d4753d3e7748ae1adf2288fbb8c29f942426e107",
+    ),
+    (
+        Bb84Params(
+            photons=40,
+            channel=HEAVY_NOISE_CHANNEL,
+            eve_q=0.5,
+            bias=0.3,
+            passthrough=Passthrough.SOURCE_VALUES,
+        ),
+        DETECTED_PROPERTY,
+        "fb3be9915982bd5cd29c6abc6e47e351d2b3918b694dcdd85de6d5c70e3e0c46",
+    ),
+    (WALK, 'P=? [ F "win" ]', "fb1cb48f34b5e30c8711cd27793233498ad63b3dfdfaaf28e66a71bc230c2e85"),
+]
+
+
+class TestPinnedValues:
+    @pytest.mark.parametrize("model, prop, digest", VALUE_DIGESTS)
+    def test_solved_vector_bits(self, model, prop, digest):
+        tree = parse(model) if isinstance(model, str) else model_ast(model)
+        report = prob_until(build(validate(tree)), parse_property(prop))
+        packed = struct.pack(f"<{len(report.values)}d", *report.values)
+        assert hashlib.sha256(packed).hexdigest() == digest
 
 
 class TestCyclicAccuracy:

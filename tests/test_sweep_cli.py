@@ -4,6 +4,7 @@ CLI tests drive qkdmc.cli.main directly so exit codes are observed exactly
 as the console script would return them.
 """
 
+import codecs
 import io
 import re
 
@@ -277,6 +278,21 @@ class TestCliExitCodes:
         err = capsys.readouterr().err
         assert "latin1.pm is not UTF-8" in err
         assert "byte 0xe9 at offset 11" in err
+
+    def test_model_file_with_a_byte_order_mark_checks(self, tmp_path, capsys):
+        model = tmp_path / "bom.pm"
+        model.write_bytes(
+            codecs.BOM_UTF8 + b"dtmc\nmodule m\n  x : [0..1] init 0;\n"
+            b"  [] x=0 -> (x'=1);\nendmodule\n"
+        )
+        assert cli.main(["check", "--model", str(model), "--prop", "P=? [ F (x=1) ]"]) == 0
+        assert capsys.readouterr().out.startswith("1.00000000000\nstates 2\n")
+
+    def test_bad_byte_after_a_byte_order_mark_reports_its_file_offset(self, tmp_path, capsys):
+        model = tmp_path / "bom_latin1.pm"
+        model.write_bytes(codecs.BOM_UTF8 + b"dtmc\n// caf\xe9\n")
+        assert cli.main(["check", "--model", str(model), "--prop", "P=? [ F (x=1) ]"]) == 2
+        assert "byte 0xe9 at offset 14" in capsys.readouterr().err
 
     def test_missing_model_file_is_exit_2(self, tmp_path):
         code = cli.main(["check", "--model", str(tmp_path / "absent.pm"),

@@ -190,6 +190,33 @@ class TestOverlaps:
             "OVERLAPPING_GUARDS",
         )
 
+    # Two variables of 3,001 values each: a box of about 9M valuations.
+    WIDE = "dtmc\nmodule m\n  x : [0..3000] init 0;\n  y : [0..3000] init 0;\n"
+
+    def test_guards_pinned_apart_are_not_enumerated(self):
+        check(self.WIDE + "  [] x=1 & y>=0 -> (x'=2);\n  [] 2=x & y>=0 -> (x'=3);\nendmodule\n")
+
+    def test_a_pinned_overlap_reports_the_first_witness(self):
+        error = fails(
+            self.WIDE + "  [] x=1 & y=5 -> (x'=2);\n  [] x=1 & y>=5 -> (x'=3);\nendmodule\n",
+            "OVERLAPPING_GUARDS",
+        )
+        assert "both enabled when x=1, y=5" in str(error)
+
+    @pytest.mark.parametrize("guard", ["x=1 & x=2", "x=3001 & y>=0", "x=0-1 & y>=0"])
+    def test_a_guard_pinned_to_nothing_overlaps_nothing(self, guard):
+        check(self.WIDE + f"  [] {guard} -> (x'=2);\n  [] y>=0 -> (x'=3);\nendmodule\n")
+
+    def test_a_pin_above_2_to_the_53_is_exact(self):
+        # As a float, 2**53 + 1 rounds to 2**53, which neither guard holds at.
+        error = fails(
+            "dtmc\nconst int k = 4503599627370496;\nmodule m\n  x : [0..4611686018427387904] init 0;\n"
+            "  y : [0..1] init 0;\n"
+            "  [] x=2*k+1 & y=0 -> (y'=1);\n  [] x=9007199254740993 -> (y'=0);\nendmodule\n",
+            "OVERLAPPING_GUARDS",
+        )
+        assert "both enabled when x=9007199254740993, y=0" in str(error)
+
 
 class TestValidatedModel:
     def test_constant_folding(self):
