@@ -14,6 +14,12 @@ PROB_SUM_TOL = 1e-9
 # The explorer stores each variable in an unsigned field of at most 8 bytes.
 MAX_HIGH = 2**64 - 1
 
+# The most valuations the overlap check enumerates for one pair of guards.
+MAX_OVERLAP_VALUATIONS = 2**20
+
+# `c op var` says the same as `var _MIRRORED[op] c`.
+_MIRRORED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
 
 @dataclass(frozen=True)
 class ValidatedModel:
@@ -189,14 +195,16 @@ def _check_overlaps(
 ) -> None:
     """Reject same-label (or both-unlabeled) command pairs with joint guards.
 
-    The check enumerates the box of every variable either guard mentions, so
-    it is exact: a pair is rejected iff some in-bounds valuation enables
-    both. Guards may reference other modules' variables, so the box is not
-    restricted to locals. A guard's pins (see `_pins`) narrow the box: a
-    pair whose pins disagree, or a guard whose own pins contradict, enables
-    nothing jointly and is skipped, and a pinned variable is enumerated at
-    its pin alone. The witness is still the first joint valuation in the
-    order of the whole box.
+    A guard is false outside its box (see `_box`), so both guards of a pair
+    are evaluated over the intersection of their boxes alone, and a pair
+    whose boxes do not meet is skipped. Up to MAX_OVERLAP_VALUATIONS
+    valuations in the intersection, the check is exact: a pair is rejected
+    iff some in-bounds valuation enables both, and the witness is the first
+    such valuation in the order of the whole declared box. A larger
+    intersection is not enumerated; exploration still rejects two commands
+    enabled at once in every reached state where their action fires. Guards
+    may reference other modules' variables, so a box is not restricted to
+    locals.
     """
     groups: dict[str | None, list[ast.Command]] = {}
     for command in module.commands:
@@ -204,20 +212,29 @@ def _check_overlaps(
     for label, commands in groups.items():
         if len(commands) < 2:
             continue
-        pinned = [
-            (command, pins)
-            for command in commands
-            if (pins := _pins(command.guard, var_decls, constants)) is not None
-        ]
-        for (first, pins_a), (second, pins_b) in itertools.combinations(pinned, 2):
-            if any(pins_b.get(var, pin) != pin for var, pin in pins_a.items()):
+        boxes = [(command, _box(command.guard, var_decls, constants)) for command in commands]
+        for (first, box_a), (second, box_b) in itertools.combinations(boxes, 2):
+            # size stays 0 if some variable's two ranges do not meet.
+            joint, size = dict(box_b), 0
+            for name, a in box_a.items():
+                b = box_b.get(name, a)
+                if a.start >= b.stop or b.start >= a.stop:
+                    break
+                joint[name] = range(max(a.start, b.start), min(a.stop, b.stop))
+            else:
+                # r.stop - r.start, not len(r): len overflows past 2**63.
+                size = math.prod(max(r.stop - r.start, 0) for r in joint.values())
+            if not 0 < size <= MAX_OVERLAP_VALUATIONS:
                 continue
-            witness = _joint_valuation(
-                first.guard, second.guard, pins_a | pins_b, var_decls, constants
-            )
+            mentioned = sorted(joint)
+            index = {name: i for i, name in enumerate(mentioned)}
+            check_a = analysis.compile_expr(first.guard, index, constants)
+            check_b = analysis.compile_expr(second.guard, index, constants)
+            valuations = itertools.product(*(joint[name] for name in mentioned))
+            witness = next((v for v in valuations if check_a(v) and check_b(v)), None)
             if witness is None:
                 continue
-            shown = ", ".join(f"{k}={v}" for k, v in witness.items()) or "any valuation"
+            shown = ", ".join(f"{k}={v}" for k, v in zip(mentioned, witness)) or "any valuation"
             action = f"action [{label}]" if label is not None else "unlabeled commands"
             raise ValidationError(
                 f"{action} in module {module.name}: guards at line {first.pos.line} "
@@ -228,19 +245,23 @@ def _check_overlaps(
             )
 
 
-def _pins(
+def _box(
     guard: ast.Expr,
     var_decls: dict[str, ast.VarDecl],
     constants: dict[str, int | float],
-) -> dict[str, int] | None:
-    """The guard's pins: the value of each variable that a top-level
-    `var = constant` conjunct (in either operand order) fixes. None if two
-    pins of one variable disagree, so the guard holds nowhere.
+) -> dict[str, range]:
+    """Each variable the guard reads, over its declared range narrowed by the
+    guard's top-level `var op constant` conjuncts (op one of = < <= > >=, in
+    either operand order). The guard is false outside the box; an empty
+    range means it holds nowhere.
 
-    A pin is evaluated as the generated code evaluates it, exactly, as an
+    A bound is evaluated as the generated code evaluates it, exactly, as an
     int: a float would round above 2**53 and could hide an overlap.
     """
-    pins: dict[str, int] = {}
+    box = {
+        name: range(var_decls[name].low, var_decls[name].high + 1)
+        for name in names.expr_names(guard) & var_decls.keys()
+    }
     conjuncts = [guard]
     while conjuncts:
         expr = conjuncts.pop()
@@ -249,40 +270,22 @@ def _pins(
         if expr.op == "&":
             conjuncts += (expr.left, expr.right)
             continue
-        if expr.op != "=":
+        if expr.op not in _MIRRORED:
             continue
-        for var, value in ((expr.left, expr.right), (expr.right, expr.left)):
-            if isinstance(var, ast.Name) and var.ident in var_decls:
-                if not names.expr_names(value) & var_decls.keys():
-                    source = analysis.render_expr(value, {}, constants)
-                    pin = eval(source, {"__builtins__": {}})
-                    if pins.setdefault(var.ident, pin) != pin:
-                        return None
-                break
-    return pins
-
-
-def _joint_valuation(
-    guard_a: ast.Expr,
-    guard_b: ast.Expr,
-    pins: dict[str, int],
-    var_decls: dict[str, ast.VarDecl],
-    constants: dict[str, int | float],
-) -> dict[str, int] | None:
-    mentioned = sorted(
-        (names.expr_names(guard_a) | names.expr_names(guard_b)) & var_decls.keys()
-    )
-    index = {name: i for i, name in enumerate(mentioned)}
-    check_a = analysis.compile_expr(guard_a, index, constants)
-    check_b = analysis.compile_expr(guard_b, index, constants)
-    ranges = []
-    for name in mentioned:
-        values = range(var_decls[name].low, var_decls[name].high + 1)
-        if name in pins:
-            pin = pins[name]
-            values = range(pin, pin + 1) if pin in values else range(0)
-        ranges.append(values)
-    for valuation in itertools.product(*ranges):
-        if check_a(valuation) and check_b(valuation):
-            return dict(zip(mentioned, valuation))
-    return None
+        var, op, value = expr.left, expr.op, expr.right
+        if isinstance(value, ast.Name) and value.ident in box:
+            var, op, value = value, _MIRRORED[op], var
+        if (
+            not isinstance(var, ast.Name)
+            or var.ident not in box
+            or names.expr_names(value) & box.keys()
+        ):
+            continue
+        bound = eval(analysis.render_expr(value, {}, constants), {"__builtins__": {}})
+        start, stop = box[var.ident].start, box[var.ident].stop
+        if op in ("=", ">=", ">"):
+            start = max(start, bound + (op == ">"))
+        if op in ("=", "<=", "<"):
+            stop = min(stop, bound + (op != "<"))
+        box[var.ident] = range(start, stop)
+    return box

@@ -516,7 +516,7 @@ class TestScale:
         assert dtmc.deadlocks == frozenset({3000})
 
     def test_many_unlabeled_commands(self):
-        # 44,850 command pairs for the overlap check, each skipped on its pin.
+        # 44,850 command pairs for the overlap check, each skipped on its box.
         source = (
             "dtmc\nmodule m\n  x : [0..300] init 0;\n"
             + "".join(f"  [] x={k} -> (x'={k + 1});\n" for k in range(300))

@@ -15,6 +15,7 @@ from qkdmc import cli
 from qkdmc.bb84 import Bb84Params, Passthrough
 from qkdmc.errors import AcceptanceViolation
 from qkdmc.lang.parser import MAX_NESTING
+from test_validate import HUGE_RESIDUAL
 from qkdmc.sweep import (
     HEAVY_NOISE_CHANNEL,
     LIGHT_NOISE_CHANNEL,
@@ -294,6 +295,41 @@ class TestCliExitCodes:
         assert cli.main(["check", "--model", str(model), "--prop", "P=? [ F (x=1) ]"]) == 2
         assert "byte 0xe9 at offset 14" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            (
+                "dtmc\nmodule m\n  x : [0..1] init 0;\nendmodule\nlabel \"goal = x=1;\n",
+                "5:7: unterminated string",
+            ),
+            (
+                "dtmc\nmodule m\n  x : [0..1] init 0;\n  [] x=0 @ -> (x'=1);\nendmodule\n",
+                "4:10: unexpected character '@'",
+            ),
+            (
+                "dtmc\nmodule m\n  x : [0..1] init 0;\nendmodule\n"
+                'label "g" = x=1;\nlabel "g" = x=0;\n',
+                '6:1: duplicate label "g"',
+            ),
+            (
+                "dtmc\nmodule m\n  x : [0..1] init 0;\n  [] x=0 -> (z'=1);\nendmodule\n",
+                "4:13: unknown variable 'z' in assignment",
+            ),
+        ],
+    )
+    def test_front_end_errors_are_exit_2(self, tmp_path, capsys, source, message):
+        model = tmp_path / "bad.pm"
+        model.write_text(source, encoding="utf-8")
+        assert cli.main(["check", "--model", str(model), "--prop", "P=? [ F (x=1) ]"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_residual_overlap_over_a_huge_range_is_exit_2(self, tmp_path, capsys):
+        # The validator leaves this pair to exploration, which rejects it.
+        model = tmp_path / "huge.pm"
+        model.write_text(HUGE_RESIDUAL, encoding="utf-8")
+        assert cli.main(["check", "--model", str(model), "--prop", "P=? [ F (x=1) ]"]) == 2
+        assert "both enabled in state (x=0)" in capsys.readouterr().err
+
     def test_missing_model_file_is_exit_2(self, tmp_path):
         code = cli.main(["check", "--model", str(tmp_path / "absent.pm"),
                          "--prop", 'P=? [ F "t" ]'])
@@ -364,6 +400,29 @@ class TestCliCommands:
         report = (out_dir / "fig2_report.txt").read_text(encoding="utf-8")
         assert "ordering holds at every point" in report
         assert "ordering holds at every point" in out
+
+
+    def test_figure_ordering_violation_is_exit_4(self, tmp_path, capsys, monkeypatch):
+        spec = FIGURES["fig2"]
+        reversed_curves = type(spec)(spec.name, 3, 4, spec.curves[::-1])
+        monkeypatch.setitem(sweep_module.FIGURES, "fig2", reversed_curves)
+        out_dir = tmp_path / "fig"
+        assert cli.main(["figure", "--name", "fig2", "--out", str(out_dir)]) == 4
+        assert "4 ordering violation(s)" in capsys.readouterr().err
+        report = (out_dir / "fig2_report.txt").read_text(encoding="utf-8")
+        assert "VIOLATIONS:\n  ordering violated at n=3:" in report
+        for key in ("weak_eve", "medium_eve", "full_eve"):
+            assert (out_dir / f"fig2_{key}.csv").exists()
+
+    def test_oracle_disagreement_is_exit_4(self, tmp_path, capsys, monkeypatch):
+        from qkdmc import oracle as oracle_module
+
+        monkeypatch.setattr(oracle_module, "detect_prob", lambda n, p1: 0.5)
+        out_path = tmp_path / "rows.csv"
+        code = cli.main(["sweep", "--photons", "2", "--oracle-check", "--out", str(out_path)])
+        assert code == 4
+        assert "oracle disagreement at n=2" in capsys.readouterr().err
+        assert not out_path.exists()
 
 
 class TestOracleCheckFailure:

@@ -1,10 +1,17 @@
 """Static checks: kinds, probability sums, ownership, guard overlaps."""
 
+import itertools
+import time
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qkdmc.bb84 import Bb84Params, Passthrough, model_ast
-from qkdmc.errors import ValidationError
+from qkdmc.errors import BuildError, ValidationError
+from qkdmc.explorer import build
 from qkdmc.lang import parse, validate
+from qkdmc.lang.analysis import compile_expr
+from qkdmc.lang.names import expr_names
 
 
 def check(source: str):
@@ -216,6 +223,114 @@ class TestOverlaps:
             "OVERLAPPING_GUARDS",
         )
         assert "both enabled when x=9007199254740993, y=0" in str(error)
+
+    @pytest.mark.parametrize(
+        "decls, guards",
+        [
+            (WIDE, ["x<5 & y>=0", "x>=5 & y>=0"]),
+            (WIDE + "  z : [0..3000] init 0;\n", ["x<5 & y>=0 & z>=0", "5<=x & y>=0 & z>=0"]),
+            ("dtmc\nmodule m\n  x : [0..4611686018427387904] init 0;\n", ["x<5", "x>=5"]),
+        ],
+    )
+    def test_guards_bounded_apart_are_not_enumerated(self, decls, guards):
+        # Their whole boxes hold 9M, 27G and 2**62 valuations.
+        source = decls + "".join(f"  [] {g} -> (x'=1);\n" for g in guards) + "endmodule\n"
+        model = parse(source)
+        started = time.perf_counter()
+        validate(model)
+        assert time.perf_counter() - started < 0.05
+
+    def test_a_bounded_overlap_reports_the_first_witness(self):
+        error = fails(
+            self.WIDE + "  [] x>2 & 7>=y & y>3 -> (x'=2);\n  [] x<=4 & 2<x -> (x'=3);\nendmodule\n",
+            "OVERLAPPING_GUARDS",
+        )
+        assert "both enabled when x=3, y=4" in str(error)
+
+    def test_a_residual_overlap_over_a_huge_range_is_left_to_exploration(self):
+        # x+0<5 is no `var op constant` conjunct, so the box is the whole range.
+        model = parse(HUGE_RESIDUAL)
+        started = time.perf_counter()
+        vm = validate(model)
+        assert time.perf_counter() - started < 0.05
+        with pytest.raises(BuildError) as info:
+            build(vm)
+        assert info.value.code == "NONDETERMINISM"
+        assert "(x=0)" in str(info.value)
+
+
+HUGE_RESIDUAL = (
+    "dtmc\nmodule m\n  x : [0..4611686018427387904] init 0;\n"
+    "  [] x+0<5 -> (x'=1);\n  [] x+0<7 -> (x'=2);\nendmodule\n"
+)
+
+
+def reference_overlap(model) -> str | None:
+    """The overlap check by brute force, as the message validate raises.
+
+    Every same-group pair is enumerated over the whole declared box of the
+    variables either guard reads, in sorted name order.
+    """
+    var_decls = {var.name: var for module in model.modules for var in module.variables}
+    for module in model.modules:
+        groups = {}
+        for command in module.commands:
+            groups.setdefault(command.label, []).append(command)
+        for label, commands in groups.items():
+            for first, second in itertools.combinations(commands, 2):
+                read = expr_names(first.guard) | expr_names(second.guard)
+                mentioned = sorted(read & var_decls.keys())
+                index = {name: i for i, name in enumerate(mentioned)}
+                check_a = compile_expr(first.guard, index, {})
+                check_b = compile_expr(second.guard, index, {})
+                box = [range(var_decls[name].low, var_decls[name].high + 1) for name in mentioned]
+                for valuation in itertools.product(*box):
+                    if check_a(valuation) and check_b(valuation):
+                        shown = ", ".join(f"{k}={v}" for k, v in zip(mentioned, valuation))
+                        action = "unlabeled commands" if label is None else f"action [{label}]"
+                        return (
+                            f"{second.pos.line}:{second.pos.col}: {action} in module {module.name}: "
+                            f"guards at line {first.pos.line} and line {second.pos.line} are both "
+                            f"enabled when {shown or 'any valuation'}"
+                        )
+    return None
+
+
+_VARIABLE = st.sampled_from(["x", "y", "z"])
+_OP = st.sampled_from(["=", "!=", "<", "<=", ">", ">="])
+_CONSTANT = st.integers(-1, 6).map(str)
+_ATOM = st.one_of(
+    st.builds("{} {} {}".format, _VARIABLE, _OP, _CONSTANT),
+    st.builds("{} {} {}".format, _CONSTANT, _OP, _VARIABLE),
+    st.builds("{}+{} {} {}".format, _VARIABLE, _VARIABLE, _OP, _CONSTANT),
+    st.just("true"),
+)
+_NESTED = st.recursive(
+    _ATOM,
+    lambda inner: st.one_of(
+        inner.map("!({})".format),
+        st.builds("({} | {})".format, inner, inner),
+        st.lists(inner, min_size=2, max_size=3).map(" & ".join),
+    ),
+    max_leaves=4,
+)
+# Mostly top-level conjunctions, the only part of a guard its box reads.
+_GUARD = st.lists(st.one_of(_ATOM, _NESTED), min_size=1, max_size=3).map(" & ".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["", "a"]), _GUARD), min_size=2, max_size=4))
+def test_overlap_verdicts_match_the_brute_force_reference(commands):
+    source = (
+        "dtmc\nmodule m\n  x : [0..4] init 0;\n  y : [1..3] init 1;\n  z : [0..2] init 0;\n"
+        + "".join(f"  [{label}] {guard} -> (x'=0);\n" for label, guard in commands)
+        + "endmodule\n"
+    )
+    expected = reference_overlap(parse(source))
+    if expected is None:
+        check(source)
+    else:
+        assert str(fails(source, "OVERLAPPING_GUARDS")) == expected
 
 
 class TestValidatedModel:
