@@ -13,7 +13,11 @@ solver is exact and has nothing to converge.
 from __future__ import annotations
 
 import codecs
+import contextlib
+import io
+import os
 import re
+import stat
 import sys
 from pathlib import Path
 
@@ -74,6 +78,29 @@ def _read_model(path: str) -> str:
             ) from None
 
 
+def _write(path: str | Path, text: str) -> None:
+    """Write `text` to `path` with LF line endings, replacing what is there.
+
+    An existing regular file is removed first, not truncated: on ext4 a
+    truncating open of a file whose last contents are still being written
+    back waits for that writeback, tens of milliseconds per file. A
+    symlink, device or FIFO is left in place and opened as it is. The CLI
+    never calls fsync, so removing first gives up no guarantee it makes. If
+    the file cannot be removed, the open truncates it as before.
+    """
+    with contextlib.suppress(OSError):
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(text)
+
+
+def _csv_text(rows: list[sweep.ResultRow], include_timing: bool) -> str:
+    buffer = io.StringIO()
+    sweep.write_csv(rows, buffer, include_timing=include_timing)
+    return buffer.getvalue()
+
+
 channel_option = click.option(
     "--channel", "channel_text", default="1,0,0,0", show_default=True,
     help="Noise 4-vector p00,p10,p01,p11 (keep / flip basis / flip bit / flip both).",
@@ -125,9 +152,7 @@ def bb84(photons: int, channel_text: str, eve_q: float, bias: float,
         bias=bias,
         passthrough=Passthrough(passthrough),
     )
-    source = generate(params)
-    with open(emit_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(source)
+    _write(emit_path, generate(params))
     click.echo(f"wrote {emit_path}")
     click.echo(
         f"photons={params.photons} channel={params.channel} eve_q={params.eve_q} "
@@ -166,8 +191,7 @@ def sweep_cmd(photons_text: str, channel_text: str, eve_q: float, bias: float,
         oracle_check=oracle_check,
     )
     rows = sweep.run_sweep(spec)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-        sweep.write_csv(rows, handle, include_timing=not no_timing)
+    _write(out_path, _csv_text(rows, include_timing=not no_timing))
     click.echo(f"wrote {out_path} ({len(rows)} rows)")
 
 
@@ -186,13 +210,11 @@ def figure(figure_name: str, out_dir: str, oracle_check: bool, no_timing: bool) 
     directory.mkdir(parents=True, exist_ok=True)
     for curve, rows in result.curves:
         path = directory / f"{figure_name}_{curve.key}.csv"
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            sweep.write_csv(list(rows), handle, include_timing=not no_timing)
+        _write(path, _csv_text(list(rows), include_timing=not no_timing))
         click.echo(f"wrote {path}")
     report = sweep.figure_report(result)
     report_path = directory / f"{figure_name}_report.txt"
-    with open(report_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(report)
+    _write(report_path, report)
     click.echo(f"wrote {report_path}")
     click.echo(report, nl=False)
     if not result.ok:

@@ -9,18 +9,13 @@ unlabeled command) may be enabled; zero enabled groups makes a flagged
 deadlock that receives a probability-1 self-loop.
 
 `build` renders the whole model as the Python source of one function,
-``explore(states, _row, _one, _dead)``, compiles it once and calls it once:
-the function is the breadth-first walk. It visits `states` in order while
-the helpers append newly found states to it. In it, every guard is
-inlined: one selection per module and group picks the module's command,
-one line per group records whether the group is enabled, and the branch of
-the one enabled group hands the state's row to a helper. Each command's
-updates are one (probability, new values) tuple per update. A group of one
-module passes these tuples as they are, each new-values part a whole
-successor. A larger group's successors come from one comprehension with a
-`for` clause over each branching module's tuples, in the order of the
-product of their distributions; deterministic modules are unpacked before
-it. The function still checks, in every state it visits:
+the walk, compiles it once and calls it once. It visits its `states` list
+in order while it appends newly found states to it, so it is the
+breadth-first search. In it, every guard is inlined: one selection per
+module and group picks the module's command, one line per group records
+whether the group is enabled, and the branch of the one enabled group
+stores the state's row. The function still checks, in every state it
+visits:
 
 - that each module of a group that fires has one enabled command for the
   group's action (it evaluates every such guard, not the first true one;
@@ -34,26 +29,41 @@ it. The function still checks, in every state it visits:
   the command line, the variable, the value and the state). Only an
   assignment of a constant already known to be in range skips the test.
 
-Row assembly stays out of the generated source, in three helpers that
+Where the generator knows every probability of a row, the walk stores
+the row in straight-line code (partial evaluation: Jones, Gomard &
+Sestoft, 1993). That holds for a group of one module, or of several of
+which at most one picks among commands: there is one row per command of
+the picking module, and the products of the modules' probabilities are
+formed at generation time, left to right as the run-time product would
+be, so every stored float has the same bits. The walk looks each
+successor up in the state index in product order, appending a new one,
+and stores the pairs as they are when their targets come out strictly
+ascending: they are then distinct and sorted, and their sum was checked
+against ROW_SUM_TOL at generation time. 94 % of a 500-photon bb84
+model's rows take that path. Other rows go to one of three helpers that
 `build` defines once over its CSR columns and passes in as arguments:
 
-- `_row(pairs, s)` merges the pairs by successor, sorts them by target,
-  checks that they sum to 1 within ROW_SUM_TOL (ROW_SUM, naming the state)
-  and appends the row;
-- `_one(q, key, s)` stores a row of one pair, without a list, a merge or a
-  sort. The generator calls it where the firing group yields one
-  combination whatever fires: a lone module whose commands each have one
-  update, or a group without a `for` clause. 55 % of a 500-photon bb84
-  model's rows take this path;
+- `_merge(pairs, s)` merges (probability, target) pairs by target,
+  checks that they sum to 1 within ROW_SUM_TOL (ROW_SUM, naming the
+  state), sorts them by target and appends the row. An unrolled row
+  whose targets are not ascending goes here, or one whose sum misses 1;
+- `_row(pairs, s)` indexes (probability, successor) pairs, then merges
+  them as `_merge` does. It takes the rows of a group in which two
+  modules pick, and rows of more than MAX_UNROLLED_PAIRS pairs: a
+  product of distributions can have exponentially many, so those rows
+  are one comprehension with a `for` clause over each branching module's
+  updates, in product order, and the generated source stays linear in
+  the model text;
 - `_dead(si)` stores a deadlock's self-loop.
 
-Passed as arguments, the helpers stay out of the reference cycle between
-the function and its `exec` namespace, so nothing they reach outlives the
-build. The walk keys states by tuple, since the generated function reads
-``s[i]``. Once it ends, build frees the index, packs each state into a
-fixed-width record (see `record_struct`) and drops the tuples. It evaluates
-no label: the Dtmc keeps their definitions, and `Dtmc.states_where`
-answers each state query in one scan of the records. The Dtmc keeps the
+Passed as arguments, the helpers and the bound methods the walk calls stay
+out of the reference cycle between the function and its `exec` namespace,
+so nothing they reach outlives the build. The walk keys states by tuple,
+since the generated function reads ``s[i]``. Once it ends, build frees
+the index, packs each state into a fixed-width record (see
+`record_struct`) and drops the tuples. It evaluates no label: the Dtmc
+keeps their definitions, and `Dtmc.states_where` answers each state query
+in one scan of the records. The Dtmc keeps the
 records and the CSR arrays: a few flat buffers, not a container per row
 and per state for the cyclic garbage collector to scan.
 """
@@ -65,7 +75,7 @@ import math
 import struct
 from array import array
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import compress, count, product
 from typing import Callable, Iterable, Iterator
 
 from qkdmc.errors import BuildError
@@ -204,44 +214,40 @@ def build(vm: ValidatedModel) -> Dtmc:
     targets = array("q")
     probs = array("d")
     deadlocks: set[int] = set()
-    # Bound once: the helpers call them once per state or transition.
+    # Bound once: the walk and the helpers call them once per state or
+    # transition.
     index, add_state = state_index.setdefault, states.append
     add_target, add_prob, end_row = targets.append, probs.append, row_starts.append
 
-    def row_sum_error(state: tuple[int, ...], total: float) -> BuildError:
-        return BuildError(
-            f"row for state ({describe(vm.variables, state)}) sums to {total:.12g}",
-            code="ROW_SUM",
-        )
-
-    def row(pairs: Iterable[tuple[float, tuple[int, ...]]], state: tuple[int, ...]) -> None:
-        # Merge the pairs by successor, check the sum, store sorted by target.
+    def merge(pairs: Iterable[tuple[float, int]], state: tuple[int, ...]) -> None:
+        # Merge the (probability, target) pairs by target, check the sum,
+        # store them sorted by target.
         merged: dict[int, float] = {}
-        for prob, key in pairs:
-            fresh = len(states)
-            ti = index(key, fresh)
-            if ti == fresh:
-                add_state(key)
+        for prob, ti in pairs:
             merged[ti] = merged.get(ti, 0.0) + prob
         total = math.fsum(merged.values())
         if abs(total - 1.0) > ROW_SUM_TOL:
-            raise row_sum_error(state, total)
+            raise BuildError(
+                f"row for state ({describe(vm.variables, state)}) sums to {total:.12g}",
+                code="ROW_SUM",
+            )
         for ti, prob in sorted(merged.items()):
             add_target(ti)
             add_prob(prob)
         end_row(len(targets))
 
-    def one(prob: float, key: tuple[int, ...], state: tuple[int, ...]) -> None:
-        # The row of a single pair, stored as `row` would store it.
-        if abs(prob - 1.0) > ROW_SUM_TOL:
-            raise row_sum_error(state, prob)
-        fresh = len(states)
-        ti = index(key, fresh)
-        if ti == fresh:
-            add_state(key)
-        add_target(ti)
-        add_prob(prob)
-        end_row(len(targets))
+    def row(pairs: Iterable[tuple[float, tuple[int, ...]]], state: tuple[int, ...]) -> int:
+        # Index the successors in order, merge the row; return the new state
+        # count.
+        indexed = []
+        for prob, key in pairs:
+            fresh = len(states)
+            ti = index(key, fresh)
+            if ti == fresh:
+                add_state(key)
+            indexed.append((prob, ti))
+        merge(indexed, state)
+        return len(states)
 
     def dead(si: int) -> None:
         deadlocks.add(si)
@@ -249,10 +255,10 @@ def build(vm: ValidatedModel) -> Dtmc:
         add_prob(1.0)
         end_row(len(targets))
 
-    explore(states, row, one, dead)
+    explore(states, targets, row, merge, dead, index, add_state, add_target, add_prob, end_row)
     # The index holds an entry per state; freeing it, and the bound method
-    # the helpers keep, before the records are built lowers the build's peak
-    # memory.
+    # the walk was handed, before the records are built lowers the build's
+    # peak memory.
     del state_index, index
     pack = record_struct(vm.variables).pack
     records = bytearray()
@@ -272,18 +278,37 @@ def build(vm: ValidatedModel) -> Dtmc:
     )
 
 
+# One update as the generator sees it: its probability and, per variable it
+# assigns, a constant known to be in range or the source that checks the
+# value.
+UpdateCode = tuple[float, dict[int, int | str]]
+
+# The most (probability, successor) pairs one row is unrolled into. A row of
+# a product of distributions can have exponentially many; past this it keeps
+# the comprehension, so the generated source stays linear in the model text.
+MAX_UNROLLED_PAIRS = 16
+
+
 def _compile_walk(
     vm: ValidatedModel,
 ) -> Callable[..., None]:
-    """Compile the model into explore(states, _row, _one, _dead), the walk.
+    """Compile the model into the walk, explore(states, targets, _row,
+    _merge, _dead, index, add, at, ap, end).
 
-    It visits `states` in order while the helpers append to it, and hands
-    each state's row to one helper: `_one(q, key, s)` where the firing group
-    yields a single (probability, successor) pair whatever fires, `_row(pairs,
-    s)` with the pairs in product order otherwise, `_dead(si)` in a deadlock.
+    It visits `states` in order while it and `_row` append to it; `n` is
+    the length of `states`. It stores each state's row itself, with
+    `index` (the state index's setdefault), `add` (the states' append),
+    `at` and `ap` (the columns' appends) and `end` (the row starts'
+    append), where the generator knows the row's probabilities: at most one
+    module of the firing group picks among several commands, and the row has
+    at most MAX_UNROLLED_PAIRS pairs. Such a row whose targets do not come
+    out strictly ascending goes to `_merge(pairs, s)` as (probability,
+    target) pairs. Any other row goes to `_row(pairs, s)` as (probability,
+    successor) pairs in product order, and a deadlock to `_dead(si)`.
     """
     var_index = vm.var_index
     modules = vm.model.modules
+    width = len(vm.variables)
 
     # A group is each participating module's commands for one action, or one
     # unlabeled command as a module of its own. It is enabled when each of its
@@ -308,21 +333,20 @@ def _compile_walk(
     def render(expr: ast.Expr) -> str:
         return render_expr(expr, var_index, vm.constants)
 
-    def checked(line: int, var: ast.VarDecl, value: ast.Expr) -> str:
+    def checked(line: int, var: ast.VarDecl, value: ast.Expr) -> int | str:
+        # A constant known to be in range, or the source that checks the value.
         source = render(value)
         if not names.expr_names(value) & var_index.keys():
             constant = eval(source, {"__builtins__": {}})
             if var.low <= constant <= var.high:
-                return repr(constant)
+                return constant
         bound_sites.append((line, var))
         site = len(bound_sites) - 1
         return f"(t if {var.low} <= (t := {source}) <= {var.high} else _bounds(s, {site}, t))"
 
-    def update_pairs(
-        mi: int, ci: int, command: ast.Command, writes: Iterable[int]
-    ) -> list[tuple[str, str]]:
-        # One (probability, value per written variable) pair of sources per
-        # update; a variable this update does not assign keeps its value s[i].
+    def updates_of(mi: int, ci: int, command: ast.Command) -> list[UpdateCode]:
+        # One (probability, value per assigned variable) pair per update of
+        # nonzero probability.
         pairs = []
         for ui, update in enumerate(command.updates):
             prob = vm.update_probs[mi][ci][ui]
@@ -332,69 +356,44 @@ def _compile_walk(
                 var_index[a.var]: checked(command.pos.line, vm.variables[var_index[a.var]], a.value)
                 for a in update.assignments
             }
-            pairs.append((repr(prob), _fields(writes, values)))
+            pairs.append((prob, values))
         return pairs
 
     enable: list[str] = []
     fire: list[str] = []
     for gi, (_, action, parts) in enumerate(groups):
-        # A group of one module has no product to form: each update writes a
-        # whole successor.
-        alone = len(parts) == 1
-        terms, body, unpacks, clauses, written = [], [], [], [], {}
+        # choices[j][c]: the updates of command c of the group's module j.
+        choices = [[updates_of(mi, ci, c) for ci, c in commands] for mi, commands in parts]
+        terms, pickers = [], []
         for j, (mi, commands) in enumerate(parts):
-            writes = sorted(
-                {var_index[a.var] for _, c in commands for u in c.updates for a in u.assignments}
-            )
-            written.update((i, f"v{i}") for i in writes)
-            target = ", ".join([f"p{j}" if j else "q0"] + [f"v{i}" for i in writes]) + ","
-            fields = range(len(vm.variables)) if alone else writes
-            choices = [update_pairs(mi, ci, command, fields) for ci, command in commands]
-            single = all(len(pairs) == 1 for pairs in choices)
-            # One statement per command: it stores the row or binds u{j}.
-            if alone and single:
-                # One successor whichever command fires: store it as it is.
-                stmts = [f"_one({prob}, ({succ},), s)" for ((prob, succ),) in choices]
-            elif alone:
-                stmts = [
-                    f"_row(({', '.join(f'({prob}, ({succ},))' for prob, succ in pairs)},), s)"
-                    for pairs in choices
-                ]
-            elif single:
-                # Deterministic here: unpack the one update, loop over nothing.
-                stmts = [f"u{j} = ({prob}, {succ})" for ((prob, succ),) in choices]
-                unpacks.append(f"{target} = u{j}")
-            else:
-                stmts = [
-                    f"u{j} = ({', '.join(f'({prob}, {succ})' for prob, succ in pairs)},)"
-                    for pairs in choices
-                ]
-                clauses.append(f"for {target} in u{j}")
-            # q{j} is the product of the first j + 1 modules' probabilities,
-            # one factor per step, so no expression nests deeper as the
-            # group grows. Once a module loops, the steps are clauses.
-            if j and clauses:
-                clauses.append(f"for q{j} in (q{j - 1} * p{j},)")
-            elif j:
-                unpacks.append(f"q{j} = q{j - 1} * p{j}")
             if len(commands) == 1:
                 terms.append(render(commands[0][1].guard))
-                body.append(stmts[0])
             else:
                 guards = ", ".join(render(command.guard) for _, command in commands)
                 terms.append(f"(k{gi}_{j} := _pick(({guards}), s, {len(picks)})) >= 0")
                 lines = [command.pos.line for _, command in commands]
                 picks.append((modules[mi].name, action, lines))
-                body.extend(f"if k{gi}_{j} == {k}: {stmt}" for k, stmt in enumerate(stmts))
-        body.extend(unpacks)
-        if not alone:
-            successor = f"({_fields(range(len(vm.variables)), written)},)"
-            q = f"q{len(parts) - 1}"
-            if clauses:
-                body.append(f"_row([({q}, {successor}) {' '.join(clauses)} if {q}], s)")
+                pickers.append(j)
+        # One branch per command of the picking module, if any: each fixes
+        # one command per module.
+        picker = pickers[0] if pickers else 0
+        branches = [
+            [per_command[c if j == picker else 0] for j, per_command in enumerate(choices)]
+            for c in range(len(choices[picker]))
+        ]
+        if len(pickers) <= 1 and all(
+            math.prod(map(len, branch)) <= MAX_UNROLLED_PAIRS for branch in branches
+        ):
+            if pickers:
+                body = []
+                for c, branch in enumerate(branches):
+                    body.append(f"if k{gi}_{picker} == {c}:")
+                    rows = [*_unrolled_row(branch, width), "continue"]
+                    body.extend(f"    {line}" for line in rows)
             else:
-                # One combination; a zero product fails the row-sum check either way.
-                body.append(f"_one({q}, {successor}, s)")
+                body = _unrolled_row(branches[0], width)
+        else:
+            body = _product_row(gi, parts, choices, width)
         enabled = f"g = {gi} if g < 0 else _nondeterminism(s, g, {gi})"
         enable.append(f"if {' and '.join(terms)}: {enabled}")
         # Flat ifs, not an elif chain: Python compiles a chain of elifs as
@@ -408,7 +407,8 @@ def _compile_walk(
     # states grows while it is walked, so the walk is breadth-first.
     source = "\n        ".join(
         [
-            "def explore(states, _row, _one, _dead):\n    for si, s in enumerate(states):",
+            "def explore(states, targets, _row, _merge, _dead, index, add, at, ap, end):\n"
+            "    n = len(states)\n    for si, s in enumerate(states):",
             "g = -1",
             *enable,
             *fire,
@@ -442,13 +442,124 @@ def _compile_walk(
         )
 
     namespace = {
-        "__builtins__": {"enumerate": enumerate},
+        "__builtins__": {"enumerate": enumerate, "len": len},
         "_pick": pick,
         "_bounds": bounds,
         "_nondeterminism": nondeterminism,
     }
     exec(compile(source, "<explore>", "exec"), namespace)
     return namespace["explore"]
+
+
+def _unrolled_row(per_module: list[list[UpdateCode]], width: int) -> list[str]:
+    """The statements that store the row of one choice of command per module
+    of a group, each of whose probabilities the generator knows.
+
+    Each successor, in product order, is looked up in the index, and a new
+    one appended to the walk's states. Strictly ascending targets are
+    distinct and already sorted, so the merge would change nothing: the
+    pairs are stored as they are, their row sum checked here. Otherwise
+    `_merge` merges them, checks their sum and sorts them, as for any row.
+    """
+    lines: list[str] = []
+
+    # A module's value can recur in several successors: bind each one read
+    # from the state once, module by module, update by update and variable
+    # by variable, the order in which `_row`'s tuples evaluate them.
+    def bind(values: dict[int, int | str]) -> dict[int, int | str]:
+        local: dict[int, int | str] = {}
+        for i in sorted(values):
+            if isinstance(values[i], str):
+                local[i] = f"a{len(lines)}"
+                lines.append(f"a{len(lines)} = {values[i]}")
+            else:
+                local[i] = values[i]
+        return local
+
+    per_module = [[(prob, bind(values)) for prob, values in updates] for updates in per_module]
+    pairs: list[tuple[float, str]] = []
+    for combination in product(*per_module):
+        # Left to right, as the comprehension multiplies, so every product
+        # has the bits the run-time product would have; a zero one is
+        # dropped as `if q` drops it.
+        q = combination[0][0]
+        for p, _ in combination[1:]:
+            q *= p
+        if not q:
+            continue
+        values: dict[int, int | str] = {}
+        for _, assigned in combination:
+            values.update(assigned)
+        t = f"t{len(pairs)}"
+        successor = f"({_fields(range(width), values)},)"
+        lines.append(f"if ({t} := index(k := {successor}, n)) == n: add(k); n += 1")
+        pairs.append((q, t))
+    store = "".join(f"at({t}); ap({q!r}); " for q, t in pairs) + "end(len(targets))"
+    merge = f"_merge(({''.join(f'({q!r}, {t}), ' for q, t in pairs)}), s)"
+    if abs(math.fsum(q for q, _ in pairs) - 1.0) > ROW_SUM_TOL:
+        # The merge raises ROW_SUM, naming the state.
+        lines.append(merge)
+    elif len(pairs) == 1:
+        lines.append(store)
+    else:
+        ascending = " < ".join(t for _, t in pairs)
+        lines.extend([f"if {ascending}:", f"    {store}", "else:", f"    {merge}"])
+    return lines
+
+
+def _product_row(
+    gi: int,
+    parts: list[tuple[int, list[tuple[int, ast.Command]]]],
+    choices: list[list[list[UpdateCode]]],
+    width: int,
+) -> list[str]:
+    """The statements that hand a group's row to `_row` as (probability,
+    successor) pairs in product order, for a row the walk does not unroll.
+
+    The successors come from one comprehension with a `for` clause over
+    each branching module's updates; deterministic modules are unpacked
+    before it.
+    """
+    body, unpacks, clauses, written = [], [], [], {}
+    for j, (mi, commands) in enumerate(parts):
+        writes = sorted({i for updates in choices[j] for _, values in updates for i in values})
+        written.update((i, f"v{i}") for i in writes)
+        target = ", ".join([f"p{j}" if j else "q0"] + [f"v{i}" for i in writes]) + ","
+        pairs = [
+            [(repr(prob), _fields(writes, values)) for prob, values in updates]
+            for updates in choices[j]
+        ]
+        # One statement per command: it binds u{j}.
+        if all(len(each) == 1 for each in pairs):
+            # Deterministic here: unpack the one update, loop over nothing.
+            stmts = [f"u{j} = ({prob}, {succ})" for ((prob, succ),) in pairs]
+            unpacks.append(f"{target} = u{j}")
+        else:
+            stmts = [
+                f"u{j} = ({''.join(f'({prob}, {succ}), ' for prob, succ in each)})"
+                for each in pairs
+            ]
+            clauses.append(f"for {target} in u{j}")
+        # q{j} is the product of the first j + 1 modules' probabilities,
+        # one factor per step, so no expression nests deeper as the group
+        # grows. Once a module loops, the steps are clauses.
+        if j and clauses:
+            clauses.append(f"for q{j} in (q{j - 1} * p{j},)")
+        elif j:
+            unpacks.append(f"q{j} = q{j - 1} * p{j}")
+        if len(commands) == 1:
+            body.append(stmts[0])
+        else:
+            body.extend(f"if k{gi}_{j} == {k}: {stmt}" for k, stmt in enumerate(stmts))
+    body.extend(unpacks)
+    successor = f"({_fields(range(width), written)},)"
+    q = f"q{len(parts) - 1}"
+    if clauses:
+        body.append(f"n = _row([({q}, {successor}) {' '.join(clauses)} if {q}], s)")
+    else:
+        # One combination; a zero product fails the row-sum check either way.
+        body.append(f"n = _row((({q}, {successor}),), s)")
+    return body
 
 
 # A run of more unset variables than this is copied into a tuple as one
@@ -458,7 +569,7 @@ def _compile_walk(
 MAX_INDEXED_RUN = 16
 
 
-def _fields(indices: Iterable[int], values: dict[int, str]) -> str:
+def _fields(indices: Iterable[int], values: dict[int, int | str]) -> str:
     """Tuple fields: values[i] for each of the ascending indices, else s[i].
 
     A run of unset, consecutive indices longer than MAX_INDEXED_RUN is one
@@ -477,7 +588,7 @@ def _fields(indices: Iterable[int], values: dict[int, str]) -> str:
     for i in indices:
         if i in values:
             close_run()
-            fields.append(values[i])
+            fields.append(str(values[i]))
         else:
             if run and i != run[-1] + 1:
                 close_run()

@@ -9,7 +9,8 @@ Each SCC is then settled on the spot, qualitatively and numerically:
 - prob0 if no edge leaves it towards a state outside prob0, prob1 if it is
   not prob0 and every edge leaving it reaches a prob1 state;
 - a trivial SCC (one state, perhaps with a self-loop) gets the exact update
-  incoming / (1 - self_prob), summed in row order;
+  incoming / leaving, both summed in row order, where leaving is the mass
+  of its edges to other states (1 without a self-loop);
 - a cyclic SCC is solved by GTH state elimination (Grassmann, Taksar &
   Heyman 1985) in ascending state order, then back-substitution. Each pivot
   is a sum of outflows, so no step subtracts.
@@ -207,7 +208,13 @@ def _solve(dtmc: Dtmc, query: PropertyQuery) -> tuple[list[float], bytearray, fl
                     stack.pop()
                     if flags & REACH:
                         solved = True
-                        values[v] = incoming / (1.0 - self_prob)
+                        if self_prob:
+                            # Divide by the mass leaving v, a GTH pivot:
+                            # 1 - self_prob cancels, to 0.0 when 1e-200
+                            # leaves beside a self-loop of 1.0.
+                            row = range(starts[v], end)
+                            incoming /= sum(probs[j] for j in row if targets[j] != v)
+                        values[v] = incoming
                     else:
                         flags = MISS
                     kind[v] = flags

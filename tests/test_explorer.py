@@ -9,15 +9,19 @@ import hashlib
 import gc
 import importlib
 import itertools
+import math
 import tracemalloc
+from array import array
 
 import pytest
+from hypothesis import example, given, reject, settings, strategies as st
 
 import _machine
 from qkdmc.bb84 import Bb84Params, Passthrough, generate, model_ast
-from qkdmc.errors import BuildError
-from qkdmc.explorer import build, record_struct
+from qkdmc.errors import BuildError, ValidationError
+from qkdmc.explorer import ROW_SUM_TOL, Dtmc, build, record_struct
 from qkdmc.lang import parse, print_expr, validate
+from qkdmc.lang.analysis import compile_expr
 from qkdmc.sweep import HEAVY_NOISE_CHANNEL
 
 # The package re-exports the validate function under the module's own name.
@@ -525,3 +529,200 @@ class TestScale:
         dtmc = explore(source)
         assert dtmc.state_count == 301
         assert dtmc.deadlocks == frozenset({300})
+
+
+def reference_build(vm) -> Dtmc:
+    """The explorer by hand, for small models: in each state, in BFS order,
+    the one enabled group's product distribution (the first module's
+    updates varying slowest), merged by successor and sorted by index.
+
+    It raises BuildError with the code `build` raises in the first state
+    where an error shows: two groups or two commands of one module enabled
+    (checked before any row is formed), then a value out of range, then a
+    row sum off 1.
+    """
+
+    def compiled(expr):
+        return compile_expr(expr, vm.var_index, vm.constants)
+
+    # Per module, per command: its label, its guard and its updates of
+    # nonzero probability, each a list of (variable index, value).
+    commands = [
+        [
+            (
+                command.label,
+                compiled(command.guard),
+                [
+                    (prob, [(vm.var_index[a.var], compiled(a.value)) for a in update.assignments])
+                    for prob, update in zip(vm.update_probs[mi][ci], command.updates)
+                    if prob
+                ],
+            )
+            for ci, command in enumerate(module.commands)
+        ]
+        for mi, module in enumerate(vm.model.modules)
+    ]
+    states = [vm.initial_state]
+    found = {vm.initial_state: 0}
+    row_starts, targets, probs, deadlocks = [0], [], [], set()
+    for si, s in enumerate(states):
+        enabled = [
+            [updates] for own in commands for label, guard, updates in own
+            if label is None and guard(s)
+        ]
+        for action in vm.action_order:
+            chosen = []
+            for own in commands:
+                if all(label != action for label, _, _ in own):
+                    continue
+                hits = [updates for label, guard, updates in own if label == action and guard(s)]
+                if len(hits) > 1:
+                    raise BuildError("two commands", code="NONDETERMINISM")
+                if not hits:
+                    break
+                chosen.append(hits[0])
+            else:
+                enabled.append(chosen)
+        if len(enabled) > 1:
+            raise BuildError("two groups", code="NONDETERMINISM")
+        row = {}
+        for combination in itertools.product(*enabled[0]) if enabled else ():
+            q = combination[0][0]
+            for p, _ in combination[1:]:
+                q *= p
+            successor = list(s)
+            for _, assignments in combination:
+                for i, value in assignments:
+                    successor[i] = value(s)
+                    var = vm.variables[i]
+                    if not var.low <= successor[i] <= var.high:
+                        raise BuildError("out of range", code="BOUNDS")
+            if not q:
+                continue
+            key = tuple(successor)
+            if key not in found:
+                found[key] = len(states)
+                states.append(key)
+            row[found[key]] = row.get(found[key], 0.0) + q
+        if not enabled:
+            deadlocks.add(si)
+            row = {si: 1.0}
+        elif abs(math.fsum(row.values()) - 1.0) > ROW_SUM_TOL:
+            raise BuildError("row sum", code="ROW_SUM")
+        for target in sorted(row):
+            targets.append(target)
+            probs.append(row[target])
+        row_starts.append(len(targets))
+    pack = record_struct(vm.variables).pack
+    return Dtmc(
+        variables=vm.variables,
+        constants=dict(vm.constants),
+        records=b"".join(pack(*state) for state in states),
+        initial=0,
+        row_starts=array("q", row_starts),
+        targets=array("q", targets),
+        probs=array("d", probs),
+        labels={label.name: label.expr for label in vm.model.labels},
+        deadlocks=frozenset(deadlocks),
+    )
+
+
+# Distributions of a command's updates: a zero-probability update, an
+# underflowing one whose product with another is 0.0, and five updates, so
+# two modules of five make a 25-pair row past the unrolling cap.
+_DISTRIBUTIONS = [
+    ("1",),
+    ("0.5", "0.5"),
+    ("0.3", "0.7"),
+    ("1/3", "1/3", "1/3"),
+    ("0", "1"),
+    ("1e-200", "1"),
+    ("0.2",) * 5,
+]
+
+
+@st.composite
+def small_models(draw) -> str:
+    """Model text: one or two modules of one variable each, over [0..1] to
+    [0..3]. A module has one command for each of some of its variable's
+    values, most often all of them, and the command may test the other
+    variable too. A lone module's commands are unlabeled or on [a] or [b];
+    two modules mostly synchronize on [a], so one or both pick among
+    commands. A value is a constant, a variable or a step of one, so
+    duplicate successors, targets found in descending order and
+    out-of-range values all occur.
+    """
+    names = ["x", "y"][: draw(st.integers(1, 2))]
+    labels = ["", "a", "b"] if len(names) == 1 else ["a", "a", "a", "b", ""]
+    atom = st.builds(
+        " & {}{}{}".format, st.sampled_from(names), st.sampled_from(["=", "!=", "<", ">="]),
+        st.integers(0, 3),
+    )
+    # Mostly the variable's own test alone.
+    extra = st.one_of(st.just(""), st.just(""), atom)
+    lines = ["dtmc"]
+    for k, var in enumerate(names):
+        high = draw(st.integers(1, 3))
+        tested = draw(st.permutations(range(high + 1)))
+        tested = tested[: draw(st.sampled_from([high + 1, high + 1, 1, 2]))]
+        lines.append(f"module m{k}\n  {var} : [0..{high}] init {draw(st.sampled_from(tested))};")
+        values = st.sampled_from(
+            [str(c) for c in range(high + 1)] + [*names, f"{var}+1", f"{var}-1", f"{high}-{var}"]
+        )
+        for c in tested:
+            probs = draw(st.sampled_from(_DISTRIBUTIONS))
+            updates = " + ".join(f"{p}:({var}'={draw(values)})" for p in probs)
+            label = draw(st.sampled_from(labels))
+            lines.append(f"  [{label}] {var}={c}{draw(extra)} -> {updates};")
+        lines.append("endmodule")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_models())
+# Duplicate successors, merged.
+@example("dtmc\nmodule m\n  x : [0..1] init 0;\n  [] x=0 -> 0.5:(x'=1) + 0.5:(x'=1);\nendmodule\n")
+# x=1 finds x=2 before the known x=0: targets in descending order.
+@example(
+    "dtmc\nmodule m\n  x : [0..2] init 0;\n"
+    "  [] x=0 -> (x'=1);\n  [] x=1 -> 0.5:(x'=2) + 0.5:(x'=0);\nendmodule\n"
+)
+# A synchronized action whose first module picks one of two commands.
+@example(
+    "dtmc\nmodule m0\n  x : [0..2] init 0;\n"
+    "  [a] x=0 -> 0.3:(x'=1) + 0.7:(x'=2);\n  [a] x>=1 -> 0.5:(x'=0) + 0.5:(x'=x);\nendmodule\n"
+    "module m1\n  y : [0..1] init 0;\n  [a] true -> 0.5:(y'=1-y) + 0.5:(y'=0);\nendmodule\n"
+)
+# A zero product: 1e-200 * 1e-200 underflows, and that successor is dropped.
+@example(
+    "dtmc\nmodule m0\n  x : [0..1] init 0;\n  [a] true -> 1e-200:(x'=1) + 1:(x'=0);\nendmodule\n"
+    "module m1\n  y : [0..1] init 0;\n  [a] true -> 1e-200:(y'=1) + 1:(y'=0);\nendmodule\n"
+)
+# Both modules pick, and a 25-pair row: rows the walk hands to _row.
+@example(
+    "dtmc\nmodule m0\n  x : [0..3] init 0;\n"
+    "  [a] x<2 -> 0.2:(x'=0) + 0.2:(x'=1) + 0.2:(x'=2) + 0.2:(x'=3) + 0.2:(x'=x);\n"
+    "  [a] x>=2 -> (x'=x-1);\nendmodule\n"
+    "module m1\n  y : [0..3] init 0;\n"
+    "  [a] y=0 -> 0.2:(y'=3) + 0.2:(y'=2) + 0.2:(y'=1) + 0.2:(y'=0) + 0.2:(y'=y);\n"
+    "  [a] y!=0 -> (y'=y-1);\nendmodule\n"
+)
+# A lone module's row of 20 pairs, past the cap too, with duplicates.
+@example(
+    "dtmc\nmodule m\n  x : [0..9] init 0;\n  [] true -> "
+    + " + ".join(f"0.05:(x'={(7 * k) % 10})" for k in range(20))
+    + ";\nendmodule\n"
+)
+def test_build_matches_the_reference_explorer(source):
+    try:
+        vm = validate(parse(source))
+    except ValidationError:
+        reject()
+    try:
+        expected = reference_build(vm)
+    except BuildError as error:
+        with pytest.raises(BuildError) as info:
+            build(vm)
+        assert info.value.code == error.code
+    else:
+        assert build(vm).export_text() == expected.export_text()

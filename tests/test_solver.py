@@ -72,8 +72,24 @@ class TestExactToys:
         assert report.iterations <= 3
 
     def test_geometric_self_loop_reaches_with_certainty(self):
-        # the diagonal is eliminated exactly, so 0.5/(1-0.5) lands on 1.0
+        # the self-loop is divided out exactly: 0.5 over the 0.5 leaving is 1.0
         report, _ = solve(GEOMETRIC, 'P=? [ F "t" ]')
+        assert report.probability == 1.0
+
+    @pytest.mark.parametrize(
+        "updates",
+        [
+            # 1 - 0.7 is 0.30000000000000004, and 0.3 over it 0.9999999999999999.
+            "0.7:(x'=0) + 0.3:(x'=1)",
+            # 1 - 1.0 is 0.0: the self-loop must not divide by it.
+            "1:(x'=0) + 1e-200:(x'=1)",
+        ],
+    )
+    def test_a_self_loop_divides_by_the_mass_leaving_it(self, updates):
+        report, _ = solve(
+            f"dtmc\nmodule m\n  x : [0..1] init 0;\n  [] x=0 -> {updates};\nendmodule\n",
+            "P=? [ F (x=1) ]",
+        )
         assert report.probability == 1.0
 
     def test_initial_state_inside_target(self):

@@ -5,16 +5,22 @@ as the console script would return them.
 """
 
 import codecs
+import contextlib
 import io
 import re
+import tempfile
+import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qkdmc.sweep as sweep_module
 from qkdmc import cli
 from qkdmc.bb84 import Bb84Params, Passthrough
 from qkdmc.errors import AcceptanceViolation
 from qkdmc.lang.parser import MAX_NESTING
+from test_explorer import small_models
 from test_validate import HUGE_RESIDUAL
 from qkdmc.sweep import (
     HEAVY_NOISE_CHANNEL,
@@ -380,6 +386,25 @@ class TestCliCommands:
         assert lines[0] == "n,p_checked,p_oracle,abs_err,iterations"
         assert len(lines) == 2
 
+    def test_an_existing_output_is_replaced_not_truncated(self, tmp_path):
+        # A second name keeps the old file alive: it still holds the old
+        # text, so the new text went to a new file.
+        out_path = tmp_path / "row.csv"
+        out_path.write_bytes(b"old\r\n")
+        (tmp_path / "old.csv").hardlink_to(out_path)
+        assert cli.main(["sweep", "--photons", "4", "--no-timing", "--out", str(out_path)]) == 0
+        assert out_path.read_bytes().startswith(b"n,p_checked,p_oracle,abs_err,iterations\n")
+        assert (tmp_path / "old.csv").read_bytes() == b"old\r\n"
+
+    def test_a_symlinked_output_is_written_through(self, tmp_path):
+        target = tmp_path / "target.pm"
+        target.write_text("old\n", encoding="utf-8")
+        link = tmp_path / "link.pm"
+        link.symlink_to(target)
+        assert cli.main(["bb84", "--photons", "1", "--emit", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_text(encoding="utf-8").startswith("// bb84 intercept-resend")
+
     def test_range_syntax(self):
         assert cli._parse_range("7") == (7, 7, 1)
         assert cli._parse_range("5..9") == (5, 9, 1)
@@ -423,6 +448,61 @@ class TestCliCommands:
         assert code == 4
         assert "oracle disagreement at n=2" in capsys.readouterr().err
         assert not out_path.exists()
+
+
+# Tokens of the modeling language, and a few that are not, for random text.
+_TOKENS = [
+    "dtmc", "module", "endmodule", "const", "int", "double", "label", "init", "true", "false",
+    "m", "x", "y", "k", '"t"', "[", "]", "(", ")", "..", ":", ";", "->", "'", "=", "!=", "<",
+    "<=", ">", ">=", "+", "-", "*", "/", "&", "|", "!", "0", "1", "2", "3", "0.5", "1e-200",
+    "1e999", "@", "\n", "//",
+]
+
+
+def _mutated(source: str, edits: list[tuple[int, int, str]]) -> str:
+    # Each edit cuts up to `cut` characters at a position and puts a token there.
+    for at, cut, token in edits:
+        at %= len(source) + 1
+        source = f"{source[:at]} {token} {source[at + cut:]}"
+    return source
+
+
+_MODEL_TEXT = st.one_of(
+    st.lists(st.sampled_from(_TOKENS), max_size=60).map(" ".join),
+    small_models(),
+    st.builds(
+        _mutated,
+        small_models(),
+        st.lists(
+            st.tuples(st.integers(0, 10**4), st.integers(0, 8), st.sampled_from(_TOKENS)),
+            min_size=1,
+            max_size=3,
+        ),
+    ),
+    st.binary(max_size=80),
+)
+_PROPERTIES = ["P=? [ F (x=1) ]", 'P=? [ F "t" ]', "P=? [ (x<2) U (y=0) ]"]
+# Every example is a model of at most a few dozen states, or no model.
+FUZZ_SECONDS = 2.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_MODEL_TEXT, st.sampled_from(_PROPERTIES))
+def test_random_model_text_exits_with_a_documented_code(text, prop):
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        model = Path(directory) / "m.pm"
+        if isinstance(text, bytes):
+            model.write_bytes(text)
+        else:
+            model.write_text(text, encoding="utf-8")
+        started = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = cli.main(["check", "--model", str(model), "--prop", prop])
+        elapsed = time.perf_counter() - started
+    assert code in (0, 1, 2)
+    assert "Traceback" not in stderr.getvalue()
+    assert elapsed < FUZZ_SECONDS
 
 
 class TestOracleCheckFailure:
