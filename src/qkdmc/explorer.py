@@ -9,8 +9,8 @@ unlabeled command) may be enabled; zero enabled groups makes a flagged
 deadlock that receives a probability-1 self-loop.
 
 `build` renders the whole model as the Python source of one function,
-the walk, compiles it once and calls it once. It visits its `states` list
-in order while it appends newly found states to it, so it is the
+the walk, compiles it once and calls it once. It visits its list of state
+codes in order while it appends newly found states to it, so it is the
 breadth-first search. In it, every guard is inlined: one selection per
 module and group picks the module's command, one line per group records
 whether the group is enabled, and the branch of the one enabled group
@@ -43,11 +43,11 @@ against ROW_SUM_TOL at generation time. 94 % of a 500-photon bb84
 model's rows take that path. Other rows go to one of three helpers that
 `build` defines once over its CSR columns and passes in as arguments:
 
-- `_merge(pairs, s)` merges (probability, target) pairs by target,
+- `_merge(pairs, c)` merges (probability, target) pairs by target,
   checks that they sum to 1 within ROW_SUM_TOL (ROW_SUM, naming the
   state), sorts them by target and appends the row. An unrolled row
   whose targets are not ascending goes here, or one whose sum misses 1;
-- `_row(pairs, s)` indexes (probability, successor) pairs, then merges
+- `_row(pairs, c)` indexes (probability, successor) pairs, then merges
   them as `_merge` does. It takes the rows of a group in which two
   modules pick, and rows of more than MAX_UNROLLED_PAIRS pairs: a
   product of distributions can have exponentially many, so those rows
@@ -58,47 +58,80 @@ model's rows take that path. Other rows go to one of three helpers that
 
 Passed as arguments, the helpers and the bound methods the walk calls stay
 out of the reference cycle between the function and its `exec` namespace,
-so nothing they reach outlives the build. The walk keys states by tuple,
-since the generated function reads ``s[i]``. Once it ends, build frees
-the index, packs each state into a fixed-width record (see
-`record_struct`) and drops the tuples. It evaluates no label: the Dtmc
-keeps their definitions, and `Dtmc.states_where` answers each state query
-in one scan of the records. The Dtmc keeps the
-records and the CSR arrays: a few flat buffers, not a container per row
-and per state for the cyclic garbage collector to scan.
+so nothing they reach outlives the build. The walk keys each state by its
+code, one int with a bit field per variable (see `Layout`). It reads a
+variable as ``(c >> offset & mask)`` and builds a successor as
+``c & KEEP | CONST | value << offset``; the range test keeps a value out
+of its neighbour's bits. It evaluates no label: the Dtmc keeps their
+definitions, and `Dtmc.states_where` answers each state query in one scan
+of the codes. The Dtmc keeps the codes and the CSR arrays: a few flat
+buffers, not a container per row and per state for the GC to scan.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import struct
 from array import array
 from dataclasses import dataclass
-from itertools import compress, count, product
+from itertools import accumulate, compress, count, product
 from typing import Callable, Iterable, Iterator
 
 from qkdmc.errors import BuildError
 from qkdmc.lang import ast, names
-from qkdmc.lang.analysis import compile_expr, render_expr
+from qkdmc.lang.analysis import render_expr
 from qkdmc.lang.validate import ValidatedModel
 
 ROW_SUM_TOL = 1e-9
 
-# Unsigned struct formats (standard sizes) from narrowest to widest.
-FIELD_FORMATS = (("B", 2**8 - 1), ("H", 2**16 - 1), ("I", 2**32 - 1), ("Q", 2**64 - 1))
 
+class Layout:
+    """The bit field of each variable in a state's code.
 
-def record_struct(variables: Iterable[ast.VarDecl]) -> struct.Struct:
-    """Fixed-width record of one state: per variable, in order, the narrowest
-    unsigned field that holds its high. Bounds are unsigned literals and
-    validation caps high at 2**64 - 1, so every valuation in range fits. A
-    model without variables gets one pad byte, so no record is empty.
+    A variable takes `var.high.bit_length()` bits (none over [0..0]), at
+    offsets in declaration order. Bounds are unsigned literals, so a valuation
+    in range codes as the sum of value << offset. `fields` holds (offset,
+    mask) per variable, `width` the total bits, `reads` each one's read of c.
     """
-    fields = "".join(
-        next(fmt for fmt, top in FIELD_FORMATS if var.high <= top) for var in variables
-    )
-    return struct.Struct("<" + (fields or "x"))
+
+    def __init__(self, variables: tuple[ast.VarDecl, ...]) -> None:
+        widths = [var.high.bit_length() for var in variables]
+        offsets = list(accumulate(widths, initial=0))
+        self.fields = tuple((offset, (1 << w) - 1) for offset, w in zip(offsets, widths))
+        self.width, self.full = offsets[-1], (1 << offsets[-1]) - 1
+        self.reads: dict[str, str] = {}
+        for var, (offset, mask) in zip(variables, self.fields):
+            read = f"c >> {offset}" if offset else "c"
+            if offset + mask.bit_length() < self.width:
+                read += f" & {mask}"  # the top field needs no mask
+            self.reads[var.name] = f"({read})" if mask else "(0)"
+
+    def encode(self, values: Iterable[int]) -> int:
+        return sum(value << offset for value, (offset, _) in zip(values, self.fields))
+
+    def decode(self, code: int) -> tuple[int, ...]:
+        return tuple(code >> offset & mask for offset, mask in self.fields)
+
+    def describe(self, values: Iterable[int]) -> str:
+        """Readable variable=value listing for diagnostics."""
+        return ", ".join(f"{name}={value}" for name, value in zip(self.reads, values))
+
+    def mask(self, indices: Iterable[int]) -> int:
+        """The bits of the variables at `indices`."""
+        return sum(self.fields[i][1] << self.fields[i][0] for i in indices)
+
+    def code(self, values: dict[int, int | str], within: int) -> str:
+        """Source of a code: values[i] (a constant or a checked value's
+        source) in variable i's field, c's bits elsewhere in `within`.
+        """
+        keep = within & ~self.mask(values)
+        constant = sum(v << self.fields[i][0] for i, v in values.items() if isinstance(v, int))
+        terms = ["c" if keep == self.full else f"c & {keep}"] if keep else []
+        terms += [str(constant)] if constant else []
+        for i, v in sorted(values.items()):
+            if isinstance(v, str):
+                terms.append(f"{v} << {self.fields[i][0]}" if self.fields[i][0] else v)
+        return " | ".join(terms) or "0"
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,16 +146,16 @@ class Dtmc:
     sorted by target, duplicates merged, zero-probability entries dropped;
     `row_starts` ('q') has state_count + 1 entries.
 
-    `records` holds the states as one `record_struct(variables)` record
-    each, in index order: 12 bytes per state in a 500-photon bb84 model.
-    Read them with `state`, `iter_states` and `describe_state`. `labels`
-    maps each label name to its defining expression; `states_where` finds
-    the states where one holds.
+    `codes` holds each state's code (see `Layout`) in index order: an
+    ``array('Q')`` of 8 bytes per state if they fit 64 bits (21 in a
+    500-photon bb84 model), else a list. Decode them with `state`,
+    `iter_states` and `describe_state`. `labels` maps each label name to its
+    defining expression; `states_where` finds the states where one holds.
     """
 
     variables: tuple[ast.VarDecl, ...]
     constants: dict[str, int | float]
-    records: bytes
+    codes: array[int] | list[int]
     initial: int
     row_starts: array[int]
     targets: array[int]
@@ -143,25 +176,26 @@ class Dtmc:
         return {var.name: i for i, var in enumerate(self.variables)}
 
     @functools.cached_property
-    def _record(self) -> struct.Struct:
-        return record_struct(self.variables)
+    def layout(self) -> Layout:
+        return Layout(self.variables)
 
     def state(self, index: int) -> tuple[int, ...]:
         """The valuation of state `index` (in `variables` order)."""
         if not 0 <= index < self.state_count:
             raise IndexError(f"state index {index} out of range")
-        return self._record.unpack_from(self.records, index * self._record.size)
+        return self.layout.decode(self.codes[index])
 
     def iter_states(self) -> Iterator[tuple[int, ...]]:
         """Every state's valuation, in index order."""
-        return self._record.iter_unpack(self.records)
+        return map(self.layout.decode, self.codes)
 
     def states_where(self, expr: ast.Expr) -> frozenset[int]:
         """Indices of the states where a kind-checked boolean expression over
-        the variables and constants holds, from one scan of the records.
+        the variables and constants holds, from one scan of the codes.
         """
-        holds = compile_expr(expr, self.var_index, self.constants)
-        return frozenset(compress(count(), map(holds, self.iter_states())))
+        source = render_expr(expr, self.layout.reads, self.constants)
+        holds = eval(f"lambda c: {source}", {"__builtins__": {}})
+        return frozenset(compress(count(), map(holds, self.codes)))
 
     def row(self, index: int) -> tuple[tuple[int, float], ...]:
         """The (target, probability) pairs of one row, sorted by target."""
@@ -169,7 +203,7 @@ class Dtmc:
         return tuple(zip(self.targets[begin:end], self.probs[begin:end]))
 
     def describe_state(self, index: int) -> str:
-        return describe(self.variables, self.state(index))
+        return self.layout.describe(self.state(index))
 
     def export_text(self) -> str:
         """Plain-text dump for diffing; not a stability contract.
@@ -205,21 +239,21 @@ def build(vm: ValidatedModel) -> Dtmc:
     variable's range; reports state, command line and variable) or ROW_SUM
     (post-build stochasticity assert).
     """
-    explore = _compile_walk(vm)
-    initial = vm.initial_state
-    # The generated function reads s[i], so the walk keys states by tuple.
-    states: list[tuple[int, ...]] = [initial]
-    state_index: dict[tuple[int, ...], int] = {initial: 0}
+    layout = Layout(vm.variables)
+    explore = _compile_walk(vm, layout)
+    initial = layout.encode(vm.initial_state)
+    codes = [initial]
+    code_index = {initial: 0}
     row_starts = array("q", [0])
     targets = array("q")
     probs = array("d")
     deadlocks: set[int] = set()
     # Bound once: the walk and the helpers call them once per state or
     # transition.
-    index, add_state = state_index.setdefault, states.append
+    index, add_state = code_index.setdefault, codes.append
     add_target, add_prob, end_row = targets.append, probs.append, row_starts.append
 
-    def merge(pairs: Iterable[tuple[float, int]], state: tuple[int, ...]) -> None:
+    def merge(pairs: Iterable[tuple[float, int]], code: int) -> None:
         # Merge the (probability, target) pairs by target, check the sum,
         # store them sorted by target.
         merged: dict[int, float] = {}
@@ -228,7 +262,7 @@ def build(vm: ValidatedModel) -> Dtmc:
         total = math.fsum(merged.values())
         if abs(total - 1.0) > ROW_SUM_TOL:
             raise BuildError(
-                f"row for state ({describe(vm.variables, state)}) sums to {total:.12g}",
+                f"row for state ({layout.describe(layout.decode(code))}) sums to {total:.12g}",
                 code="ROW_SUM",
             )
         for ti, prob in sorted(merged.items()):
@@ -236,18 +270,18 @@ def build(vm: ValidatedModel) -> Dtmc:
             add_prob(prob)
         end_row(len(targets))
 
-    def row(pairs: Iterable[tuple[float, tuple[int, ...]]], state: tuple[int, ...]) -> int:
+    def row(pairs: Iterable[tuple[float, int]], code: int) -> int:
         # Index the successors in order, merge the row; return the new state
         # count.
         indexed = []
         for prob, key in pairs:
-            fresh = len(states)
+            fresh = len(codes)
             ti = index(key, fresh)
             if ti == fresh:
                 add_state(key)
             indexed.append((prob, ti))
-        merge(indexed, state)
-        return len(states)
+        merge(indexed, code)
+        return len(codes)
 
     def dead(si: int) -> None:
         deadlocks.add(si)
@@ -255,20 +289,15 @@ def build(vm: ValidatedModel) -> Dtmc:
         add_prob(1.0)
         end_row(len(targets))
 
-    explore(states, targets, row, merge, dead, index, add_state, add_target, add_prob, end_row)
+    explore(codes, targets, row, merge, dead, index, add_state, add_target, add_prob, end_row)
     # The index holds an entry per state; freeing it, and the bound method
-    # the walk was handed, before the records are built lowers the build's
+    # the walk was handed, before the codes are copied lowers the build's
     # peak memory.
-    del state_index, index
-    pack = record_struct(vm.variables).pack
-    records = bytearray()
-    for state in states:
-        records += pack(*state)
-
+    del code_index, index
     return Dtmc(
         variables=vm.variables,
         constants=dict(vm.constants),
-        records=bytes(records),
+        codes=array("Q", codes) if layout.width <= 64 else codes,
         initial=0,
         row_starts=row_starts,
         targets=targets,
@@ -289,26 +318,23 @@ UpdateCode = tuple[float, dict[int, int | str]]
 MAX_UNROLLED_PAIRS = 16
 
 
-def _compile_walk(
-    vm: ValidatedModel,
-) -> Callable[..., None]:
-    """Compile the model into the walk, explore(states, targets, _row,
+def _compile_walk(vm: ValidatedModel, layout: Layout) -> Callable[..., None]:
+    """Compile the model into the walk, explore(codes, targets, _row,
     _merge, _dead, index, add, at, ap, end).
 
-    It visits `states` in order while it and `_row` append to it; `n` is
-    the length of `states`. It stores each state's row itself, with
-    `index` (the state index's setdefault), `add` (the states' append),
+    It visits `codes` in order while it and `_row` append to it; `n` is
+    the length of `codes`. It stores each state's row itself, with
+    `index` (the state index's setdefault), `add` (the codes' append),
     `at` and `ap` (the columns' appends) and `end` (the row starts'
     append), where the generator knows the row's probabilities: at most one
     module of the firing group picks among several commands, and the row has
     at most MAX_UNROLLED_PAIRS pairs. Such a row whose targets do not come
-    out strictly ascending goes to `_merge(pairs, s)` as (probability,
-    target) pairs. Any other row goes to `_row(pairs, s)` as (probability,
+    out strictly ascending goes to `_merge(pairs, c)` as (probability,
+    target) pairs. Any other row goes to `_row(pairs, c)` as (probability,
     successor) pairs in product order, and a deadlock to `_dead(si)`.
     """
     var_index = vm.var_index
     modules = vm.model.modules
-    width = len(vm.variables)
 
     # A group is each participating module's commands for one action, or one
     # unlabeled command as a module of its own. It is enabled when each of its
@@ -327,11 +353,21 @@ def _compile_walk(
     for action, parts in by_action.items():
         groups.append((f"action [{action}]", action, list(parts.items())))
 
+    # A variable the guards of several groups read goes to a local per state.
+    readers: dict[str, int] = {}
+    for _, _, parts in groups:
+        guards = [command.guard for _, commands in parts for _, command in commands]
+        for name in set().union(*map(names.expr_names, guards)) & var_index.keys():
+            readers[name] = readers.get(name, 0) + 1
+    shared = sorted(var_index[name] for name, count in readers.items() if count > 1)
+    reads = {**layout.reads, **{vm.variables[i].name: f"v{i}" for i in shared}}
+    binds = [f"v{i} = {layout.reads[vm.variables[i].name]}" for i in shared]
+
     picks: list[tuple[str, str | None, list[int]]] = []
     bound_sites: list[tuple[int, ast.VarDecl]] = []
 
     def render(expr: ast.Expr) -> str:
-        return render_expr(expr, var_index, vm.constants)
+        return render_expr(expr, reads, vm.constants)
 
     def checked(line: int, var: ast.VarDecl, value: ast.Expr) -> int | str:
         # A constant known to be in range, or the source that checks the value.
@@ -342,7 +378,7 @@ def _compile_walk(
                 return constant
         bound_sites.append((line, var))
         site = len(bound_sites) - 1
-        return f"(t if {var.low} <= (t := {source}) <= {var.high} else _bounds(s, {site}, t))"
+        return f"(t if {var.low} <= (t := {source}) <= {var.high} else _bounds(c, {site}, t))"
 
     def updates_of(mi: int, ci: int, command: ast.Command) -> list[UpdateCode]:
         # One (probability, value per assigned variable) pair per update of
@@ -370,7 +406,7 @@ def _compile_walk(
                 terms.append(render(commands[0][1].guard))
             else:
                 guards = ", ".join(render(command.guard) for _, command in commands)
-                terms.append(f"(k{gi}_{j} := _pick(({guards}), s, {len(picks)})) >= 0")
+                terms.append(f"(k{gi}_{j} := _pick(({guards}), c, {len(picks)})) >= 0")
                 lines = [command.pos.line for _, command in commands]
                 picks.append((modules[mi].name, action, lines))
                 pickers.append(j)
@@ -388,13 +424,13 @@ def _compile_walk(
                 body = []
                 for c, branch in enumerate(branches):
                     body.append(f"if k{gi}_{picker} == {c}:")
-                    rows = [*_unrolled_row(branch, width), "continue"]
+                    rows = [*_unrolled_row(branch, layout), "continue"]
                     body.extend(f"    {line}" for line in rows)
             else:
-                body = _unrolled_row(branches[0], width)
+                body = _unrolled_row(branches[0], layout)
         else:
-            body = _product_row(gi, parts, choices, width)
-        enabled = f"g = {gi} if g < 0 else _nondeterminism(s, g, {gi})"
+            body = _product_row(gi, parts, choices, layout)
+        enabled = f"g = {gi} if g < 0 else _nondeterminism(c, g, {gi})"
         enable.append(f"if {' and '.join(terms)}: {enabled}")
         # Flat ifs, not an elif chain: Python compiles a chain of elifs as
         # nested statements, and one of 3,000 groups passes its recursion
@@ -404,40 +440,41 @@ def _compile_walk(
 
     # In a deadlock g stays -1: no group fires.
     fire.append("_dead(si)")
-    # states grows while it is walked, so the walk is breadth-first.
+    # codes grows while it is walked, so the walk is breadth-first.
     source = "\n        ".join(
         [
-            "def explore(states, targets, _row, _merge, _dead, index, add, at, ap, end):\n"
-            "    n = len(states)\n    for si, s in enumerate(states):",
+            "def explore(codes, targets, _row, _merge, _dead, index, add, at, ap, end):\n"
+            "    n = len(codes)\n    for si, c in enumerate(codes):",
+            *binds,
             "g = -1",
             *enable,
             *fire,
         ]
     )
 
-    def pick(hits: tuple[bool, ...], state: tuple[int, ...], site: int) -> int:
+    def pick(hits: tuple[bool, ...], code: int, site: int) -> int:
         if hits.count(True) > 1:
             module, action, lines = picks[site]
             first, second = [line for line, hit in zip(lines, hits) if hit][:2]
             raise BuildError(
                 f"module {module}: commands at line {first} and line {second} are both "
-                f"enabled for action [{action}] in state ({describe(vm.variables, state)})",
+                f"enabled for action [{action}] in state ({layout.describe(layout.decode(code))})",
                 code="NONDETERMINISM",
             )
         return hits.index(True) if True in hits else -1
 
-    def bounds(state: tuple[int, ...], site: int, value: int) -> None:
+    def bounds(code: int, site: int, value: int) -> None:
         line, var = bound_sites[site]
         raise BuildError(
             f"update at line {line} sets {var.name}={value}, outside "
-            f"[{var.low}..{var.high}], in state ({describe(vm.variables, state)})",
+            f"[{var.low}..{var.high}], in state ({layout.describe(layout.decode(code))})",
             code="BOUNDS",
         )
 
-    def nondeterminism(state: tuple[int, ...], first: int, second: int) -> None:
+    def nondeterminism(code: int, first: int, second: int) -> None:
         raise BuildError(
             f"{groups[first][0]} and {groups[second][0]} both enabled in state "
-            f"({describe(vm.variables, state)})",
+            f"({layout.describe(layout.decode(code))})",
             code="NONDETERMINISM",
         )
 
@@ -451,12 +488,12 @@ def _compile_walk(
     return namespace["explore"]
 
 
-def _unrolled_row(per_module: list[list[UpdateCode]], width: int) -> list[str]:
+def _unrolled_row(per_module: list[list[UpdateCode]], layout: Layout) -> list[str]:
     """The statements that store the row of one choice of command per module
     of a group, each of whose probabilities the generator knows.
 
     Each successor, in product order, is looked up in the index, and a new
-    one appended to the walk's states. Strictly ascending targets are
+    one appended to the walk's codes. Strictly ascending targets are
     distinct and already sorted, so the merge would change nothing: the
     pairs are stored as they are, their row sum checked here. Otherwise
     `_merge` merges them, checks their sum and sorts them, as for any row.
@@ -465,7 +502,7 @@ def _unrolled_row(per_module: list[list[UpdateCode]], width: int) -> list[str]:
 
     # A module's value can recur in several successors: bind each one read
     # from the state once, module by module, update by update and variable
-    # by variable, the order in which `_row`'s tuples evaluate them.
+    # by variable, the order in which `_product_row`'s codes evaluate them.
     def bind(values: dict[int, int | str]) -> dict[int, int | str]:
         local: dict[int, int | str] = {}
         for i in sorted(values):
@@ -491,11 +528,11 @@ def _unrolled_row(per_module: list[list[UpdateCode]], width: int) -> list[str]:
         for _, assigned in combination:
             values.update(assigned)
         t = f"t{len(pairs)}"
-        successor = f"({_fields(range(width), values)},)"
+        successor = layout.code(values, layout.full)
         lines.append(f"if ({t} := index(k := {successor}, n)) == n: add(k); n += 1")
         pairs.append((q, t))
     store = "".join(f"at({t}); ap({q!r}); " for q, t in pairs) + "end(len(targets))"
-    merge = f"_merge(({''.join(f'({q!r}, {t}), ' for q, t in pairs)}), s)"
+    merge = f"_merge(({''.join(f'({q!r}, {t}), ' for q, t in pairs)}), c)"
     if abs(math.fsum(q for q, _ in pairs) - 1.0) > ROW_SUM_TOL:
         # The merge raises ROW_SUM, naming the state.
         lines.append(merge)
@@ -511,38 +548,40 @@ def _product_row(
     gi: int,
     parts: list[tuple[int, list[tuple[int, ast.Command]]]],
     choices: list[list[list[UpdateCode]]],
-    width: int,
+    layout: Layout,
 ) -> list[str]:
     """The statements that hand a group's row to `_row` as (probability,
     successor) pairs in product order, for a row the walk does not unroll.
 
     The successors come from one comprehension with a `for` clause over
     each branching module's updates; deterministic modules are unpacked
-    before it.
+    before it. Module j's update sets w{j}, the bits of the variables j
+    writes; b starts as the bits no module writes, and a successor ORs them.
     """
-    body, unpacks, clauses, written = [], [], [], {}
+    writes = [{i for updates in each for _, values in updates for i in values} for each in choices]
+    unwritten = layout.full & ~layout.mask(set().union(*writes))
+    body, unpacks, clauses, looped = [], [f"b = {layout.code({}, unwritten)}"], [], []
     for j, (mi, commands) in enumerate(parts):
-        writes = sorted({i for updates in choices[j] for _, values in updates for i in values})
-        written.update((i, f"v{i}") for i in writes)
-        target = ", ".join([f"p{j}" if j else "q0"] + [f"v{i}" for i in writes]) + ","
+        target = f"{f'p{j}' if j else 'q0'}, w{j}"
         pairs = [
-            [(repr(prob), _fields(writes, values)) for prob, values in updates]
+            [(repr(prob), layout.code(values, layout.mask(writes[j]))) for prob, values in updates]
             for updates in choices[j]
         ]
         # One statement per command: it binds u{j}.
         if all(len(each) == 1 for each in pairs):
-            # Deterministic here: unpack the one update, loop over nothing.
+            # Deterministic here: OR the one update into b, loop over nothing.
             stmts = [f"u{j} = ({prob}, {succ})" for ((prob, succ),) in pairs]
-            unpacks.append(f"{target} = u{j}")
+            unpacks.extend([f"{target} = u{j}", f"b |= w{j}"])
         else:
             stmts = [
                 f"u{j} = ({''.join(f'({prob}, {succ}), ' for prob, succ in each)})"
                 for each in pairs
             ]
             clauses.append(f"for {target} in u{j}")
+            looped.append(f"w{j}")
         # q{j} is the product of the first j + 1 modules' probabilities,
         # one factor per step, so no expression nests deeper as the group
-        # grows. Once a module loops, the steps are clauses.
+        # grows; b grows so too. Once a module loops, the steps are clauses.
         if j and clauses:
             clauses.append(f"for q{j} in (q{j - 1} * p{j},)")
         elif j:
@@ -552,51 +591,11 @@ def _product_row(
         else:
             body.extend(f"if k{gi}_{j} == {k}: {stmt}" for k, stmt in enumerate(stmts))
     body.extend(unpacks)
-    successor = f"({_fields(range(width), written)},)"
+    successor = " | ".join(["b", *looped])
     q = f"q{len(parts) - 1}"
     if clauses:
-        body.append(f"n = _row([({q}, {successor}) {' '.join(clauses)} if {q}], s)")
+        body.append(f"n = _row([({q}, {successor}) {' '.join(clauses)} if {q}], c)")
     else:
         # One combination; a zero product fails the row-sum check either way.
-        body.append(f"n = _row((({q}, {successor}),), s)")
+        body.append(f"n = _row((({q}, {successor}),), c)")
     return body
-
-
-# A run of more unset variables than this is copied into a tuple as one
-# slice of s; a shorter one indexes s. 16 is where the slice starts to pay:
-# in a tuple display on CPython 3.11, indexing 16 variables took 75 ns
-# against 88 ns for one starred slice, indexing 24 took 137 ns against 107.
-MAX_INDEXED_RUN = 16
-
-
-def _fields(indices: Iterable[int], values: dict[int, int | str]) -> str:
-    """Tuple fields: values[i] for each of the ascending indices, else s[i].
-
-    A run of unset, consecutive indices longer than MAX_INDEXED_RUN is one
-    slice, so the text grows with len(values), not with len(indices).
-    """
-    fields: list[str] = []
-    run: list[int] = []
-
-    def close_run() -> None:
-        if len(run) > MAX_INDEXED_RUN:
-            fields.append(f"*s[{run[0]}:{run[-1] + 1}]")
-        else:
-            fields.extend(f"s[{i}]" for i in run)
-        run.clear()
-
-    for i in indices:
-        if i in values:
-            close_run()
-            fields.append(str(values[i]))
-        else:
-            if run and i != run[-1] + 1:
-                close_run()
-            run.append(i)
-    close_run()
-    return ", ".join(fields)
-
-
-def describe(variables: tuple[ast.VarDecl, ...], state: tuple[int, ...]) -> str:
-    """Readable variable=value listing for diagnostics."""
-    return ", ".join(f"{var.name}={value}" for var, value in zip(variables, state))

@@ -5,10 +5,10 @@ boolean over integer comparisons; assignment right-hand sides must be integer
 arithmetic; probability expressions must fold to a numeric constant at
 validation time (no state variables).
 
-A kind-checked expression renders as Python source over the state tuple
-``s`` (variables read as ``s[i]``, constants inlined). ``compile_expr``
-evaluates that source as one function; the explorer inlines it into the
-model's generated walk function. The parser's nesting and operator
+A kind-checked expression renders as Python source, each variable read as
+the caller says, constants inlined. ``compile_expr`` evaluates it as one
+function over a state tuple ``s``; the explorer inlines it, over a state's
+code, into its walk and state queries. The parser's nesting and operator
 limits keep that source within what Python compiles.
 """
 
@@ -124,31 +124,31 @@ def fold_number(expr: ast.Expr, constants: Mapping[str, int | float]) -> float:
 
 def render_expr(
     expr: ast.Expr,
-    var_index: Mapping[str, int],
+    reads: Mapping[str, str],
     constants: Mapping[str, int | float],
     min_prec: int = 0,
 ) -> str:
-    """Python source of a kind-checked expression over a state tuple ``s``.
+    """Python source of a kind-checked expression.
 
-    Variables read ``s[i]``; constants are inlined by ``repr``. Parentheses
-    are minimal, as in printer._expr: the model orders Python's operators
-    the same way, and comparison operands are always integers, so Python's
-    comparison chaining never applies.
+    Each variable reads as the atomic source ``reads`` maps it to; constants
+    are inlined by ``repr``. Parentheses are minimal, as in printer._expr:
+    the model orders Python's operators the same way, and comparison operands
+    are always integers, so Python's comparison chaining never applies.
     """
     if isinstance(expr, (ast.IntLit, ast.RealLit, ast.BoolLit)):
         return f"({expr.value!r})"
     if isinstance(expr, ast.Name):
-        if expr.ident in var_index:
-            return f"s[{var_index[expr.ident]}]"
+        if expr.ident in reads:
+            return reads[expr.ident]
         return f"({constants[expr.ident]!r})"
     op = _PYTHON_OPS.get(expr.op, expr.op)
     if isinstance(expr, ast.Unary):
         prec = NOT_PREC if expr.op == "!" else NEG_PREC
-        text = op + render_expr(expr.operand, var_index, constants, prec + 1)
+        text = op + render_expr(expr.operand, reads, constants, prec + 1)
     else:
         prec = BIN_PREC[expr.op]
-        left = render_expr(expr.left, var_index, constants, prec)
-        right = render_expr(expr.right, var_index, constants, prec + 1)
+        left = render_expr(expr.left, reads, constants, prec)
+        right = render_expr(expr.right, reads, constants, prec + 1)
         text = f"{left} {op} {right}"
     return f"({text})" if prec < min_prec else text
 
@@ -160,7 +160,7 @@ def compile_expr(
 ) -> Callable[[tuple[int, ...]], int | bool]:
     """Compile a kind-checked expression to one function over a state tuple.
 
-    Used for labels, property operands and guard-overlap enumeration.
+    Variables read ``s[i]``. Used for guard-overlap enumeration.
     """
-    source = render_expr(expr, var_index, constants)
+    source = render_expr(expr, {name: f"s[{i}]" for name, i in var_index.items()}, constants)
     return eval(f"lambda s: {source}", {"__builtins__": {}})

@@ -11,7 +11,7 @@ from qkdmc.lang import analysis, ast, names
 
 PROB_SUM_TOL = 1e-9
 
-# The explorer stores each variable in an unsigned field of at most 8 bytes.
+# The largest upper bound a variable may declare, an input contract (BAD_RANGE).
 MAX_HIGH = 2**64 - 1
 
 # The most valuations the overlap check enumerates for one pair of guards.

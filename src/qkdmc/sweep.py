@@ -82,7 +82,7 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     The model has as many photons as the range's last point, top. The
     round-start state with i = top - n (the initial valuation otherwise)
     has n photons left to send, so its solved value is P(n); one scan of
-    the states finds every row's. Every row carries the curve's solver
+    the state codes finds every row's. Every row carries the curve's solver
     iteration count and the wall time of its one analysis. With
     oracle_check set, a row beyond the 1e-9 agreement tolerance raises
     AcceptanceViolation naming the offending n.
@@ -100,10 +100,10 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     report, dtmc = analyze(params)
     wall_ms = (time.perf_counter() - started) * 1000.0
     p1 = oracle.per_photon_detect_prob(spec.channel, spec.eve_q, spec.bias, spec.passthrough)
-    initial = dtmc.state(dtmc.initial)
-    slot = dtmc.var_index["i"]
-    row_of = {initial[:slot] + (top - n,) + initial[slot + 1:]: n for n in points}
-    start = {row_of[state]: s for s, state in enumerate(dtmc.iter_states()) if state in row_of}
+    offset, mask = dtmc.layout.fields[dtmc.var_index["i"]]
+    initial = dtmc.codes[dtmc.initial] & ~(mask << offset)
+    row_of = {initial | (top - n) << offset: n for n in points}
+    start = {row_of[code]: s for s, code in enumerate(dtmc.codes) if code in row_of}
     rows = []
     for n in points:
         p_checked = report.values[start[n]]

@@ -17,9 +17,10 @@ import pytest
 from hypothesis import example, given, reject, settings, strategies as st
 
 import _machine
+from qkdmc import cli
 from qkdmc.bb84 import Bb84Params, Passthrough, generate, model_ast
 from qkdmc.errors import BuildError, ValidationError
-from qkdmc.explorer import ROW_SUM_TOL, Dtmc, build, record_struct
+from qkdmc.explorer import ROW_SUM_TOL, Dtmc, build
 from qkdmc.lang import parse, print_expr, validate
 from qkdmc.lang.analysis import compile_expr
 from qkdmc.sweep import HEAVY_NOISE_CHANNEL
@@ -230,6 +231,40 @@ class TestBuildErrors:
         assert "(x=0)" in str(info.value)
 
     @pytest.mark.parametrize(
+        "var, value, shown",
+        [
+            # x takes bits 0-2 and y bits 3-4. 6 and 7 fit x's bits, 8 does
+            # not, and -1 would set every bit from x's offset up.
+            ("x", "6", 6),
+            ("x", "7", 7),
+            ("x", "8", 8),
+            ("x", "x+6", 6),
+            ("x", "x+8", 8),
+            ("x", "x-1", -1),
+            # y is the top field, read without a mask.
+            ("y", "4", 4),
+            ("y", "y+2", 4),
+        ],
+    )
+    def test_value_out_of_range_at_a_field_edge_is_reported(
+        self, tmp_path, capsys, var, value, shown
+    ):
+        source = (
+            "dtmc\nmodule m\n  x : [0..5] init 0;\n  y : [0..3] init 2;\n"
+            f"  [] x=0 -> ({var}'={value});\nendmodule\n"
+        )
+        high = {"x": 5, "y": 3}[var]
+        message = f"sets {var}={shown}, outside [0..{high}], in state (x=0, y=2)"
+        with pytest.raises(BuildError) as info:
+            explore(source)
+        assert info.value.code == "BOUNDS"
+        assert message in str(info.value)
+        model = tmp_path / "edge.pm"
+        model.write_text(source, encoding="utf-8")
+        assert cli.main(["check", "--model", str(model), "--prop", "P=? [ F (x=1) ]"]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "updates",
         [
             # about 1 + 1.8e-9 over four successors
@@ -305,14 +340,14 @@ class TestLabelsAndExport:
         )
         first = explore(source)
         second = explore(source)
-        assert first.records == second.records
+        assert first.codes == second.codes
         assert first.row_starts == second.row_starts
         assert first.targets == second.targets
         assert first.probs == second.probs
 
 
-# Each variable's high sits on one side of a field-width edge: 1, 2, 4 and
-# 8 unsigned bytes.
+# Each variable's high sits on one side of a power of two, where its field
+# gains a bit: fields of 8, 9, 16, 17, 32, 33 and 64 bits.
 EDGE_HIGHS = (255, 256, 65535, 65536, 2**32 - 1, 2**32, 2**64 - 1)
 
 
@@ -327,8 +362,14 @@ class TestFlatStorage:
             f"dtmc\nmodule m\n{decls}  [] v0=0 -> {to_top};\n"
             f"  [] v0={EDGE_HIGHS[0]} -> {below};\nendmodule\n"
         )
-        assert record_struct(dtmc.variables).format == "<BHHIIQQ"
-        assert len(dtmc.records) == 3 * 29
+        widths = [8, 9, 16, 17, 32, 33, 64]
+        offsets = [0, 8, 17, 33, 50, 82, 115]
+        assert [(offset, mask.bit_length()) for offset, mask in dtmc.layout.fields] == list(
+            zip(offsets, widths)
+        )
+        # 179 bits: wider than an array('Q') item, so the walk's list is kept.
+        assert dtmc.layout.width == 179
+        assert isinstance(dtmc.codes, list) and len(dtmc.codes) == 3
         expected = [(0,) * 7, EDGE_HIGHS, tuple(high - 1 for high in EDGE_HIGHS)]
         assert list(dtmc.iter_states()) == expected
         for i, values in enumerate(expected):
@@ -341,6 +382,7 @@ class TestFlatStorage:
 
     def test_a_model_without_variables_has_one_empty_state(self):
         dtmc = explore("dtmc\nmodule m\nendmodule\n")
+        assert dtmc.codes == array("Q", [0])
         assert list(dtmc.iter_states()) == [()]
         assert dtmc.state(0) == ()
         assert dtmc.row(0) == ((0, 1.0),)
@@ -348,9 +390,13 @@ class TestFlatStorage:
     PARAMS = Bb84Params(photons=70, channel=HEAVY_NOISE_CHANNEL, eve_q=0.5)
 
     @staticmethod
-    def retained_per_transition(vm) -> float:
-        # The collector stays off during the build and nothing is collected
-        # after it, so whatever a reference cycle keeps alive counts too.
+    def traced_build(vm):
+        """The Dtmc, the bytes the build retains and the peak bytes traced
+        while it runs.
+
+        The collector stays off during the build and nothing is collected
+        after it, so whatever a reference cycle keeps alive counts too.
+        """
         gc.collect()
         enabled = gc.isenabled()
         gc.disable()
@@ -358,17 +404,29 @@ class TestFlatStorage:
         try:
             before = tracemalloc.get_traced_memory()[0]
             dtmc = build(vm)
-            retained = tracemalloc.get_traced_memory()[0] - before
+            current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
             if enabled:
                 gc.enable()
+        return dtmc, current - before, peak - before
+
+    @classmethod
+    def retained_per_transition(cls, vm) -> float:
+        dtmc, retained, _ = cls.traced_build(vm)
         return retained / dtmc.transition_count
 
     def test_retained_size_per_transition(self):
         # Flat columns cost 16 bytes per transition plus a row start and a
-        # record per state; a tuple per transition alone would cost 56.
+        # code per state; a tuple per transition alone would cost 56.
         assert self.retained_per_transition(validate(model_ast(self.PARAMS))) <= 48
+
+    def test_build_peak_per_state(self):
+        # The walk's list and index hold one int per state. CPython 3.11
+        # peaked at 142 bytes per state so, and at 238 with a tuple per state
+        # packed into struct records after the walk.
+        dtmc, _, peak = self.traced_build(validate(model_ast(self.PARAMS)))
+        assert peak / dtmc.state_count <= 180
 
     def test_a_label_on_every_state_costs_no_size(self):
         # A label is kept as its definition, not as a set of its states.
@@ -531,10 +589,12 @@ class TestScale:
         assert dtmc.deadlocks == frozenset({300})
 
 
-def reference_build(vm) -> Dtmc:
+def reference_build(vm) -> tuple[list[tuple[int, ...]], Dtmc]:
     """The explorer by hand, for small models: in each state, in BFS order,
     the one enabled group's product distribution (the first module's
     updates varying slowest), merged by successor and sorted by index.
+    Returns the valuations in index order and the Dtmc, whose codes put
+    each variable in high.bit_length() bits, in declaration order.
 
     It raises BuildError with the code `build` raises in the first state
     where an error shows: two groups or two commands of one module enabled
@@ -613,11 +673,12 @@ def reference_build(vm) -> Dtmc:
             targets.append(target)
             probs.append(row[target])
         row_starts.append(len(targets))
-    pack = record_struct(vm.variables).pack
-    return Dtmc(
+    offsets = list(itertools.accumulate((var.high.bit_length() for var in vm.variables), initial=0))
+    codes = [sum(value << offset for value, offset in zip(state, offsets)) for state in states]
+    return states, Dtmc(
         variables=vm.variables,
         constants=dict(vm.constants),
-        records=b"".join(pack(*state) for state in states),
+        codes=array("Q", codes) if offsets[-1] <= 64 else codes,
         initial=0,
         row_starts=array("q", row_starts),
         targets=array("q", targets),
@@ -719,10 +780,67 @@ def test_build_matches_the_reference_explorer(source):
     except ValidationError:
         reject()
     try:
-        expected = reference_build(vm)
+        _, expected = reference_build(vm)
     except BuildError as error:
         with pytest.raises(BuildError) as info:
             build(vm)
         assert info.value.code == error.code
     else:
         assert build(vm).export_text() == expected.export_text()
+
+
+@st.composite
+def wide_models(draw) -> str:
+    """Model text: a step counter over [0..3] and one to four variables of
+    random ranges, each set to drawn values at every step, so the four
+    states hold drawn valuations. Field widths may be 0 (a range [0..0]),
+    and the counter's 2 bits and the variables' may sum to exactly 64 or 65
+    bits, the widest codes an array('Q') holds and the narrowest it does not.
+    """
+    total = draw(st.sampled_from([None, 64, 65]))
+    if total is None:
+        widths = draw(st.lists(st.integers(0, 64), min_size=1, max_size=4))
+    else:
+        cuts = sorted(draw(st.lists(st.integers(0, total - 2), max_size=3)))
+        widths = [b - a for a, b in zip([0, *cuts], [*cuts, total - 2])]
+    ranges = []
+    for width in widths:
+        high = draw(st.integers(2 ** (width - 1), 2**width - 1)) if width else 0
+        ranges.append((draw(st.integers(0, high)), high))
+    valuations = [[draw(st.integers(low, high)) for low, high in ranges] for _ in range(4)]
+    names = [f"v{k}" for k in range(len(ranges))]
+    lines = ["dtmc", "module m", "  step : [0..3] init 0;"]
+    lines += [
+        f"  {v} : [{low}..{high}] init {value};"
+        for v, (low, high), value in zip(names, ranges, valuations[0])
+    ]
+    for step, values in enumerate(valuations[1:]):
+        sets = "".join(f" & ({v}'={value})" for v, value in zip(names, values))
+        lines.append(f"  [] step={step} -> (step'={step + 1}){sets};")
+    lines.append("endmodule")
+    # Label tests at a drawn value of each variable, and a disjunction.
+    k = draw(st.integers(0, len(names) - 1))
+    pivot = draw(st.sampled_from([values[k] for values in valuations]))
+    lines.append(f'label "at" = {names[k]}={pivot};')
+    lines.append(f'label "above" = {names[k]}>{pivot} | step=3;')
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_models())
+def test_codes_round_trip_through_the_layout(source):
+    vm = validate(parse(source))
+    states, expected = reference_build(vm)
+    dtmc = build(vm)
+    assert dtmc.export_text() == expected.export_text()
+    assert list(dtmc.codes) == list(expected.codes)
+    assert isinstance(dtmc.codes, array) == (dtmc.layout.width <= 64)
+    assert list(dtmc.iter_states()) == states
+    for i, values in enumerate(states):
+        assert dtmc.state(i) == values
+        assert dtmc.describe_state(i) == ", ".join(
+            f"{var.name}={value}" for var, value in zip(vm.variables, values)
+        )
+    for name, expr in dtmc.labels.items():
+        holds = compile_expr(expr, vm.var_index, vm.constants)
+        assert dtmc.states_where(expr) == {i for i, values in enumerate(states) if holds(values)}

@@ -247,7 +247,7 @@ def small_chains(draw):
     dtmc = Dtmc(
         variables=(ast.VarDecl("x", 0, size - 1, 0),),
         constants={},
-        records=bytes(states),  # x < 256 takes one unsigned byte
+        codes=array("Q", states),  # x is the only field, at offset 0
         initial=0,
         row_starts=row_starts,
         targets=array("q", [t for row in rows for t, _ in row]),
