@@ -26,8 +26,8 @@ visits:
 - that at most one group is enabled (NONDETERMINISM, naming the first two
   enabled groups and the state);
 - that each assigned value lies in its variable's range (BOUNDS, naming
-  the command line, the variable, the value and the state). Only an
-  assignment of a constant already known to be in range skips the test.
+  the command line, the variable, the value and the state), unless the
+  value's interval over the declared ranges (`analysis.bounds`) fits it.
 
 Where the generator knows every probability of a row, the walk stores
 the row in straight-line code (partial evaluation: Jones, Gomard &
@@ -61,11 +61,12 @@ out of the reference cycle between the function and its `exec` namespace,
 so nothing they reach outlives the build. The walk keys each state by its
 code, one int with a bit field per variable (see `Layout`). It reads a
 variable as ``(c >> offset & mask)`` and builds a successor as
-``c & KEEP | CONST | value << offset``; the range test keeps a value out
-of its neighbour's bits. It evaluates no label: the Dtmc keeps their
-definitions, and `Dtmc.states_where` answers each state query in one scan
-of the codes. The Dtmc keeps the codes and the CSR arrays: a few flat
-buffers, not a container per row and per state for the GC to scan.
+``c & KEEP | CONST | value << offset``; a value in range, tested or
+proven, stays out of its neighbour's bits. It evaluates no label: the
+Dtmc keeps their definitions, and `Dtmc.states_where` answers each state
+query in one scan of the codes. The Dtmc keeps the codes and the CSR
+arrays: a few flat buffers, not a container per row and per state for the
+GC to scan.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from typing import Callable, Iterable, Iterator
 
 from qkdmc.errors import BuildError
 from qkdmc.lang import ast, names
-from qkdmc.lang.analysis import render_expr
+from qkdmc.lang.analysis import bounds, render_expr
 from qkdmc.lang.validate import ValidatedModel
 
 ROW_SUM_TOL = 1e-9
@@ -308,8 +309,8 @@ def build(vm: ValidatedModel) -> Dtmc:
 
 
 # One update as the generator sees it: its probability and, per variable it
-# assigns, a constant known to be in range or the source that checks the
-# value.
+# assigns, a constant known to be in range or the source of the value,
+# range-tested unless it provably fits.
 UpdateCode = tuple[float, dict[int, int | str]]
 
 # The most (probability, successor) pairs one row is unrolled into. A row of
@@ -363,6 +364,7 @@ def _compile_walk(vm: ValidatedModel, layout: Layout) -> Callable[..., None]:
     reads = {**layout.reads, **{vm.variables[i].name: f"v{i}" for i in shared}}
     binds = [f"v{i} = {layout.reads[vm.variables[i].name]}" for i in shared]
 
+    ranges = {var.name: (var.low, var.high) for var in vm.variables}
     picks: list[tuple[str, str | None, list[int]]] = []
     bound_sites: list[tuple[int, ast.VarDecl]] = []
 
@@ -370,15 +372,15 @@ def _compile_walk(vm: ValidatedModel, layout: Layout) -> Callable[..., None]:
         return render_expr(expr, reads, vm.constants)
 
     def checked(line: int, var: ast.VarDecl, value: ast.Expr) -> int | str:
-        # A constant known to be in range, or the source that checks the value.
-        source = render(value)
-        if not names.expr_names(value) & var_index.keys():
-            constant = eval(source, {"__builtins__": {}})
-            if var.low <= constant <= var.high:
-                return constant
+        # A constant or the source of a value that fits in every reached
+        # state (each lies in the declared ranges), else the source that
+        # tests the value.
+        low, high = bounds(value, ranges, vm.constants)
+        if var.low <= low and high <= var.high:
+            return low if low == high else f"({render(value)})"
         bound_sites.append((line, var))
-        site = len(bound_sites) - 1
-        return f"(t if {var.low} <= (t := {source}) <= {var.high} else _bounds(c, {site}, t))"
+        test = f"{var.low} <= (t := {render(value)}) <= {var.high}"
+        return f"(t if {test} else _bounds(c, {len(bound_sites) - 1}, t))"
 
     def updates_of(mi: int, ci: int, command: ast.Command) -> list[UpdateCode]:
         # One (probability, value per assigned variable) pair per update of
@@ -463,7 +465,7 @@ def _compile_walk(vm: ValidatedModel, layout: Layout) -> Callable[..., None]:
             )
         return hits.index(True) if True in hits else -1
 
-    def bounds(code: int, site: int, value: int) -> None:
+    def out_of_range(code: int, site: int, value: int) -> None:
         line, var = bound_sites[site]
         raise BuildError(
             f"update at line {line} sets {var.name}={value}, outside "
@@ -481,7 +483,7 @@ def _compile_walk(vm: ValidatedModel, layout: Layout) -> Callable[..., None]:
     namespace = {
         "__builtins__": {"enumerate": enumerate, "len": len},
         "_pick": pick,
-        "_bounds": bounds,
+        "_bounds": out_of_range,
         "_nondeterminism": nondeterminism,
     }
     exec(compile(source, "<explore>", "exec"), namespace)

@@ -1,9 +1,10 @@
-"""Static analysis over expressions: kinds, constant folding, compilation.
+"""Static analysis over expressions: kinds, interval bounds, compilation.
 
 Kinds are 'int', 'double' and 'bool'. Guards and label definitions must be
 boolean over integer comparisons; assignment right-hand sides must be integer
 arithmetic; probability expressions must fold to a numeric constant at
-validation time (no state variables).
+validation time (no state variables). ``bounds`` is the one numeric
+evaluator.
 
 A kind-checked expression renders as Python source, each variable read as
 the caller says, constants inlined. ``compile_expr`` evaluates it as one
@@ -14,20 +15,32 @@ limits keep that source within what Python compiles.
 
 from __future__ import annotations
 
+import math
+import operator
 from typing import Callable, Mapping
 
 from qkdmc.errors import ValidationError
 from qkdmc.lang import ast
 from qkdmc.lang.parser import BIN_PREC, NEG_PREC, NOT_PREC
 
+
+def to_float(x: int | float, divisor: int | float = 1) -> float:
+    """x / divisor as a float, an infinity if it is beyond the float range."""
+    try:
+        return x / divisor
+    except OverflowError:  # only an int quotient overflows
+        return math.inf if (x < 0) == (divisor < 0) else -math.inf
+
+
 _NUMERIC = ("int", "double")
 _COMPARISONS = frozenset({"=", "!=", "<", "<=", ">", ">="})
-_ARITHMETIC = frozenset({"+", "-", "*", "/"})
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": to_float}
 _BOOLEAN = frozenset({"&", "|"})
 _PYTHON_OPS = {"=": "==", "&": "and", "|": "or", "!": "not "}
 
 
-def _err(message: str, pos: ast.Pos, code: str = "TYPE") -> ValidationError:
+def error(message: str, pos: ast.Pos, code: str = "TYPE") -> ValidationError:
+    """The ValidationError `code` at `pos`."""
     return ValidationError(message, code, pos.line, pos.col)
 
 
@@ -47,25 +60,25 @@ def kind_of(expr: ast.Expr, const_kinds: Mapping[str, str], variables: Mapping[s
         inner = kind_of(expr.operand, const_kinds, variables)
         if expr.op == "!":
             if inner != "bool":
-                raise _err("operand of '!' must be boolean", expr.pos)
+                raise error("operand of '!' must be boolean", expr.pos)
             return "bool"
         if inner not in _NUMERIC:
-            raise _err("operand of unary '-' must be numeric", expr.pos)
+            raise error("operand of unary '-' must be numeric", expr.pos)
         return inner
     assert isinstance(expr, ast.Binary)
     left = kind_of(expr.left, const_kinds, variables)
     right = kind_of(expr.right, const_kinds, variables)
     if expr.op in _COMPARISONS:
         if left != "int" or right != "int":
-            raise _err(f"'{expr.op}' compares integer expressions only", expr.pos)
+            raise error(f"'{expr.op}' compares integer expressions only", expr.pos)
         return "bool"
     if expr.op in _BOOLEAN:
         if left != "bool" or right != "bool":
-            raise _err(f"operands of '{expr.op}' must be boolean", expr.pos)
+            raise error(f"operands of '{expr.op}' must be boolean", expr.pos)
         return "bool"
     assert expr.op in _ARITHMETIC
     if left not in _NUMERIC or right not in _NUMERIC:
-        raise _err(f"operands of '{expr.op}' must be numeric", expr.pos)
+        raise error(f"operands of '{expr.op}' must be numeric", expr.pos)
     if expr.op == "/":
         return "double"
     return "double" if "double" in (left, right) else "int"
@@ -81,45 +94,45 @@ def check_kind(
     kind = kind_of(expr, const_kinds, variables)
     if expected == "numeric":
         if kind not in _NUMERIC:
-            raise _err(f"{what} must be numeric, got {kind}", expr.pos)
+            raise error(f"{what} must be numeric, got {kind}", expr.pos)
         return
     if kind != expected:
-        raise _err(f"{what} must be {expected}, got {kind}", expr.pos)
+        raise error(f"{what} must be {expected}, got {kind}", expr.pos)
 
 
-def fold_number(expr: ast.Expr, constants: Mapping[str, int | float]) -> float:
-    """Evaluate a numeric expression over constants only.
-
-    State-variable references are rejected: probabilities must be known at
-    validation time.
+def bounds(
+    expr: ast.Expr, ranges: Mapping[str, tuple[int, int]], constants: Mapping[str, int | float]
+) -> tuple[int | float, int | float]:
+    """The least and greatest value of a numeric expression, each variable
+    over its (low, high) in `ranges` (interval analysis: Cousot & Cousot,
+    POPL 1977); without variables, both are its value. Ints stay exact, as
+    the generated code evaluates them: a float would round above 2**53. A
+    float operand makes a float (see `to_float`). A name neither in `ranges`
+    nor a constant is a state variable (PROB_CONST).
     """
-    if isinstance(expr, ast.IntLit):
-        return float(expr.value)
-    if isinstance(expr, ast.RealLit):
-        return expr.value
+    if isinstance(expr, (ast.IntLit, ast.RealLit)):
+        return expr.value, expr.value
     if isinstance(expr, ast.Name):
+        if expr.ident in ranges:
+            return ranges[expr.ident]
         if expr.ident not in constants:
-            raise _err(
-                f"probability expression depends on state variable '{expr.ident}'",
-                expr.pos,
-                code="PROB_CONST",
-            )
-        return float(constants[expr.ident])
+            message = f"probability expression depends on state variable '{expr.ident}'"
+            raise error(message, expr.pos, code="PROB_CONST")
+        return constants[expr.ident], constants[expr.ident]
     if isinstance(expr, ast.Unary) and expr.op == "-":
-        return -fold_number(expr.operand, constants)
-    if isinstance(expr, ast.Binary) and expr.op in _ARITHMETIC:
-        left = fold_number(expr.left, constants)
-        right = fold_number(expr.right, constants)
-        if expr.op == "+":
-            return left + right
-        if expr.op == "-":
-            return left - right
-        if expr.op == "*":
-            return left * right
-        if right == 0.0:
-            raise _err("division by zero in constant expression", expr.pos, code="DIV_ZERO")
-        return left / right
-    raise _err("expected a numeric constant expression", expr.pos)
+        low, high = bounds(expr.operand, ranges, constants)
+        return -high, -low
+    if not (isinstance(expr, ast.Binary) and expr.op in _ARITHMETIC):
+        raise error("expected a numeric constant expression", expr.pos)
+    a, b = bounds(expr.left, ranges, constants)
+    c, d = bounds(expr.right, ranges, constants)
+    if any(isinstance(v, float) for v in (a, b, c, d)):
+        a, b, c, d = map(to_float, (a, b, c, d))
+    if expr.op == "/" and c <= 0 <= d:
+        raise error("division by zero in constant expression", expr.pos, code="DIV_ZERO")
+    # Over a box each operation is extreme at a corner (no divisor is 0).
+    ends = [_ARITHMETIC[expr.op](x, y) for x in (a, b) for y in (c, d)]
+    return min(ends), max(ends)
 
 
 def render_expr(

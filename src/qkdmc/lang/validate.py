@@ -6,7 +6,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from qkdmc.errors import ValidationError
 from qkdmc.lang import analysis, ast, names
 
 PROB_SUM_TOL = 1e-9
@@ -59,26 +58,16 @@ def validate(model: ast.Model) -> ValidatedModel:
     for module in model.modules:
         for var in module.variables:
             if var.low > var.high:
-                raise ValidationError(
-                    f"variable '{var.name}' has empty range [{var.low}..{var.high}]",
-                    "BAD_RANGE",
-                    var.pos.line,
-                    var.pos.col,
-                )
+                message = f"variable '{var.name}' has empty range [{var.low}..{var.high}]"
+                raise analysis.error(message, var.pos, "BAD_RANGE")
             if var.high > MAX_HIGH:
-                raise ValidationError(
-                    f"variable '{var.name}' has upper bound {var.high}, above 2**64 - 1",
-                    "BAD_RANGE",
-                    var.pos.line,
-                    var.pos.col,
-                )
+                message = f"variable '{var.name}' has upper bound {var.high}, above 2**64 - 1"
+                raise analysis.error(message, var.pos, "BAD_RANGE")
             if not var.low <= var.init <= var.high:
-                raise ValidationError(
-                    f"initial value {var.init} of '{var.name}' outside [{var.low}..{var.high}]",
-                    "INIT_BOUNDS",
-                    var.pos.line,
-                    var.pos.col,
+                message = (
+                    f"initial value {var.init} of '{var.name}' outside [{var.low}..{var.high}]"
                 )
+                raise analysis.error(message, var.pos, "INIT_BOUNDS")
             variables.append(var)
     var_index = {var.name: i for i, var in enumerate(variables)}
     var_decls = {var.name: var for var in variables}
@@ -116,20 +105,15 @@ def validate(model: ast.Model) -> ValidatedModel:
 
 
 def _fold_constants(model: ast.Model) -> dict[str, int | float]:
+    # Exact values; a const double is a float, as `properties` reads a
+    # constant's kind from its type.
     constants: dict[str, int | float] = {}
     for const in model.constants:
-        value = analysis.fold_number(const.value, constants)
-        if const.kind == "int":
-            if not math.isfinite(value) or value != int(value):
-                raise ValidationError(
-                    f"constant '{const.name}' declared int but equals {value}",
-                    "TYPE",
-                    const.pos.line,
-                    const.pos.col,
-                )
-            constants[const.name] = int(value)
-        else:
-            constants[const.name] = value
+        value = analysis.bounds(const.value, {}, constants)[0]
+        if const.kind == "int" and isinstance(value, float) and not value.is_integer():
+            message = f"constant '{const.name}' declared int but equals {value}"
+            raise analysis.error(message, const.pos)
+        constants[const.name] = int(value) if const.kind == "int" else float(value)
     return constants
 
 
@@ -146,20 +130,14 @@ def _check_command(
         assigned: set[str] = set()
         for assign in update.assignments:
             if symbols.owner[assign.var] != module.name:
-                raise ValidationError(
+                message = (
                     f"module {module.name} assigns variable '{assign.var}' "
-                    f"owned by module {symbols.owner[assign.var]}",
-                    "FOREIGN_WRITE",
-                    assign.pos.line,
-                    assign.pos.col,
+                    f"owned by module {symbols.owner[assign.var]}"
                 )
+                raise analysis.error(message, assign.pos, "FOREIGN_WRITE")
             if assign.var in assigned:
-                raise ValidationError(
-                    f"variable '{assign.var}' assigned twice in one update",
-                    "DUP_ASSIGN",
-                    assign.pos.line,
-                    assign.pos.col,
-                )
+                message = f"variable '{assign.var}' assigned twice in one update"
+                raise analysis.error(message, assign.pos, "DUP_ASSIGN")
             assigned.add(assign.var)
             analysis.check_kind(
                 assign.value, "int", const_kinds, var_decls, f"value for '{assign.var}'"
@@ -168,23 +146,15 @@ def _check_command(
             probs.append(1.0)
         else:
             analysis.check_kind(update.prob, "numeric", const_kinds, var_decls, "probability")
-            value = analysis.fold_number(update.prob, constants)
+            value = analysis.to_float(analysis.bounds(update.prob, {}, constants)[0])
             if not 0.0 <= value <= 1.0:
-                raise ValidationError(
-                    f"update probability {value} outside [0, 1]",
-                    "PROB_RANGE",
-                    update.pos.line,
-                    update.pos.col,
-                )
+                message = f"update probability {value} outside [0, 1]"
+                raise analysis.error(message, update.pos, "PROB_RANGE")
             probs.append(value)
     total = sum(probs)
     if abs(total - 1.0) > PROB_SUM_TOL:
-        raise ValidationError(
-            f"update probabilities sum to {total:.12g}, expected 1",
-            "PROB_SUM",
-            command.pos.line,
-            command.pos.col,
-        )
+        message = f"update probabilities sum to {total:.12g}, expected 1"
+        raise analysis.error(message, command.pos, "PROB_SUM")
     return tuple(probs)
 
 
@@ -204,7 +174,8 @@ def _check_overlaps(
     intersection is not enumerated; exploration still rejects two commands
     enabled at once in every reached state where their action fires. Guards
     may reference other modules' variables, so a box is not restricted to
-    locals.
+    locals. Each guard is compiled once per group, over the group's
+    variables.
     """
     groups: dict[str | None, list[ast.Command]] = {}
     for command in module.commands:
@@ -212,37 +183,36 @@ def _check_overlaps(
     for label, commands in groups.items():
         if len(commands) < 2:
             continue
-        boxes = [(command, _box(command.guard, var_decls, constants)) for command in commands]
-        for (first, box_a), (second, box_b) in itertools.combinations(boxes, 2):
-            # size stays 0 if some variable's two ranges do not meet.
-            joint, size = dict(box_b), 0
+        boxes = [_box(command.guard, var_decls, constants) for command in commands]
+        order = sorted(set().union(*boxes))
+        index = {name: i for i, name in enumerate(order)}
+        checks = [None] * len(commands)  # each guard compiled at most once
+        for (i, box_a), (j, box_b) in itertools.combinations(enumerate(boxes), 2):
+            joint = dict(box_b)
             for name, a in box_a.items():
                 b = box_b.get(name, a)
-                if a.start >= b.stop or b.start >= a.stop:
-                    break
                 joint[name] = range(max(a.start, b.start), min(a.stop, b.stop))
-            else:
-                # r.stop - r.start, not len(r): len overflows past 2**63.
-                size = math.prod(max(r.stop - r.start, 0) for r in joint.values())
+            # 0 if two ranges do not meet; r.stop - r.start, not len(r): len
+            # overflows past 2**63.
+            size = math.prod(max(r.stop - r.start, 0) for r in joint.values())
             if not 0 < size <= MAX_OVERLAP_VALUATIONS:
                 continue
-            mentioned = sorted(joint)
-            index = {name: i for i, name in enumerate(mentioned)}
-            check_a = analysis.compile_expr(first.guard, index, constants)
-            check_b = analysis.compile_expr(second.guard, index, constants)
-            valuations = itertools.product(*(joint[name] for name in mentioned))
+            for k in (i, j):
+                checks[k] = checks[k] or analysis.compile_expr(commands[k].guard, index, constants)
+            check_a, check_b = checks[i], checks[j]
+            # A variable neither guard reads is pinned to 0.
+            valuations = itertools.product(*(joint.get(name, (0,)) for name in order))
             witness = next((v for v in valuations if check_a(v) and check_b(v)), None)
             if witness is None:
                 continue
-            shown = ", ".join(f"{k}={v}" for k, v in zip(mentioned, witness)) or "any valuation"
+            first, second = commands[i], commands[j]
+            shown = ", ".join(f"{k}={witness[index[k]]}" for k in sorted(joint)) or "any valuation"
             action = f"action [{label}]" if label is not None else "unlabeled commands"
-            raise ValidationError(
+            message = (
                 f"{action} in module {module.name}: guards at line {first.pos.line} "
-                f"and line {second.pos.line} are both enabled when {shown}",
-                "OVERLAPPING_GUARDS",
-                second.pos.line,
-                second.pos.col,
+                f"and line {second.pos.line} are both enabled when {shown}"
             )
+            raise analysis.error(message, second.pos, "OVERLAPPING_GUARDS")
 
 
 def _box(
@@ -253,10 +223,7 @@ def _box(
     """Each variable the guard reads, over its declared range narrowed by the
     guard's top-level `var op constant` conjuncts (op one of = < <= > >=, in
     either operand order). The guard is false outside the box; an empty
-    range means it holds nowhere.
-
-    A bound is evaluated as the generated code evaluates it, exactly, as an
-    int: a float would round above 2**53 and could hide an overlap.
+    range means it holds nowhere. A bound is exact (see `analysis.bounds`).
     """
     box = {
         name: range(var_decls[name].low, var_decls[name].high + 1)
@@ -281,7 +248,7 @@ def _box(
             or names.expr_names(value) & box.keys()
         ):
             continue
-        bound = eval(analysis.render_expr(value, {}, constants), {"__builtins__": {}})
+        bound = analysis.bounds(value, {}, constants)[0]
         start, stop = box[var.ident].start, box[var.ident].stop
         if op in ("=", ">=", ">"):
             start = max(start, bound + (op == ">"))

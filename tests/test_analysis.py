@@ -1,14 +1,15 @@
-"""Expression compilation: compiled functions agree with a direct evaluator."""
+"""Expression compilation and interval bounds agree with a direct evaluator."""
 
 from __future__ import annotations
 
+import itertools
 import operator
 
 from hypothesis import given, strategies as st
 
 from qkdmc.explorer import build
 from qkdmc.lang import ast, parse, validate
-from qkdmc.lang.analysis import compile_expr, kind_of
+from qkdmc.lang.analysis import bounds, compile_expr, kind_of
 
 VARIABLES = ("x", "y", "z")
 VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
@@ -93,6 +94,29 @@ class TestCompiledMatchesReference:
         ]
         for expr, expected in cases:
             assert compile_expr(expr, VAR_INDEX, CONSTANTS)((1, 2, 3)) == expected
+
+
+# A declared range per variable, each within [-4..8].
+ranges = st.tuples(*(st.tuples(st.integers(-4, 4), st.integers(0, 4)) for _ in VARIABLES)).map(
+    lambda drawn: {name: (low, low + width) for name, (low, width) in zip(VARIABLES, drawn)}
+)
+
+
+class TestBounds:
+    @given(st.one_of(ints, doubles), ranges)
+    def test_every_valuation_in_range_evaluates_within_the_bounds(self, expr, declared):
+        low, high = bounds(expr, declared, CONSTANTS)
+        boxes = [range(declared[name][0], declared[name][1] + 1) for name in VARIABLES]
+        for state in itertools.product(*boxes):
+            assert low <= reference(expr, {**CONSTANTS, **dict(zip(VARIABLES, state))}) <= high
+
+    @given(st.one_of(ints, doubles), states)
+    def test_without_variables_the_bounds_are_the_value(self, expr, state):
+        # Every name is a constant here.
+        constants = {**CONSTANTS, **dict(zip(VARIABLES, state))}
+        value = reference(expr, constants)
+        low, high = bounds(expr, {}, constants)
+        assert low == high == value and type(low) is type(value)
 
 
 def _single_command_model(guard: str) -> str:

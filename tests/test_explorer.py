@@ -5,11 +5,13 @@ tests/_machine.py, an abstract enumerator that shares no code with the
 language front end or the builder.
 """
 
+import builtins
 import hashlib
 import gc
 import importlib
 import itertools
 import math
+import re
 import tracemalloc
 from array import array
 
@@ -27,6 +29,7 @@ from qkdmc.sweep import HEAVY_NOISE_CHANNEL
 
 # The package re-exports the validate function under the module's own name.
 validate_module = importlib.import_module("qkdmc.lang.validate")
+explorer_module = importlib.import_module("qkdmc.explorer")
 
 
 def explore(source: str):
@@ -286,6 +289,44 @@ class TestBuildErrors:
             explore(source)
         assert info.value.code == "ROW_SUM"
         assert "(x=0, y=0)" in str(info.value)
+
+
+def range_tests(monkeypatch, vm) -> list[tuple[str, str]]:
+    """(value source, upper bound) of each run-time range test in the walk."""
+    sources = []
+
+    def spy(source, *args):
+        sources.append(source)
+        return builtins.compile(source, *args)
+
+    monkeypatch.setattr(explorer_module, "compile", spy, raising=False)
+    build(vm)
+    return re.findall(r"\(t := (.*?)\) <= (\d+) else _bounds", sources[0])
+
+
+class TestRangeTests:
+    def test_only_the_photon_counter_step_is_tested_in_the_bb84_walk(self, monkeypatch):
+        # Every other assignment provably fits, as ch_bas'=1-al_bas over [0..1].
+        vm = validate(model_ast(Bb84Params(photons=5, channel=HEAVY_NOISE_CHANNEL, eve_q=0.5)))
+        read_i = explorer_module.Layout(vm.variables).reads["i"]
+        assert range_tests(monkeypatch, vm) == [(f"{read_i} + (1)", "4")]
+
+    def test_an_untested_value_at_a_bit_offset_in_a_product_row(self, monkeypatch):
+        # x sits at offset 2 and is set to 1-y in a row where both modules
+        # pick among commands; only z'=z+1 can leave its range.
+        source = (
+            "dtmc\nmodule m0\n  z : [0..3] init 0;\n  x : [0..1] init 0;\n"
+            "  [a] z<3 -> 0.5:(x'=1-y) + 0.5:(z'=z+1);\n"
+            "  [a] z=3 -> 0.3:(x'=1-y) & (z'=0) + 0.7:(x'=y);\nendmodule\n"
+            "module m1\n  y : [0..1] init 0;\n"
+            "  [a] y=0 -> 0.4:(y'=1) + 0.6:(y'=x);\n"
+            "  [a] y=1 -> 0.5:(y'=1-x) + 0.5:(y'=0);\nendmodule\n"
+        )
+        vm = validate(parse(source))
+        assert [value for value, _ in range_tests(monkeypatch, vm)] == ["(c & 3) + (1)"]
+        dtmc = build(vm)
+        assert dtmc.state_count == 16
+        assert dtmc.export_text() == reference_build(vm)[1].export_text()
 
 
 class TestLabelsAndExport:

@@ -6,12 +6,14 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qkdmc import cli
 from qkdmc.bb84 import Bb84Params, Passthrough, model_ast
-from qkdmc.errors import BuildError, ValidationError
+from qkdmc.errors import BuildError, PropertyError, ValidationError
 from qkdmc.explorer import build
-from qkdmc.lang import parse, validate
+from qkdmc.lang import analysis, parse, validate
 from qkdmc.lang.analysis import compile_expr
 from qkdmc.lang.names import expr_names
+from qkdmc.properties import parse_property, resolve_operand
 
 
 def check(source: str):
@@ -74,6 +76,58 @@ class TestProbabilities:
             "  [] x=0 -> 1/z:(x'=1);\nendmodule\n",
             "DIV_ZERO",
         )
+
+
+# 2**53 + 1: the first int a float cannot hold.
+EXACT_K = (
+    "dtmc\nconst int K = 9007199254740993;\nmodule m\n  x : [0..1] init 0;\n"
+    "  [] x=0 -> (x'=K-9007199254740992);\n  [] x=1 -> (x'=1);\nendmodule\n"
+)
+# A 299-digit K: K*K is beyond the float range.
+HUGE_K = 10**298 + 7
+
+
+class TestExactConstants:
+    def test_an_int_constant_above_2_to_the_53_is_exact(self):
+        assert check(EXACT_K).constants["K"] == 2**53 + 1
+
+    def test_an_int_constant_above_2_to_the_53_checks_exactly(self, tmp_path, capsys):
+        # Folded as a float, K - 2**53 would be 0 and x would never reach 1.
+        model = tmp_path / "k.pm"
+        model.write_text(EXACT_K, encoding="utf-8")
+        assert cli.main(["check", "--model", str(model), "--prop", "P=? [ F (x=1) ]"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "1.00000000000"
+
+    def test_a_double_constant_with_an_int_value_stays_a_double(self):
+        vm = check("dtmc\nconst double p = 1;\nmodule m\n  x : [0..1] init 0;\nendmodule\n")
+        assert vm.constants["p"] == 1.0 and isinstance(vm.constants["p"], float)
+        query = parse_property("P=? [ F (x<p) ]")
+        with pytest.raises(PropertyError) as info:
+            resolve_operand(query.target, build(vm))
+        assert info.value.code == "TYPE"
+
+    def test_update_probabilities_are_floats(self):
+        vm = check("dtmc\nmodule m\n  x : [0..1] init 0;\n  [] x=0 -> 1:(x'=1);\nendmodule\n")
+        assert vm.update_probs[0][0] == (1.0,) and isinstance(vm.update_probs[0][0][0], float)
+
+    def test_a_probability_beyond_the_float_range_is_prob_range(self, tmp_path, capsys):
+        source = (
+            f"dtmc\nconst int K = {HUGE_K};\nmodule m\n  x : [0..1] init 0;\n"
+            "  [] x=0 -> K*K*0.5:(x'=1) + 1-K*K*0.5:(x'=0);\nendmodule\n"
+        )
+        assert "inf outside [0, 1]" in str(fails(source, "PROB_RANGE"))
+        model = tmp_path / "huge.pm"
+        model.write_text(source, encoding="utf-8")
+        assert cli.main(["check", "--model", str(model), "--prop", "P=? [ F (x=1) ]"]) == 2
+        assert "inf outside [0, 1]" in capsys.readouterr().err
+
+    def test_a_ratio_of_huge_ints_folds_exactly(self):
+        # In floats K*K is inf and the ratio nan.
+        vm = check(
+            f"dtmc\nconst int K = {HUGE_K};\nmodule m\n  x : [0..1] init 0;\n"
+            "  [] x=0 -> K*K/(K*K):(x'=1);\nendmodule\n"
+        )
+        assert vm.update_probs[0][0] == (1.0,)
 
 
 class TestVariables:
@@ -257,6 +311,30 @@ class TestOverlaps:
             build(vm)
         assert info.value.code == "NONDETERMINISM"
         assert "(x=0)" in str(info.value)
+
+
+    def test_each_guard_is_compiled_once_per_group(self, monkeypatch):
+        # x+0=k gets no box narrowing, so every pair of guards meets.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return compile_expr(*args)
+
+        monkeypatch.setattr(analysis, "compile_expr", counted)
+        n = 30
+        source = (
+            f"dtmc\nmodule m\n  x : [0..{n}] init 0;\n  y : [0..1] init 0;\n"
+            + "".join(f"  [] x+0={k} -> (x'={k + 1});\n" for k in range(n))
+            # Pairs of the guards above pin y, which only this one reads.
+            + f"  [] y=1 & x+0={n} -> (y'=0);\nendmodule\n"
+        )
+        check(source)
+        assert len(calls) == n + 1
+        # One more guard overlaps the first; the witness names x alone.
+        overlapping = source.replace("endmodule", "  [] x+0<1 -> (x'=1);\nendmodule")
+        error = fails(overlapping, "OVERLAPPING_GUARDS")
+        assert "both enabled when x=0" in str(error) and "y=" not in str(error)
 
 
 HUGE_RESIDUAL = (
