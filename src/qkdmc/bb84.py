@@ -25,26 +25,23 @@ command's update distribution, so each reachable state enables exactly one
 synchronized action and the model builds without nondeterminism. All
 per-round scratch variables reset on the compare step, which keeps the
 reachable state count affine in the photon count.
+
+The model is written as text, in the canonical form `print_model` gives:
+its fixed lines are one literal, and only the photon constant n, the bound
+of i and three distributions (Alice's draw, the channel load, Eve's
+resend) are computed. `model_ast` parses that text.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass
 
-from qkdmc.lang import ast
-from qkdmc.lang.printer import print_model
+from qkdmc.lang import ast, parse
 
 CHANNEL_SUM_TOL = 1e-12
-
-PHASE_DRAW = 0
-PHASE_LOAD = 1
-PHASE_EVE_MEASURE = 2
-PHASE_RESEND = 3
-PHASE_BOB_MEASURE = 4
-PHASE_COMPARE = 5
-PHASE_STOPPED = 6
 
 
 class Passthrough(enum.Enum):
@@ -93,242 +90,110 @@ class Bb84Params:
         check_unit("bias", self.bias)
 
 
-def _name(ident: str) -> ast.Name:
-    return ast.Name(ident)
-
-
-def _num(value: int) -> ast.IntLit:
-    return ast.IntLit(value)
-
-
-def _eq(ident: str, value: int) -> ast.Expr:
-    return ast.Binary("=", _name(ident), _num(value))
-
-
-def _same(left: str, right: str) -> ast.Expr:
-    return ast.Binary("=", _name(left), _name(right))
-
-
-def _differ(left: str, right: str) -> ast.Expr:
-    return ast.Binary("!=", _name(left), _name(right))
-
-
-def _and(left: ast.Expr, right: ast.Expr) -> ast.Expr:
-    return ast.Binary("&", left, right)
-
-
-def _set(var: str, value: int) -> ast.Assignment:
-    return ast.Assignment(var, _num(value))
-
-
-def _copy(var: str, source: str) -> ast.Assignment:
-    return ast.Assignment(var, _name(source))
-
-
-def _flip(var: str, source: str) -> ast.Assignment:
-    return ast.Assignment(var, ast.Binary("-", _num(1), _name(source)))
-
-
-def _distribution(branches: list[tuple[float, list[ast.Assignment]]]) -> tuple[ast.Update, ...]:
+def _distribution(branches: list[tuple[float, str]]) -> str:
     """Drop zero-weight branches; a sole survivor gets the implicit prob 1."""
-    kept = [(weight, assigns) for weight, assigns in branches if weight > 0.0]
+    kept = [(weight, body) for weight, body in branches if weight > 0.0]
     if len(kept) == 1:
-        return (ast.Update(None, tuple(kept[0][1])),)
-    return tuple(
-        ast.Update(ast.RealLit(weight), tuple(assigns)) for weight, assigns in kept
-    )
+        return kept[0][1]
+    return " + ".join(f"{weight!r}:{body}" for weight, body in kept)
 
 
-def _command(label: str, guard: ast.Expr, updates: tuple[ast.Update, ...]) -> ast.Command:
-    return ast.Command(label, guard, updates)
+# The model with its computed pieces as fields: the photon constant, the
+# bound of i and three distributions. Each measurement draws a basis
+# uniformly: the photon's basis reproduces its bit, the wrong one a fair coin.
+_MODEL = """dtmc
 
+const int n = {photons};
 
-def _measurement(who: str, label: str, phase: int) -> ast.Command:
-    """Draw a basis uniformly and measure the channel photon.
+module Alice
+  al_bas : [0..1] init 0;
+  al_bit : [0..1] init 0;
+  [alicedraw] phase=0 -> {draw};
+  [compare] phase=5 -> (al_bas'=0)&(al_bit'=0);
+endmodule
 
-    Correct basis reproduces the photon's bit; the wrong basis yields a fair
-    coin. The basis draw and the conditional outcome are merged into one
-    three-branch distribution.
-    """
-    bas, bit = f"{who}_bas", f"{who}_bit"
-    return _command(
-        label,
-        _eq("phase", phase),
-        _distribution(
-            [
-                (0.5, [_copy(bas, "ch_bas"), _copy(bit, "ch_bit")]),
-                (0.25, [_flip(bas, "ch_bas"), _set(bit, 0)]),
-                (0.25, [_flip(bas, "ch_bas"), _set(bit, 1)]),
-            ]
-        ),
-    )
+module QuantumChannel
+  phase : [0..6] init 0;
+  ch_bas : [0..1] init 0;
+  ch_bit : [0..1] init 0;
+  i : [0..{last}] init 0;
+  detected : [0..1] init 0;
+  [alicedraw] phase=0 -> (phase'=1);
+  [aliceput] phase=1 -> {load};
+  [evemeasure] phase=2 -> (phase'=3);
+  [eveput] phase=3 -> {resend};
+  [bobmeasure] phase=4 -> (phase'=5);
+  [compare] phase=5 & (bob_bas=al_bas & bob_bit!=al_bit) -> (phase'=6)&(detected'=1)&(i'=0)&(ch_bas'=0)&(ch_bit'=0);
+  [compare] phase=5 & !(bob_bas=al_bas & bob_bit!=al_bit) & i<n-1 -> (phase'=0)&(i'=i+1)&(ch_bas'=0)&(ch_bit'=0);
+  [compare] phase=5 & !(bob_bas=al_bas & bob_bit!=al_bit) & i=n-1 -> (phase'=6)&(i'=0)&(ch_bas'=0)&(ch_bit'=0);
+endmodule
 
+module Eve
+  eve_bas : [0..1] init 0;
+  eve_bit : [0..1] init 0;
+  [evemeasure] phase=2 -> 0.5:(eve_bas'=ch_bas)&(eve_bit'=ch_bit) + 0.25:(eve_bas'=1-ch_bas)&(eve_bit'=0) + 0.25:(eve_bas'=1-ch_bas)&(eve_bit'=1);
+  [compare] phase=5 -> (eve_bas'=0)&(eve_bit'=0);
+endmodule
 
-def _alice_module(params: Bb84Params) -> ast.Module:
-    w1 = 0.5 * params.bias
-    w0 = 0.5 * (1.0 - params.bias)
-    draw = _command(
-        "alicedraw",
-        _eq("phase", PHASE_DRAW),
-        _distribution(
-            [
-                (w0, [_set("al_bas", 0), _set("al_bit", 0)]),
-                (w1, [_set("al_bas", 0), _set("al_bit", 1)]),
-                (w0, [_set("al_bas", 1), _set("al_bit", 0)]),
-                (w1, [_set("al_bas", 1), _set("al_bit", 1)]),
-            ]
-        ),
-    )
-    reset = _command(
-        "compare",
-        _eq("phase", PHASE_COMPARE),
-        (ast.Update(None, (_set("al_bas", 0), _set("al_bit", 0))),),
-    )
-    return ast.Module(
-        "Alice",
-        (ast.VarDecl("al_bas", 0, 1, 0), ast.VarDecl("al_bit", 0, 1, 0)),
-        (draw, reset),
-    )
+module Bob
+  bob_bas : [0..1] init 0;
+  bob_bit : [0..1] init 0;
+  [bobmeasure] phase=4 -> 0.5:(bob_bas'=ch_bas)&(bob_bit'=ch_bit) + 0.25:(bob_bas'=1-ch_bas)&(bob_bit'=0) + 0.25:(bob_bas'=1-ch_bas)&(bob_bit'=1);
+  [compare] phase=5 -> (bob_bas'=0)&(bob_bit'=0);
+endmodule
 
-
-def _channel_module(params: Bb84Params) -> ast.Module:
-    p00, p10, p01, p11 = params.channel
-    advance_draw = _command(
-        "alicedraw", _eq("phase", PHASE_DRAW), (ast.Update(None, (_set("phase", PHASE_LOAD),)),)
-    )
-    load = _command(
-        "aliceput",
-        _eq("phase", PHASE_LOAD),
-        _distribution(
-            [
-                (p00, [_set("phase", PHASE_EVE_MEASURE), _copy("ch_bas", "al_bas"),
-                       _copy("ch_bit", "al_bit")]),
-                (p10, [_set("phase", PHASE_EVE_MEASURE), _flip("ch_bas", "al_bas"),
-                       _copy("ch_bit", "al_bit")]),
-                (p01, [_set("phase", PHASE_EVE_MEASURE), _copy("ch_bas", "al_bas"),
-                       _flip("ch_bit", "al_bit")]),
-                (p11, [_set("phase", PHASE_EVE_MEASURE), _flip("ch_bas", "al_bas"),
-                       _flip("ch_bit", "al_bit")]),
-            ]
-        ),
-    )
-    advance_eve = _command(
-        "evemeasure",
-        _eq("phase", PHASE_EVE_MEASURE),
-        (ast.Update(None, (_set("phase", PHASE_RESEND),)),),
-    )
-    if params.passthrough is Passthrough.CHANNEL_OUTPUT:
-        pass_assigns = [_set("phase", PHASE_BOB_MEASURE)]
-    else:
-        pass_assigns = [
-            _set("phase", PHASE_BOB_MEASURE),
-            _copy("ch_bas", "al_bas"),
-            _copy("ch_bit", "al_bit"),
-        ]
-    resend = _command(
-        "eveput",
-        _eq("phase", PHASE_RESEND),
-        _distribution(
-            [
-                (params.eve_q, [_set("phase", PHASE_BOB_MEASURE),
-                                _copy("ch_bas", "eve_bas"), _copy("ch_bit", "eve_bit")]),
-                (1.0 - params.eve_q, pass_assigns),
-            ]
-        ),
-    )
-    advance_bob = _command(
-        "bobmeasure",
-        _eq("phase", PHASE_BOB_MEASURE),
-        (ast.Update(None, (_set("phase", PHASE_COMPARE),)),),
-    )
-    disturbed = _and(_same("bob_bas", "al_bas"), _differ("bob_bit", "al_bit"))
-    clean = ast.Unary("!", disturbed)
-    at_compare = _eq("phase", PHASE_COMPARE)
-    ch_reset = [_set("ch_bas", 0), _set("ch_bit", 0)]
-    detect = _command(
-        "compare",
-        _and(at_compare, disturbed),
-        (ast.Update(None, tuple([_set("phase", PHASE_STOPPED), _set("detected", 1),
-                                 _set("i", 0)] + ch_reset)),),
-    )
-    more = ast.Binary("<", _name("i"), ast.Binary("-", _name("n"), _num(1)))
-    last = ast.Binary("=", _name("i"), ast.Binary("-", _name("n"), _num(1)))
-    advance = _command(
-        "compare",
-        _and(_and(at_compare, clean), more),
-        (ast.Update(None, tuple([_set("phase", PHASE_DRAW),
-                                 ast.Assignment("i", ast.Binary("+", _name("i"), _num(1)))]
-                                + ch_reset)),),
-    )
-    stop = _command(
-        "compare",
-        _and(_and(at_compare, clean), last),
-        (ast.Update(None, tuple([_set("phase", PHASE_STOPPED), _set("i", 0)] + ch_reset)),),
-    )
-    return ast.Module(
-        "QuantumChannel",
-        (
-            ast.VarDecl("phase", 0, 6, 0),
-            ast.VarDecl("ch_bas", 0, 1, 0),
-            ast.VarDecl("ch_bit", 0, 1, 0),
-            ast.VarDecl("i", 0, max(params.photons - 1, 0), 0),
-            ast.VarDecl("detected", 0, 1, 0),
-        ),
-        (advance_draw, load, advance_eve, resend, advance_bob, detect, advance, stop),
-    )
-
-
-def _eve_module() -> ast.Module:
-    reset = _command(
-        "compare",
-        _eq("phase", PHASE_COMPARE),
-        (ast.Update(None, (_set("eve_bas", 0), _set("eve_bit", 0))),),
-    )
-    return ast.Module(
-        "Eve",
-        (ast.VarDecl("eve_bas", 0, 1, 0), ast.VarDecl("eve_bit", 0, 1, 0)),
-        (_measurement("eve", "evemeasure", PHASE_EVE_MEASURE), reset),
-    )
-
-
-def _bob_module() -> ast.Module:
-    reset = _command(
-        "compare",
-        _eq("phase", PHASE_COMPARE),
-        (ast.Update(None, (_set("bob_bas", 0), _set("bob_bit", 0))),),
-    )
-    return ast.Module(
-        "Bob",
-        (ast.VarDecl("bob_bas", 0, 1, 0), ast.VarDecl("bob_bit", 0, 1, 0)),
-        (_measurement("bob", "bobmeasure", PHASE_BOB_MEASURE), reset),
-    )
-
-
-def model_ast(params: Bb84Params) -> ast.Model:
-    """The full model as a syntax tree; generate() renders it."""
-    constants = (ast.ConstDecl("n", "int", _num(params.photons)),)
-    modules = (
-        _alice_module(params),
-        _channel_module(params),
-        _eve_module(),
-        _bob_module(),
-    )
-    labels = (
-        ast.LabelDef("detected", detected_event_definition()),
-        ast.LabelDef("done", _and(_eq("phase", PHASE_STOPPED), _eq("detected", 0))),
-    )
-    return ast.Model(constants, modules, labels)
+label "detected" = detected=1;
+label "done" = phase=6 & detected=0;
+"""
 
 
 def generate(params: Bb84Params) -> str:
     """Emit deterministic model source for the given parameters."""
+    p00, p10, p01, p11 = params.channel
+    w0, w1 = 0.5 * (1.0 - params.bias), 0.5 * params.bias
+    draw = _distribution(
+        [
+            (w0, "(al_bas'=0)&(al_bit'=0)"),
+            (w1, "(al_bas'=0)&(al_bit'=1)"),
+            (w0, "(al_bas'=1)&(al_bit'=0)"),
+            (w1, "(al_bas'=1)&(al_bit'=1)"),
+        ]
+    )
+    load = _distribution(
+        [
+            (p00, "(phase'=2)&(ch_bas'=al_bas)&(ch_bit'=al_bit)"),
+            (p10, "(phase'=2)&(ch_bas'=1-al_bas)&(ch_bit'=al_bit)"),
+            (p01, "(phase'=2)&(ch_bas'=al_bas)&(ch_bit'=1-al_bit)"),
+            (p11, "(phase'=2)&(ch_bas'=1-al_bas)&(ch_bit'=1-al_bit)"),
+        ]
+    )
+    passed = "(phase'=4)"
+    if params.passthrough is Passthrough.SOURCE_VALUES:
+        passed += "&(ch_bas'=al_bas)&(ch_bit'=al_bit)"
+    resend = _distribution(
+        [
+            (params.eve_q, "(phase'=4)&(ch_bas'=eve_bas)&(ch_bit'=eve_bit)"),
+            (1.0 - params.eve_q, passed),
+        ]
+    )
     header = (
         f"// bb84 intercept-resend: photons={params.photons} "
         f"channel=({', '.join(repr(p) for p in params.channel)}) "
         f"eve_q={params.eve_q!r} bias={params.bias!r} "
         f"passthrough={params.passthrough.value}\n"
     )
-    return header + print_model(model_ast(params))
+    return header + _MODEL.format(
+        photons=params.photons,
+        last=params.photons - 1,
+        draw=draw,
+        load=load,
+        resend=resend,
+    )
+
+
+def model_ast(params: Bb84Params) -> ast.Model:
+    """The full model as a syntax tree, parsed from generate()."""
+    return parse(generate(params))
 
 
 def detected_event_definition() -> ast.Expr:
@@ -337,7 +202,7 @@ def detected_event_definition() -> ast.Expr:
     The compare phase raises the flag exactly when Bob used Alice's basis
     yet read the opposite bit.
     """
-    return _eq("detected", 1)
+    return ast.Binary("=", ast.Name("detected"), ast.IntLit(1))
 
 
 _ROLES = {
@@ -356,7 +221,14 @@ _ROLES = {
 }
 
 
+_DECLARATION = re.compile(r"^  (\w+) : \[(\d+)\.\.(\d+)\] init", re.MULTILINE)
+
+
 def variable_schema(params: Bb84Params) -> tuple[tuple[str, int, int, str], ...]:
-    """(name, low, high, role) for every variable of the emitted model."""
-    variables = [var for module in model_ast(params).modules for var in module.variables]
-    return tuple((var.name, var.low, var.high, _ROLES[var.name]) for var in variables)
+    """(name, low, high, role) for every variable of the emitted model, read
+    from its declaration lines.
+    """
+    return tuple(
+        (name, int(low), int(high), _ROLES[name])
+        for name, low, high in _DECLARATION.findall(generate(params))
+    )

@@ -47,13 +47,15 @@ model's rows take that path. Other rows go to one of three helpers that
   checks that they sum to 1 within ROW_SUM_TOL (ROW_SUM, naming the
   state), sorts them by target and appends the row. An unrolled row
   whose targets are not ascending goes here, or one whose sum misses 1;
-- `_row(pairs, c)` indexes (probability, successor) pairs, then merges
-  them as `_merge` does. It takes the rows of a group in which two
-  modules pick, and rows of more than MAX_UNROLLED_PAIRS pairs: a
-  product of distributions can have exponentially many, so those rows
-  are one comprehension with a `for` clause over each branching module's
-  updates, in product order, and the generated source stays linear in
-  the model text;
+- `_row(c, b, u0, ..., uM)` forms a row at run time. b holds the bits
+  no module of the group writes, and u{j} is module j's tuple of
+  (probability, bits) updates. It walks their product in order,
+  multiplying the probabilities left to right and ORing the bits into b,
+  drops a zero product, indexes the successors and merges the row as
+  `_merge` does. It takes the rows of a group in which two modules pick,
+  and rows of more than MAX_UNROLLED_PAIRS pairs: a product of
+  distributions can have exponentially many, and the generated source
+  stays linear in the model text;
 - `_dead(si)` stores a deadlock's self-loop.
 
 Passed as arguments, the helpers and the bound methods the walk calls stay
@@ -271,11 +273,18 @@ def build(vm: ValidatedModel) -> Dtmc:
             add_prob(prob)
         end_row(len(targets))
 
-    def row(pairs: Iterable[tuple[float, int]], code: int) -> int:
-        # Index the successors in order, merge the row; return the new state
-        # count.
+    def row(code: int, bits: int, *parts: tuple[tuple[float, int], ...]) -> int:
+        # Extend the row module by module, in product order, multiplying
+        # left to right and ORing each update's bits into the successor;
+        # drop a zero product, index the successors in order, merge the row;
+        # return the new state count.
+        pairs = [(p, bits | w) for p, w in parts[0]]
+        for part in parts[1:]:
+            pairs = [(q * p, key | w) for q, key in pairs for p, w in part]
         indexed = []
         for prob, key in pairs:
+            if not prob:
+                continue
             fresh = len(codes)
             ti = index(key, fresh)
             if ti == fresh:
@@ -314,8 +323,8 @@ def build(vm: ValidatedModel) -> Dtmc:
 UpdateCode = tuple[float, dict[int, int | str]]
 
 # The most (probability, successor) pairs one row is unrolled into. A row of
-# a product of distributions can have exponentially many; past this it keeps
-# the comprehension, so the generated source stays linear in the model text.
+# a product of distributions can have exponentially many; past this `_row`
+# forms it at run time, so the generated source stays linear in the model text.
 MAX_UNROLLED_PAIRS = 16
 
 
@@ -331,8 +340,10 @@ def _compile_walk(vm: ValidatedModel, layout: Layout) -> Callable[..., None]:
     module of the firing group picks among several commands, and the row has
     at most MAX_UNROLLED_PAIRS pairs. Such a row whose targets do not come
     out strictly ascending goes to `_merge(pairs, c)` as (probability,
-    target) pairs. Any other row goes to `_row(pairs, c)` as (probability,
-    successor) pairs in product order, and a deadlock to `_dead(si)`.
+    target) pairs. Any other row goes to `_row(c, b, u0, ..., uM)`, which
+    forms it from the bits b no module of the group writes and one tuple
+    u{j} of (probability, bits) updates per module, and a deadlock to
+    `_dead(si)`.
     """
     var_index = vm.var_index
     modules = vm.model.modules
@@ -518,9 +529,9 @@ def _unrolled_row(per_module: list[list[UpdateCode]], layout: Layout) -> list[st
     per_module = [[(prob, bind(values)) for prob, values in updates] for updates in per_module]
     pairs: list[tuple[float, str]] = []
     for combination in product(*per_module):
-        # Left to right, as the comprehension multiplies, so every product
-        # has the bits the run-time product would have; a zero one is
-        # dropped as `if q` drops it.
+        # Left to right, as `_row` multiplies, so every product has the bits
+        # the run-time product would have; a zero one is dropped as `_row`
+        # drops it.
         q = combination[0][0]
         for p, _ in combination[1:]:
             q *= p
@@ -552,52 +563,26 @@ def _product_row(
     choices: list[list[list[UpdateCode]]],
     layout: Layout,
 ) -> list[str]:
-    """The statements that hand a group's row to `_row` as (probability,
-    successor) pairs in product order, for a row the walk does not unroll.
+    """The statements that hand a group's row to `_row`, for a row the walk
+    does not unroll.
 
-    The successors come from one comprehension with a `for` clause over
-    each branching module's updates; deterministic modules are unpacked
-    before it. Module j's update sets w{j}, the bits of the variables j
-    writes; b starts as the bits no module writes, and a successor ORs them.
+    u{j} is the tuple of (probability, bits) updates of module j's firing
+    command, where the bits hold the values of the variables j writes. The
+    call passes the bits no module writes before them.
     """
     writes = [{i for updates in each for _, values in updates for i in values} for each in choices]
     unwritten = layout.full & ~layout.mask(set().union(*writes))
-    body, unpacks, clauses, looped = [], [f"b = {layout.code({}, unwritten)}"], [], []
-    for j, (mi, commands) in enumerate(parts):
-        target = f"{f'p{j}' if j else 'q0'}, w{j}"
-        pairs = [
-            [(repr(prob), layout.code(values, layout.mask(writes[j]))) for prob, values in updates]
-            for updates in choices[j]
-        ]
-        # One statement per command: it binds u{j}.
-        if all(len(each) == 1 for each in pairs):
-            # Deterministic here: OR the one update into b, loop over nothing.
-            stmts = [f"u{j} = ({prob}, {succ})" for ((prob, succ),) in pairs]
-            unpacks.extend([f"{target} = u{j}", f"b |= w{j}"])
-        else:
-            stmts = [
-                f"u{j} = ({''.join(f'({prob}, {succ}), ' for prob, succ in each)})"
-                for each in pairs
-            ]
-            clauses.append(f"for {target} in u{j}")
-            looped.append(f"w{j}")
-        # q{j} is the product of the first j + 1 modules' probabilities,
-        # one factor per step, so no expression nests deeper as the group
-        # grows; b grows so too. Once a module loops, the steps are clauses.
-        if j and clauses:
-            clauses.append(f"for q{j} in (q{j - 1} * p{j},)")
-        elif j:
-            unpacks.append(f"q{j} = q{j - 1} * p{j}")
+    body = []
+    for j, (_, commands) in enumerate(parts):
+        written = layout.mask(writes[j])
+        stmts = []
+        for updates in choices[j]:
+            pairs = "".join(f"({prob!r}, {layout.code(values, written)}), " for prob, values in updates)
+            stmts.append(f"u{j} = ({pairs})")
         if len(commands) == 1:
             body.append(stmts[0])
         else:
             body.extend(f"if k{gi}_{j} == {k}: {stmt}" for k, stmt in enumerate(stmts))
-    body.extend(unpacks)
-    successor = " | ".join(["b", *looped])
-    q = f"q{len(parts) - 1}"
-    if clauses:
-        body.append(f"n = _row([({q}, {successor}) {' '.join(clauses)} if {q}], c)")
-    else:
-        # One combination; a zero product fails the row-sum check either way.
-        body.append(f"n = _row((({q}, {successor}),), c)")
+    modules = ", ".join(f"u{j}" for j in range(len(parts)))
+    body.append(f"n = _row(c, {layout.code({}, unwritten)}, {modules})")
     return body

@@ -1,5 +1,8 @@
 """Generated protocol models checked against the analytic enumeration."""
 
+import hashlib
+import itertools
+
 import pytest
 
 from qkdmc.bb84 import (
@@ -116,6 +119,20 @@ class TestGeneratedSource:
     def test_output_is_deterministic(self):
         params = Bb84Params(photons=7, channel=LIGHT, eve_q=0.2, bias=0.3)
         assert generate(params) == generate(params)
+
+    def test_output_bytes_are_pinned(self):
+        # sha256 of generate() over 1,200 parameter points: the model text
+        # is pinned byte for byte.
+        channels = [PERFECT, LIGHT, HEAVY, (0.5, 0.5, 0.0, 0.0), (0, 0, 1, 0), (0.1, 0.2, 0.3, 0.4)]
+        digest = hashlib.sha256()
+        for photons, channel, eve_q, bias, passthrough in itertools.product(
+            (1, 2, 5, 70, 500), channels, (0, 0.2, 0.5, 1, 1 / 3), (0, 0.3, 0.5, 1), Passthrough
+        ):
+            params = Bb84Params(photons, channel, eve_q, bias, passthrough)
+            digest.update(generate(params).encode())
+        assert digest.hexdigest() == (
+            "923fd2edfb81d8f6de42293e73723b67ad67a263c2f9f36b6c238a7b376273a9"
+        )
 
     def test_output_parses_and_validates(self):
         source = generate(Bb84Params(photons=2, channel=HEAVY, eve_q=0.5))

@@ -572,10 +572,9 @@ class TestScale:
     @pytest.mark.parametrize("branching", [2, 0])
     def test_many_modules_on_one_action(self, branching):
         # The first `branching` modules branch; the others move
-        # deterministically. CPython 3.11 compiles one expression
-        # p0 * p1 * ... of at most 2,986 factors (at the top of the stack),
-        # so the generated function must not multiply the group's 3,000
-        # probabilities in one expression, with or without a loop.
+        # deterministically. The walk hands the group's 3,000 update tuples
+        # to one `_row` call, which multiplies the probabilities at run time,
+        # so no generated expression grows with the group.
         modules = [
             f"module m{k}\n  x{k} : [0..1] init 0;\n"
             f"  [go] x{k}=0 -> "

@@ -1,13 +1,13 @@
 """Round-trip stability of the model printer.
 
-The generator emits models through print_model, so the printer must produce
-source the parser maps back to the same tree. Positions are excluded from
+The printer must produce source the parser maps back to the same tree, and
+the generator writes its text in the printer's canonical form. Positions are excluded from
 node equality, which makes whole-model comparison meaningful.
 """
 
 import pytest
 
-from qkdmc.bb84 import Bb84Params, Passthrough, model_ast
+from qkdmc.bb84 import Bb84Params, Passthrough, generate, model_ast
 from qkdmc.lang import Binary, IntLit, Name, RealLit, Unary, parse, print_expr, print_model
 
 GOLDEN_MODELS = [
@@ -37,6 +37,8 @@ def test_golden_round_trip(golden, name):
 def test_generated_model_round_trip(params):
     tree = model_ast(params)
     assert parse(print_model(tree)) == tree
+    header, body = generate(params).split("\n", 1)
+    assert header.startswith("//") and print_model(tree) == body
 
 
 def test_idempotent_on_printed_source(golden):
