@@ -67,6 +67,11 @@ def check_unit(name: str, value: float) -> None:
         raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
+def check_count(name: str, value: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Bb84Params:
     """Experiment parameters: photon count, channel noise, Eve power, bias.
@@ -83,6 +88,7 @@ class Bb84Params:
     passthrough: Passthrough = Passthrough.CHANNEL_OUTPUT
 
     def __post_init__(self) -> None:
+        check_count("photons", self.photons)
         if self.photons < 1:
             raise ValueError(f"photons must be positive, got {self.photons}")
         check_channel(self.channel)

@@ -124,8 +124,10 @@ passthrough_option = click.option(
               help="Property, e.g. 'P=? [ F \"detected\" ]'.")
 def check(model_path: str, prop_text: str) -> None:
     """Compute a P=? property on a model file."""
+    # A malformed property fails before the model is read and built.
+    query = parse_property(prop_text)
     dtmc = build(validate(parse(_read_model(model_path))))
-    report = solver.prob_until(dtmc, parse_property(prop_text))
+    report = solver.prob_until(dtmc, query)
     click.echo(format_probability(report.probability))
     click.echo(f"states {dtmc.state_count}")
     click.echo(f"transitions {dtmc.transition_count}")

@@ -478,8 +478,12 @@ def _compile_walk(vm: ValidatedModel, layout: Layout) -> Callable[..., None]:
 
     def out_of_range(code: int, site: int, value: int) -> None:
         line, var = bound_sites[site]
+        try:
+            shown = str(value)
+        except ValueError:  # past the interpreter's limit on int-to-str digits
+            shown = f"<{'negative ' if value < 0 else ''}{value.bit_length()}-bit integer>"
         raise BuildError(
-            f"update at line {line} sets {var.name}={value}, outside "
+            f"update at line {line} sets {var.name}={shown}, outside "
             f"[{var.low}..{var.high}], in state ({layout.describe(layout.decode(code))})",
             code="BOUNDS",
         )

@@ -24,6 +24,8 @@ KEYWORDS = frozenset(
 
 _PUNCT2 = ("->", "<=", ">=", "!=", "..")
 _PUNCT1 = "[]():;'=<>&|!+-*/,?"
+# Numbers are ASCII digits; str.isdigit would also accept '²' and '٣'.
+_DIGITS = frozenset("0123456789")
 
 
 @dataclass(frozen=True)
@@ -62,28 +64,29 @@ def tokenize(source: str) -> list[Token]:
         if source.startswith("//", i):
             while i < n and source[i] != "\n":
                 i += 1
+                col += 1
             continue
         start_line, start_col = line, col
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
             is_real = False
             # A dot starts a fraction only when a digit follows; "0..1" keeps
             # the integer and leaves ".." for the range punctuation.
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
+            if j < n and source[j] == "." and j + 1 < n and source[j + 1] in _DIGITS:
                 is_real = True
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and source[j] in _DIGITS:
                     j += 1
             if j < n and source[j] in "eE":
                 k = j + 1
                 if k < n and source[k] in "+-":
                     k += 1
-                if k < n and source[k].isdigit():
+                if k < n and source[k] in _DIGITS:
                     is_real = True
                     j = k
-                    while j < n and source[j].isdigit():
+                    while j < n and source[j] in _DIGITS:
                         j += 1
             text = source[i:j]
             tokens.append(

@@ -2,23 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from qkdmc.errors import ParseError
 from qkdmc.lang import ast
 
 
-@dataclass(frozen=True)
-class Symbols:
-    """Declaration sites by name, after uniqueness has been checked."""
-
-    constants: dict[str, ast.ConstDecl]
-    variables: dict[str, ast.VarDecl]
-    owner: dict[str, str]  # variable name -> owning module name
-
-
-def build_symbols(model: ast.Model) -> Symbols:
-    """Collect declarations, rejecting duplicate names in any namespace."""
+def check_declarations(model: ast.Model) -> None:
+    """Reject duplicate names in any namespace."""
     seen: dict[str, ast.Pos] = {}
 
     def declare(name: str, pos: ast.Pos) -> None:
@@ -31,18 +20,12 @@ def build_symbols(model: ast.Model) -> Symbols:
             )
         seen[name] = pos
 
-    constants: dict[str, ast.ConstDecl] = {}
-    variables: dict[str, ast.VarDecl] = {}
-    owner: dict[str, str] = {}
     for const in model.constants:
         declare(const.name, const.pos)
-        constants[const.name] = const
     for module in model.modules:
         declare(module.name, module.pos)
         for var in module.variables:
             declare(var.name, var.pos)
-            variables[var.name] = var
-            owner[var.name] = module.name
     labels_seen: dict[str, ast.Pos] = {}
     for label in model.labels:
         if label.name in labels_seen:
@@ -50,43 +33,42 @@ def build_symbols(model: ast.Model) -> Symbols:
                 f"duplicate label \"{label.name}\"", label.pos.line, label.pos.col, code="DUPLICATE"
             )
         labels_seen[label.name] = label.pos
-    return Symbols(constants, variables, owner)
 
 
 def expr_names(expr: ast.Expr) -> set[str]:
     """All identifiers referenced by an expression."""
-    out: set[str] = set()
-    _collect(expr, out)
+    return {name.ident for name in _name_nodes(expr)}
+
+
+def _name_nodes(expr: ast.Expr) -> list[ast.Name]:
+    """The identifiers of an expression, left to right."""
+    out: list[ast.Name] = []
+    pending = [expr]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, ast.Name):
+            out.append(node)
+        elif isinstance(node, ast.Unary):
+            pending.append(node.operand)
+        elif isinstance(node, ast.Binary):
+            pending += (node.right, node.left)
     return out
 
 
-def _collect(expr: ast.Expr, out: set[str]) -> None:
-    if isinstance(expr, ast.Name):
-        out.add(expr.ident)
-    elif isinstance(expr, ast.Unary):
-        _collect(expr.operand, out)
-    elif isinstance(expr, ast.Binary):
-        _collect(expr.left, out)
-        _collect(expr.right, out)
-
-
-def check_references(model: ast.Model, symbols: Symbols) -> None:
+def check_references(model: ast.Model) -> None:
     """Reject any identifier that is not a declared constant or variable."""
+    variables = {var.name for module in model.modules for var in module.variables}
+    known = variables | {const.name for const in model.constants}
 
     def check_expr(expr: ast.Expr) -> None:
-        if isinstance(expr, ast.Name):
-            if expr.ident not in symbols.constants and expr.ident not in symbols.variables:
+        for name in _name_nodes(expr):
+            if name.ident not in known:
                 raise ParseError(
-                    f"unknown identifier '{expr.ident}'",
-                    expr.pos.line,
-                    expr.pos.col,
+                    f"unknown identifier '{name.ident}'",
+                    name.pos.line,
+                    name.pos.col,
                     code="UNKNOWN_IDENT",
                 )
-        elif isinstance(expr, ast.Unary):
-            check_expr(expr.operand)
-        elif isinstance(expr, ast.Binary):
-            check_expr(expr.left)
-            check_expr(expr.right)
 
     for const in model.constants:
         check_expr(const.value)
@@ -97,7 +79,7 @@ def check_references(model: ast.Model, symbols: Symbols) -> None:
                 if update.prob is not None:
                     check_expr(update.prob)
                 for assign in update.assignments:
-                    if assign.var not in symbols.variables:
+                    if assign.var not in variables:
                         raise ParseError(
                             f"unknown variable '{assign.var}' in assignment",
                             assign.pos.line,

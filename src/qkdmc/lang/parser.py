@@ -120,8 +120,8 @@ def parse(source: str) -> ast.Model:
         stream.fail("'const', 'module', 'label' or end of input")
 
     model = ast.Model(tuple(constants), tuple(modules), tuple(labels), pos)
-    symbols = names.build_symbols(model)
-    names.check_references(model, symbols)
+    names.check_declarations(model)
+    names.check_references(model)
     return model
 
 

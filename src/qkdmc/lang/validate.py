@@ -44,19 +44,19 @@ class ValidatedModel:
 def validate(model: ast.Model) -> ValidatedModel:
     """Check every semantic invariant and return the exploration-ready model.
 
-    Raises ValidationError with codes TYPE, INIT_BOUNDS, BAD_RANGE,
-    FOREIGN_WRITE, DUP_ASSIGN, PROB_CONST, PROB_RANGE, PROB_SUM or
-    OVERLAPPING_GUARDS; see each check below.
+    `model` comes from `parse`, which has resolved its names. Raises
+    ValidationError with codes TYPE, INIT_BOUNDS, BAD_RANGE, FOREIGN_WRITE,
+    DUP_ASSIGN, PROB_CONST, PROB_RANGE, PROB_SUM or OVERLAPPING_GUARDS; see
+    each check below.
     """
-    symbols = names.build_symbols(model)
-    names.check_references(model, symbols)
-
     constants = _fold_constants(model)
     const_kinds = {c.name: c.kind for c in model.constants}
 
     variables: list[ast.VarDecl] = []
+    owner: dict[str, str] = {}  # variable name -> owning module name
     for module in model.modules:
         for var in module.variables:
+            owner[var.name] = module.name
             if var.low > var.high:
                 message = f"variable '{var.name}' has empty range [{var.low}..{var.high}]"
                 raise analysis.error(message, var.pos, "BAD_RANGE")
@@ -78,7 +78,7 @@ def validate(model: ast.Model) -> ValidatedModel:
         for command in module.commands:
             analysis.check_kind(command.guard, "bool", const_kinds, var_decls, "guard")
             module_probs.append(
-                _check_command(command, module, symbols, const_kinds, var_decls, constants)
+                _check_command(command, module, owner, const_kinds, var_decls, constants)
             )
         update_probs.append(tuple(module_probs))
 
@@ -120,7 +120,7 @@ def _fold_constants(model: ast.Model) -> dict[str, int | float]:
 def _check_command(
     command: ast.Command,
     module: ast.Module,
-    symbols: names.Symbols,
+    owner: dict[str, str],
     const_kinds: dict[str, str],
     var_decls: dict[str, ast.VarDecl],
     constants: dict[str, int | float],
@@ -129,10 +129,10 @@ def _check_command(
     for update in command.updates:
         assigned: set[str] = set()
         for assign in update.assignments:
-            if symbols.owner[assign.var] != module.name:
+            if owner[assign.var] != module.name:
                 message = (
                     f"module {module.name} assigns variable '{assign.var}' "
-                    f"owned by module {symbols.owner[assign.var]}"
+                    f"owned by module {owner[assign.var]}"
                 )
                 raise analysis.error(message, assign.pos, "FOREIGN_WRITE")
             if assign.var in assigned:

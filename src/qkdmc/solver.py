@@ -1,10 +1,11 @@
 """Reachability probabilities on a Dtmc: P=? for unbounded until.
 
 One forward pass settles every state. States that are targets (value 1) or
-outside the constraint (value 0) are fixed; an iterative Tarjan search over
-the rest pops strongly connected components (SCCs) in reverse topological
-order, so every edge leaving a popped SCC reaches a state already settled.
-Each SCC is then settled on the spot, qualitatively and numerically:
+outside the constraint (value 0) are fixed; over the rest, an iterative
+Tarjan search in Pearce's one-index form (Pearce, IPL 2016) finds strongly
+connected components (SCCs) in reverse topological order, so every edge
+leaving a found SCC reaches a state already settled. Each SCC is then
+settled on the spot, qualitatively and numerically:
 
 - prob0 if no edge leaves it towards a state outside prob0, prob1 if it is
   not prob0 and every edge leaving it reaches a prob1 state;
@@ -20,20 +21,21 @@ absorbing self-loops, and every cyclic SCC is solved directly.
 
 The search takes its roots from the highest state index down. Build numbers
 states in BFS order, so nearly every edge points to a higher index (in a
-500-photon bb84 model, every edge into a state that is not a deadlock).
-A root taken from the top then finds its successors settled and settles
-at once; from the bottom, the search would first descend the whole BFS
-chain. The order changes no value: SCCs do not depend on it, a one-state
-SCC still sums its row in row order and a cyclic SCC's members are still
-sorted before elimination.
+500-photon bb84 model, every edge into a state that is not a deadlock): a
+root taken from the top finds its successors settled and settles at once,
+where one from the bottom would first descend the whole BFS chain. The
+order changes no value: SCCs do not depend on it, a one-state SCC still
+sums its row in row order and a cyclic SCC's members are sorted first.
 
-The pass reads the Dtmc's CSR columns (`row_starts`, `targets`, `probs`)
-in place, by position, and copies no row. For the state it is searching,
-the search keeps the position of its next edge, the REACH/MISS bits of
-the successors settled so far and their sum of prob * value. An edge into
-a state the search descends to is read again once that state is done, so
-a one-state SCC is settled with the edges of its one walk, in row order.
-Only a cyclic SCC reads its rows again.
+Each state keeps one number, `low`: its visit number, lowered to the least
+`low` of the unsettled states its edges reach. A state whose `low` does not
+drop roots an SCC of itself and the stacked states whose `low` is at least
+its visit number. Only a state whose `low` drops is stacked, so a one-state
+SCC (every state of a bb84 model) never touches the stack. The pass reads
+the Dtmc's CSR columns (`row_starts`, `targets`, `probs`) in place and
+copies no row. An edge into a state the search descends to is read again
+once that state is done, so a one-state SCC is settled with the edges of
+its one walk, in row order; only a cyclic SCC reads its rows again.
 """
 
 from __future__ import annotations
@@ -161,24 +163,22 @@ def _solve(dtmc: Dtmc, query: PropertyQuery) -> tuple[list[float], bytearray, fl
         kind[s] = REACH
         values[s] = 1.0
 
-    order = [0] * n  # DFS discovery number; 0 while undiscovered
-    low = [0] * n
-    stack: list[int] = []
+    low = [0] * n  # visit number, lowered while unsettled; 0 while unvisited
+    stack: list[int] = []  # searched states waiting for the root of their SCC
     counter = 0
     residual = 0.0
     solved = False
     # Roots from the top: see the module docstring.
     for root in range(n - 1, -1, -1):
-        if kind[root] or order[root]:
+        if kind[root]:
             continue
         counter += 1
-        order[root] = low[root] = counter
-        stack.append(root)
-        # The frame of the state v being searched: its next edge k, its row
-        # end, and what its settled successors contribute so far.
-        v, k, end = root, starts[root], starts[root + 1]
+        low[root] = counter
+        # The frame of the state v being searched: its visit number, its next
+        # edge k, its row end, and what its settled successors contribute.
+        v, index, k, end = root, counter, starts[root], starts[root + 1]
         flags, incoming, self_prob = 0, 0.0, 0.0
-        calls: list[tuple[int, int, int, int, float, float]] = []  # suspended frames
+        calls: list[tuple[int, int, int, int, int, float, float]] = []  # suspended frames
         while True:
             if k < end:
                 t = targets[k]
@@ -186,26 +186,31 @@ def _solve(dtmc: Dtmc, query: PropertyQuery) -> tuple[list[float], bytearray, fl
                 if bits:
                     flags |= bits
                     incoming += probs[k] * values[t]
-                elif not order[t]:
+                elif not low[t]:
                     # Descend; edge k is looked at again once t is done.
-                    calls.append((v, k, end, flags, incoming, self_prob))
+                    calls.append((v, index, k, end, flags, incoming, self_prob))
                     counter += 1
-                    order[t] = low[t] = counter
-                    stack.append(t)
-                    v, k, end = t, starts[t], starts[t + 1]
+                    low[t] = counter
+                    v, index, k, end = t, counter, starts[t], starts[t + 1]
                     flags, incoming, self_prob = 0, 0.0, 0.0
                     continue
                 elif t == v:
                     self_prob = probs[k]
-                elif order[t] < low[v]:
-                    # Visited but unsettled: t is on the Tarjan stack.
-                    low[v] = order[t]
+                elif low[t] < low[v]:
+                    # t is visited but unsettled: in v's SCC.
+                    low[v] = low[t]
                 k += 1
                 continue
-            if low[v] == order[v]:
-                # v roots an SCC; every edge leaving it reaches a settled state.
-                if stack[-1] == v:
-                    stack.pop()
+            if low[v] < index:
+                # The root of v's SCC is further up the search path.
+                stack.append(v)
+            else:
+                # v roots an SCC of itself and the stacked states whose low is
+                # at least index; every edge leaving it reaches a settled state.
+                base = len(stack)
+                while base and low[stack[base - 1]] >= index:
+                    base -= 1
+                if base == len(stack):
                     if flags & REACH:
                         solved = True
                         if self_prob:
@@ -219,10 +224,7 @@ def _solve(dtmc: Dtmc, query: PropertyQuery) -> tuple[list[float], bytearray, fl
                         flags = MISS
                     kind[v] = flags
                 else:
-                    base = len(stack) - 1
-                    while stack[base] != v:
-                        base -= 1
-                    members = sorted(stack[base:])
+                    members = sorted(stack[base:] + [v])
                     del stack[base:]
                     flags, gap = _settle_cyclic(dtmc, members, kind, values)
                     if flags & REACH:
@@ -232,10 +234,7 @@ def _solve(dtmc: Dtmc, query: PropertyQuery) -> tuple[list[float], bytearray, fl
                         kind[s] = flags
             if not calls:
                 break
-            child_low = low[v]
-            v, k, end, flags, incoming, self_prob = calls.pop()
-            if child_low < low[v]:
-                low[v] = child_low
+            v, index, k, end, flags, incoming, self_prob = calls.pop()
     return values, kind, residual, solved
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import IO
 
 from qkdmc import oracle, solver
-from qkdmc.bb84 import Bb84Params, Passthrough, generate
+from qkdmc.bb84 import Bb84Params, Passthrough, check_count, generate
 from qkdmc.errors import AcceptanceViolation
 from qkdmc.explorer import Dtmc, build
 from qkdmc.lang import parse, validate
@@ -48,6 +48,8 @@ class SweepSpec:
     oracle_check: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("n_start", "n_stop", "n_step"):
+            check_count(name, getattr(self, name))
         if self.n_start < 1:
             raise ValueError(f"photon range must start at 1 or above, got {self.n_start}")
         if self.n_stop < self.n_start:

@@ -182,6 +182,11 @@ class TestParameterValidation:
         with pytest.raises(ValueError):
             Bb84Params(photons=0)
 
+    @pytest.mark.parametrize("photons", [2.5, 3.0, True, "3"])
+    def test_photon_count_must_be_an_int(self, photons):
+        with pytest.raises(ValueError, match="photons must be an int"):
+            Bb84Params(photons=photons)
+
     def test_channel_must_be_a_distribution(self):
         with pytest.raises(ValueError, match="sum"):
             Bb84Params(photons=1, channel=(0.5, 0.5, 0.5, 0.5))

@@ -233,6 +233,24 @@ class TestBuildErrors:
         assert "sets x=2" in str(info.value)
         assert "(x=0)" in str(info.value)
 
+    def test_a_value_too_long_to_print_is_reported_by_its_bits(self, tmp_path, capsys):
+        # K**16 has 4,800 digits, past CPython's int-to-str digit limit.
+        product = "*".join(["K"] * 16)
+        source = (
+            f"dtmc\nconst int K = {'9' * 300};\nmodule m\n  x : [0..1] init 0;\n"
+            f"  [] x=0 -> (x'={product});\n  [] x=1 -> (x'=1);\nendmodule\n"
+        )
+        bits = (10**300 - 1) ** 16
+        message = f"sets x=<{bits.bit_length()}-bit integer>, outside [0..1], in state (x=0)"
+        with pytest.raises(BuildError) as info:
+            explore(source)
+        assert info.value.code == "BOUNDS"
+        assert message in str(info.value)
+        model = tmp_path / "huge.pm"
+        model.write_text(source, encoding="utf-8")
+        assert cli.main(["check", "--model", str(model), "--prop", "P=? [ F (x=1) ]"]) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "var, value, shown",
         [

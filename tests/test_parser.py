@@ -210,6 +210,36 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse("module m\n  x : [0..1] init 0;\nendmodule\n")
 
+    @pytest.mark.parametrize(
+        "decls, col",
+        [
+            ("  x : [0..\u00b2] init 0;", 11),  # superscript two
+            ("  x : [0..\u0663] init 0;", 11),  # Arabic-Indic three, not read as 3
+            ("  x : [\u00b2..1] init 0;", 8),
+        ],
+        ids=["superscript_bound", "arabic_indic_bound", "superscript_low"],
+    )
+    def test_numbers_are_ascii_digits(self, decls, col):
+        with pytest.raises(ParseError) as info:
+            parse(wrap("", decls))
+        assert (info.value.line, info.value.col) == (3, col)
+        assert "unexpected character" in str(info.value)
+
+    def test_a_fraction_needs_an_ascii_digit(self):
+        with pytest.raises(ParseError) as info:
+            parse("dtmc\nconst double p = 0.\u00b2;\n")
+        assert (info.value.line, info.value.col) == (2, 19)
+
+    def test_a_property_number_is_ascii_digits(self):
+        with pytest.raises(ParseError) as info:
+            parse_property("P=? [ F (x=\u00b2) ]")
+        assert info.value.col == 12
+
+    def test_a_trailing_comment_advances_the_column(self):
+        with pytest.raises(ParseError) as info:
+            parse("dtmc\nmodule m // trailing")
+        assert (info.value.line, info.value.col) == (2, 21)
+
     def test_error_message_carries_position_prefix(self):
         try:
             parse(wrap("  [] x=0 (x'=1);"))

@@ -85,6 +85,13 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             SweepSpec(1, 5, 0)
 
+    @pytest.mark.parametrize(
+        "args, name", [((2.5, 4), "n_start"), ((2, 4.0), "n_stop"), ((2, 4, True), "n_step")]
+    )
+    def test_counts_must_be_ints(self, args, name):
+        with pytest.raises(ValueError, match=f"{name} must be an int"):
+            run_sweep(SweepSpec(*args))
+
 
 class TestOneBuildPerCurve:
     @pytest.fixture
@@ -205,6 +212,36 @@ class TestCliExitCodes:
         assert code == 0
         assert out.splitlines()[0] == "1.00000000000"
         assert "states 2" in out
+
+    def test_malformed_property_fails_before_the_build(self, tmp_path, capsys, monkeypatch):
+        model = tmp_path / "chain.pm"
+        model.write_text(
+            "dtmc\nmodule m\n  x : [0..1] init 0;\n  [] x=0 -> (x'=1);\nendmodule\n",
+            encoding="utf-8",
+        )
+        built = []
+        monkeypatch.setattr(cli, "build", built.append)
+        code = cli.main(["check", "--model", str(model), "--prop", 'P=? [ F "detected"'])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "decls, prop",
+        [
+            ("  x : [0..\u00b2] init 0;", "P=? [ F (x=1) ]"),
+            ("  x : [0..\u0663] init 0;", "P=? [ F (x=1) ]"),
+            ("  x : [0..1] init 0;", "P=? [ F (x=\u00b2) ]"),
+        ],
+        ids=["superscript_bound", "arabic_indic_bound", "superscript_in_property"],
+    )
+    def test_a_digit_that_is_not_ascii_is_exit_2(self, tmp_path, capsys, decls, prop):
+        model = tmp_path / "digits.pm"
+        model.write_text(
+            f"dtmc\nmodule m\n{decls}\n  [] x=0 -> (x'=1);\nendmodule\n", encoding="utf-8"
+        )
+        assert cli.main(["check", "--model", str(model), "--prop", prop]) == 2
+        assert "unexpected character" in capsys.readouterr().err
 
     def test_parse_failure_is_exit_2(self, tmp_path, capsys):
         model = tmp_path / "broken.pm"
@@ -455,7 +492,7 @@ _TOKENS = [
     "dtmc", "module", "endmodule", "const", "int", "double", "label", "init", "true", "false",
     "m", "x", "y", "k", '"t"', "[", "]", "(", ")", "..", ":", ";", "->", "'", "=", "!=", "<",
     "<=", ">", ">=", "+", "-", "*", "/", "&", "|", "!", "0", "1", "2", "3", "0.5", "1e-200",
-    "1e999", "@", "\n", "//",
+    "1e999", "@", "\n", "//", "²", "٣",
 ]
 
 
@@ -500,7 +537,8 @@ def test_random_model_text_exits_with_a_documented_code(text, prop):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
             code = cli.main(["check", "--model", str(model), "--prop", prop])
         elapsed = time.perf_counter() - started
-    assert code in (0, 1, 2)
+    # With the model file present, check has no usage-error path (exit 1).
+    assert code in (0, 2)
     assert "Traceback" not in stderr.getvalue()
     assert elapsed < FUZZ_SECONDS
 
