@@ -13,10 +13,20 @@ class QkdmcError(Exception):
 
     code = "ERROR"
 
-    def __init__(self, message: str, code: str | None = None):
+    def __init__(
+        self,
+        message: str,
+        code: str | None = None,
+        line: int | None = None,
+        col: int | None = None,
+    ):
+        if line is not None:
+            message = f"{line}:{col}: {message}"
         super().__init__(message)
         if code is not None:
             self.code = code
+        self.line = line
+        self.col = col
 
 
 class ParseError(QkdmcError):
@@ -31,30 +41,13 @@ class ParseError(QkdmcError):
         col: int | None = None,
         code: str | None = None,
     ):
-        if line is not None:
-            message = f"{line}:{col}: {message}"
-        super().__init__(message, code)
-        self.line = line
-        self.col = col
+        super().__init__(message, code, line, col)
 
 
 class ValidationError(QkdmcError):
     """Semantic error found while checking a parsed model."""
 
     code = "INVALID"
-
-    def __init__(
-        self,
-        message: str,
-        code: str,
-        line: int | None = None,
-        col: int | None = None,
-    ):
-        if line is not None:
-            message = f"{line}:{col}: {message}"
-        super().__init__(message, code)
-        self.line = line
-        self.col = col
 
 
 class BuildError(QkdmcError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 
 from qkdmc.errors import ParseError
@@ -22,10 +23,23 @@ KEYWORDS = frozenset(
     {"dtmc", "const", "int", "double", "module", "endmodule", "init", "label", "true", "false"}
 )
 
-_PUNCT2 = ("->", "<=", ">=", "!=", "..")
-_PUNCT1 = "[]():;'=<>&|!+-*/,?"
-# Numbers are ASCII digits; str.isdigit would also accept '²' and '٣'.
-_DIGITS = frozenset("0123456789")
+# One alternative per token kind, tried in order. Numbers are ASCII digits
+# (`\d` would also accept '٣'), and a dot starts a fraction only when a digit
+# follows, so "0..1" keeps the integer and leaves ".." for the range. `\w`
+# is `str.isalnum()` or '_'; a name must also start with a letter or '_',
+# which `tokenize` checks, since '²' and '½' are alphanumeric.
+_TOKEN = re.compile(
+    r"""
+    (?P<SKIP>[ \t\r]+|//[^\n]*)
+  | (?P<NEWLINE>\n)
+  | (?P<REAL>[0-9]+(?:\.[0-9]+(?:[eE][+-]?[0-9]+)?|[eE][+-]?[0-9]+))
+  | (?P<INT>[0-9]+)
+  | (?P<NAME>\w+)
+  | (?P<STRING>"[^"\n]*")
+  | (?P<PUNCT>->|<=|>=|!=|\.\.|[\[\]():;'=<>&|!+\-*/,?])
+    """,
+    re.VERBOSE,
+)
 
 
 @dataclass(frozen=True)
@@ -44,89 +58,22 @@ class Token:
 def tokenize(source: str) -> list[Token]:
     """Split model source into tokens; raises ParseError on bad characters."""
     tokens: list[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-
-    def err(msg: str) -> ParseError:
-        return ParseError(msg, line, col)
-
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        start_line, start_col = line, col
-        if c in _DIGITS:
-            j = i
-            while j < n and source[j] in _DIGITS:
-                j += 1
-            is_real = False
-            # A dot starts a fraction only when a digit follows; "0..1" keeps
-            # the integer and leaves ".." for the range punctuation.
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1] in _DIGITS:
-                is_real = True
-                j += 1
-                while j < n and source[j] in _DIGITS:
-                    j += 1
-            if j < n and source[j] in "eE":
-                k = j + 1
-                if k < n and source[k] in "+-":
-                    k += 1
-                if k < n and source[k] in _DIGITS:
-                    is_real = True
-                    j = k
-                    while j < n and source[j] in _DIGITS:
-                        j += 1
-            text = source[i:j]
-            tokens.append(
-                Token(TokenType.REAL if is_real else TokenType.INT, text, start_line, start_col)
-            )
-            col += j - i
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = TokenType.KEYWORD if text in KEYWORDS else TokenType.IDENT
-            tokens.append(Token(kind, text, start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and source[j] not in '"\n':
-                j += 1
-            if j >= n or source[j] != '"':
-                raise err("unterminated string")
-            tokens.append(Token(TokenType.STRING, source[i + 1 : j], start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        two = source[i : i + 2]
-        if two in _PUNCT2:
-            tokens.append(Token(TokenType.PUNCT, two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if c in _PUNCT1:
-            tokens.append(Token(TokenType.PUNCT, c, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise err(f"unexpected character {c!r}")
-
-    tokens.append(Token(TokenType.EOF, "", line, col))
+    line, line_start, i = 1, 0, 0
+    while i < len(source):
+        match = _TOKEN.match(source, i)
+        c, col = source[i], i - line_start + 1
+        if match is None or (match.lastgroup == "NAME" and not (c.isalpha() or c == "_")):
+            message = "unterminated string" if c == '"' else f"unexpected character {c!r}"
+            raise ParseError(message, line, col)
+        kind, text, i = match.lastgroup, match.group(), match.end()
+        if kind == "NEWLINE":
+            line, line_start = line + 1, i
+        elif kind == "STRING":
+            tokens.append(Token(TokenType.STRING, text[1:-1], line, col))
+        elif kind == "NAME":
+            name_type = TokenType.KEYWORD if text in KEYWORDS else TokenType.IDENT
+            tokens.append(Token(name_type, text, line, col))
+        elif kind != "SKIP":
+            tokens.append(Token(TokenType[kind], text, line, col))
+    tokens.append(Token(TokenType.EOF, "", line, i - line_start + 1))
     return tokens

@@ -149,6 +149,8 @@ def _check_command(
             value = analysis.to_float(analysis.bounds(update.prob, {}, constants)[0])
             if not 0.0 <= value <= 1.0:
                 message = f"update probability {value} outside [0, 1]"
+                if not math.isfinite(value):
+                    message += " (the expression overflows the double range)"
                 raise analysis.error(message, update.pos, "PROB_RANGE")
             probs.append(value)
     total = sum(probs)

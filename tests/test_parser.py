@@ -1,10 +1,15 @@
 """Lexer and parser behavior, including the transcribed command fixtures."""
 
+import re
+import sys
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qkdmc.errors import ParseError, ValidationError
 from qkdmc.explorer import build
 from qkdmc.lang import IntLit, Name, Unary, parse, print_expr, validate
+from qkdmc.lang.lexer import TokenType, tokenize
 from qkdmc.lang.parser import MAX_INT_DIGITS, MAX_NESTING, MAX_OPERATOR_DEPTH
 from qkdmc.properties import parse_property, resolve_operand
 
@@ -247,6 +252,51 @@ class TestErrors:
             assert str(error).startswith(f"{error.line}:{error.col}:")
         else:
             pytest.fail("expected a parse error")
+
+
+# Pieces of model text, blanks and characters the language does not accept.
+_PIECES = [
+    "dtmc", "x", "_y2", "x\u00b2", "\u00e9", "\u03b1", "\u00b2", "\u0663", "\u00bd", "\u216b",
+    "0", "12", "0.5", "1e-3", "2E+7", "1.", "0..1", '"t"', '"', "//c", "->", "<=", ">=",
+    "!=", "..", ".", "[", "]", "(", ")", ":", ";", "'", "=", "<", ">", "&", "|", "!", "+",
+    "-", "*", "/", ",", "?", "@", " ", "\t", "\r", "\n", "\r\n", "\x0b", "\x0c",
+]
+
+
+def _offset(source: str, line: int, col: int) -> int:
+    return sum(len(text) + 1 for text in source.split("\n")[: line - 1]) + col - 1
+
+
+class TestTokens:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join), st.text()))
+    def test_each_token_sits_at_its_position(self, source):
+        try:
+            tokens = tokenize(source)
+        except ParseError as error:
+            at = source[_offset(source, error.line, error.col)]
+            if "unterminated string" in str(error):
+                assert at == '"'
+            else:
+                assert f"unexpected character {at!r}" in str(error)
+            return
+        for token in tokens[:-1]:
+            raw = f'"{token.text}"' if token.type is TokenType.STRING else token.text
+            assert source.startswith(raw, _offset(source, token.line, token.col))
+        assert _offset(source, tokens[-1].line, tokens[-1].col) == len(source)
+
+    def test_word_characters_are_the_alphanumerics(self):
+        # The lexer reads a name as `\w+`; this pins what `\w` means on this Python.
+        word = re.compile(r"\w")
+        for code in range(sys.maxunicode + 1):
+            c = chr(code)
+            assert (word.fullmatch(c) is not None) == (c.isalnum() or c == "_"), hex(code)
+
+    def test_tab_and_carriage_return_are_blanks(self):
+        tokens = tokenize("dtmc\r\n\tmodule")
+        assert [(t.text, t.line, t.col) for t in tokens] == [
+            ("dtmc", 1, 1), ("module", 2, 2), ("", 2, 8),
+        ]
 
 
 def _nest(template: str, innermost: str, levels: int) -> str:

@@ -492,7 +492,7 @@ _TOKENS = [
     "dtmc", "module", "endmodule", "const", "int", "double", "label", "init", "true", "false",
     "m", "x", "y", "k", '"t"', "[", "]", "(", ")", "..", ":", ";", "->", "'", "=", "!=", "<",
     "<=", ">", ">=", "+", "-", "*", "/", "&", "|", "!", "0", "1", "2", "3", "0.5", "1e-200",
-    "1e999", "@", "\n", "//", "²", "٣",
+    "1e999", "@", "\n", "//", "²", "٣", "\t", "\r\n", '"', "é", "x²",
 ]
 
 

@@ -115,11 +115,27 @@ class TestExactConstants:
             f"dtmc\nconst int K = {HUGE_K};\nmodule m\n  x : [0..1] init 0;\n"
             "  [] x=0 -> K*K*0.5:(x'=1) + 1-K*K*0.5:(x'=0);\nendmodule\n"
         )
-        assert "inf outside [0, 1]" in str(fails(source, "PROB_RANGE"))
+        assert "inf outside [0, 1] (the expression overflows" in str(fails(source, "PROB_RANGE"))
         model = tmp_path / "huge.pm"
         model.write_text(source, encoding="utf-8")
         assert cli.main(["check", "--model", str(model), "--prop", "P=? [ F (x=1) ]"]) == 2
         assert "inf outside [0, 1]" in capsys.readouterr().err
+
+    def test_a_non_finite_probability_names_the_overflow(self, tmp_path, capsys):
+        # 0.5*F is inf as a double, so 0.5*F/(F) folds to nan, not to 0.5.
+        factors = "*".join(["K"] * 16)
+        source = (
+            f"dtmc\nconst int K = {10**299};\nmodule m\n  x : [0..1] init 0;\n"
+            f"  [] x=0 -> 0.5*{factors}/({factors}):(x'=1) + 0.5:(x'=0);\nendmodule\n"
+        )
+        message = (
+            "update probability nan outside [0, 1] (the expression overflows the double range)"
+        )
+        assert str(fails(source, "PROB_RANGE")) == f"5:13: {message}"
+        model = tmp_path / "nan.pm"
+        model.write_text(source, encoding="utf-8")
+        assert cli.main(["check", "--model", str(model), "--prop", "P=? [ F (x=1) ]"]) == 2
+        assert f"5:13: {message}" in capsys.readouterr().err
 
     def test_a_ratio_of_huge_ints_folds_exactly(self):
         # In floats K*K is inf and the ratio nan.
