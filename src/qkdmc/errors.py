@@ -2,10 +2,18 @@
 
 Every error carries a short machine-readable ``code`` (stable strings such as
 ``PROB_SUM`` or ``NONDETERMINISM``) so tests and callers can dispatch without
-parsing messages. Positions are 1-based line/column pairs where known.
+parsing messages. Every class takes ``(message, code=None, pos=None)``, where
+``pos`` is anything with 1-based ``line`` and ``col`` (an ``ast.Pos`` or a
+lexer ``Token``); the message then starts ``line:col: ``.
 """
 
 from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from qkdmc.lang.ast import Pos
+    from qkdmc.lang.lexer import Token
 
 
 class QkdmcError(Exception):
@@ -13,35 +21,20 @@ class QkdmcError(Exception):
 
     code = "ERROR"
 
-    def __init__(
-        self,
-        message: str,
-        code: str | None = None,
-        line: int | None = None,
-        col: int | None = None,
-    ):
-        if line is not None:
-            message = f"{line}:{col}: {message}"
+    def __init__(self, message: str, code: str | None = None, pos: Pos | Token | None = None):
+        self.line = self.col = None
+        if pos is not None:
+            self.line, self.col = pos.line, pos.col
+            message = f"{pos.line}:{pos.col}: {message}"
         super().__init__(message)
         if code is not None:
             self.code = code
-        self.line = line
-        self.col = col
 
 
 class ParseError(QkdmcError):
     """Lexical or syntactic error, or an unresolved name, in model source."""
 
     code = "SYNTAX"
-
-    def __init__(
-        self,
-        message: str,
-        line: int | None = None,
-        col: int | None = None,
-        code: str | None = None,
-    ):
-        super().__init__(message, code, line, col)
 
 
 class ValidationError(QkdmcError):

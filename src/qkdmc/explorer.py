@@ -444,7 +444,10 @@ def _compile_walk(vm: ValidatedModel, layout: Layout) -> Callable[..., None]:
         else:
             body = _product_row(gi, parts, choices, layout)
         enabled = f"g = {gi} if g < 0 else _nondeterminism(c, g, {gi})"
-        enable.append(f"if {' and '.join(terms)}: {enabled}")
+        # A guard has no side effects and holds wherever an equal earlier term
+        # held, so only the first of equal terms is tested: bb84's modules
+        # share one phase test per group.
+        enable.append(f"if {' and '.join(dict.fromkeys(terms))}: {enabled}")
         # Flat ifs, not an elif chain: Python compiles a chain of elifs as
         # nested statements, and one of 3,000 groups passes its recursion
         # limit.

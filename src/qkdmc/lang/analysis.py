@@ -21,7 +21,8 @@ from typing import Callable, Mapping
 
 from qkdmc.errors import ValidationError
 from qkdmc.lang import ast
-from qkdmc.lang.parser import BIN_PREC, NEG_PREC, NOT_PREC
+from qkdmc.lang.parser import BIN_PREC
+from qkdmc.lang.printer import render
 
 
 def to_float(x: int | float, divisor: int | float = 1) -> float:
@@ -36,12 +37,14 @@ _NUMERIC = ("int", "double")
 _COMPARISONS = frozenset({"=", "!=", "<", "<=", ">", ">="})
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": to_float}
 _BOOLEAN = frozenset({"&", "|"})
-_PYTHON_OPS = {"=": "==", "&": "and", "|": "or", "!": "not "}
+_PYTHON_SPELLING = {op: f" {op} " for op in BIN_PREC} | {
+    "=": " == ", "&": " and ", "|": " or ", "!x": "not ", "-x": "-"
+}
 
 
 def error(message: str, pos: ast.Pos, code: str = "TYPE") -> ValidationError:
     """The ValidationError `code` at `pos`."""
-    return ValidationError(message, code, pos.line, pos.col)
+    return ValidationError(message, code, pos)
 
 
 def kind_of(expr: ast.Expr, const_kinds: Mapping[str, str], variables: Mapping[str, object]) -> str:
@@ -136,34 +139,24 @@ def bounds(
 
 
 def render_expr(
-    expr: ast.Expr,
-    reads: Mapping[str, str],
-    constants: Mapping[str, int | float],
-    min_prec: int = 0,
+    expr: ast.Expr, reads: Mapping[str, str], constants: Mapping[str, int | float]
 ) -> str:
     """Python source of a kind-checked expression.
 
     Each variable reads as the atomic source ``reads`` maps it to; constants
-    are inlined by ``repr``. Parentheses are minimal, as in printer._expr:
+    are inlined by ``repr``. Parentheses are minimal, as in the model text:
     the model orders Python's operators the same way, and comparison operands
     are always integers, so Python's comparison chaining never applies.
     """
-    if isinstance(expr, (ast.IntLit, ast.RealLit, ast.BoolLit)):
-        return f"({expr.value!r})"
-    if isinstance(expr, ast.Name):
-        if expr.ident in reads:
-            return reads[expr.ident]
-        return f"({constants[expr.ident]!r})"
-    op = _PYTHON_OPS.get(expr.op, expr.op)
-    if isinstance(expr, ast.Unary):
-        prec = NOT_PREC if expr.op == "!" else NEG_PREC
-        text = op + render_expr(expr.operand, reads, constants, prec + 1)
-    else:
-        prec = BIN_PREC[expr.op]
-        left = render_expr(expr.left, reads, constants, prec)
-        right = render_expr(expr.right, reads, constants, prec + 1)
-        text = f"{left} {op} {right}"
-    return f"({text})" if prec < min_prec else text
+
+    def leaf(expr: ast.Expr) -> str:
+        if isinstance(expr, ast.Name):
+            if expr.ident in reads:
+                return reads[expr.ident]
+            return f"({constants[expr.ident]!r})"
+        return f"({expr.value!r})"  # type: ignore[attr-defined]
+
+    return render(expr, leaf, _PYTHON_SPELLING)
 
 
 def compile_expr(

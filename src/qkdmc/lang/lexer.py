@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from qkdmc.errors import ParseError
+from qkdmc.lang.ast import Pos
 
 
 class TokenType(enum.Enum):
@@ -42,8 +43,7 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     text: str
     line: int
@@ -64,7 +64,7 @@ def tokenize(source: str) -> list[Token]:
         c, col = source[i], i - line_start + 1
         if match is None or (match.lastgroup == "NAME" and not (c.isalpha() or c == "_")):
             message = "unterminated string" if c == '"' else f"unexpected character {c!r}"
-            raise ParseError(message, line, col)
+            raise ParseError(message, pos=Pos(line, col))
         kind, text, i = match.lastgroup, match.group(), match.end()
         if kind == "NEWLINE":
             line, line_start = line + 1, i

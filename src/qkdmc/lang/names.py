@@ -7,32 +7,24 @@ from qkdmc.lang import ast
 
 
 def check_declarations(model: ast.Model) -> None:
-    """Reject duplicate names in any namespace."""
-    seen: dict[str, ast.Pos] = {}
-
-    def declare(name: str, pos: ast.Pos) -> None:
-        if name in seen:
-            raise ParseError(
-                f"duplicate name '{name}' (already declared at {seen[name]})",
-                pos.line,
-                pos.col,
-                code="DUPLICATE",
-            )
-        seen[name] = pos
-
-    for const in model.constants:
-        declare(const.name, const.pos)
+    """Reject the first name declared twice, in declaration order: constants,
+    modules and variables share one namespace, labels have their own.
+    """
+    declared = [(const.name, const.pos) for const in model.constants]
     for module in model.modules:
-        declare(module.name, module.pos)
-        for var in module.variables:
-            declare(var.name, var.pos)
-    labels_seen: dict[str, ast.Pos] = {}
+        declared.append((module.name, module.pos))
+        declared += [(var.name, var.pos) for var in module.variables]
+    seen: dict[str, ast.Pos] = {}
+    for name, pos in declared:
+        if name in seen:
+            message = f"duplicate name '{name}' (already declared at {seen[name]})"
+            raise ParseError(message, "DUPLICATE", pos)
+        seen[name] = pos
+    labels: set[str] = set()
     for label in model.labels:
-        if label.name in labels_seen:
-            raise ParseError(
-                f"duplicate label \"{label.name}\"", label.pos.line, label.pos.col, code="DUPLICATE"
-            )
-        labels_seen[label.name] = label.pos
+        if label.name in labels:
+            raise ParseError(f'duplicate label "{label.name}"', "DUPLICATE", label.pos)
+        labels.add(label.name)
 
 
 def expr_names(expr: ast.Expr) -> set[str]:
@@ -63,12 +55,7 @@ def check_references(model: ast.Model) -> None:
     def check_expr(expr: ast.Expr) -> None:
         for name in _name_nodes(expr):
             if name.ident not in known:
-                raise ParseError(
-                    f"unknown identifier '{name.ident}'",
-                    name.pos.line,
-                    name.pos.col,
-                    code="UNKNOWN_IDENT",
-                )
+                raise ParseError(f"unknown identifier '{name.ident}'", "UNKNOWN_IDENT", name.pos)
 
     for const in model.constants:
         check_expr(const.value)
@@ -80,12 +67,8 @@ def check_references(model: ast.Model) -> None:
                     check_expr(update.prob)
                 for assign in update.assignments:
                     if assign.var not in variables:
-                        raise ParseError(
-                            f"unknown variable '{assign.var}' in assignment",
-                            assign.pos.line,
-                            assign.pos.col,
-                            code="UNKNOWN_IDENT",
-                        )
+                        message = f"unknown variable '{assign.var}' in assignment"
+                        raise ParseError(message, "UNKNOWN_IDENT", assign.pos)
                     check_expr(assign.value)
     for label in model.labels:
         check_expr(label.expr)

@@ -89,7 +89,7 @@ class TokenStream:
     def fail(self, expected: str, context: str | None = None) -> Token:
         tok = self.peek()
         where = f" in {context}" if context else ""
-        raise ParseError(f"expected {expected}{where}, found {tok}", tok.line, tok.col)
+        raise ParseError(f"expected {expected}{where}, found {tok}", pos=tok)
 
     def pos(self) -> ast.Pos:
         tok = self.peek()
@@ -158,12 +158,8 @@ def _parse_literal(stream: TokenStream) -> ast.Expr:
 def _int(tok: Token) -> int:
     """Value of an integer literal token, refusing over-long ones."""
     if len(tok.text) > MAX_INT_DIGITS:
-        raise ParseError(
-            f"integer literal of {len(tok.text)} digits (at most {MAX_INT_DIGITS})",
-            tok.line,
-            tok.col,
-            code="LITERAL",
-        )
+        message = f"integer literal of {len(tok.text)} digits (at most {MAX_INT_DIGITS})"
+        raise ParseError(message, "LITERAL", tok)
     return int(tok.text)
 
 
@@ -214,11 +210,8 @@ def _parse_command(stream: TokenStream) -> ast.Command:
     if len(updates) > 1:
         for update in updates:
             if update.prob is None:
-                raise ParseError(
-                    "every update in a multi-update command needs an explicit probability",
-                    update.pos.line,
-                    update.pos.col,
-                )
+                message = "every update in a multi-update command needs an explicit probability"
+                raise ParseError(message, pos=update.pos)
     return ast.Command(label, guard, tuple(updates), pos)
 
 
@@ -292,12 +285,8 @@ def _parse_binary(stream: TokenStream, min_prec: int) -> tuple[ast.Expr, int]:
         right, right_depth = _parse_binary(stream, prec + 1)
         depth = max(depth, right_depth) + 1
         if depth > MAX_OPERATOR_DEPTH:
-            raise ParseError(
-                f"expression more than {MAX_OPERATOR_DEPTH} binary operators deep",
-                tok.line,
-                tok.col,
-                code="NESTING",
-            )
+            message = f"expression more than {MAX_OPERATOR_DEPTH} binary operators deep"
+            raise ParseError(message, "NESTING", tok)
         left = ast.Binary(tok.text, left, right, ast.Pos(tok.line, tok.col))
     return left, depth
 
@@ -305,12 +294,7 @@ def _parse_binary(stream: TokenStream, min_prec: int) -> tuple[ast.Expr, int]:
 def _parse_nested(stream: TokenStream, min_prec: int, pos: ast.Pos) -> tuple[ast.Expr, int]:
     """Parse the operand of the '(' or prefix operator at pos, one level down."""
     if stream.depth == MAX_NESTING:
-        raise ParseError(
-            f"expression nested more than {MAX_NESTING} levels deep",
-            pos.line,
-            pos.col,
-            code="NESTING",
-        )
+        raise ParseError(f"expression nested more than {MAX_NESTING} levels deep", "NESTING", pos)
     stream.depth += 1
     parsed = _parse_binary(stream, min_prec)
     stream.depth -= 1
@@ -323,12 +307,8 @@ def _parse_primary(stream: TokenStream) -> tuple[ast.Expr, int]:
         return ast.IntLit(_int(stream.advance()), pos), 0
     if stream.at(TokenType.REAL):
         return ast.RealLit(float(stream.advance().text), pos), 0
-    if stream.at("true"):
-        stream.advance()
-        return ast.BoolLit(True, pos), 0
-    if stream.at("false"):
-        stream.advance()
-        return ast.BoolLit(False, pos), 0
+    if stream.at("true") or stream.at("false"):
+        return ast.BoolLit(stream.advance().text == "true", pos), 0
     if stream.at(TokenType.IDENT):
         return ast.Name(stream.advance().text, pos), 0
     if stream.accept("("):

@@ -2,46 +2,59 @@
 
 from __future__ import annotations
 
+from typing import Callable, Mapping
+
 from qkdmc.lang import ast
 from qkdmc.lang.parser import BIN_PREC, NEG_PREC, NOT_PREC
 
-_SPACED = frozenset({"&", "|"})
+# Each operator's text, a binary one's with its blanks. A prefix operator is
+# keyed as applied to an operand x, since '-' is also binary.
+MODEL_SPELLING = {**{op: op for op in BIN_PREC}, "&": " & ", "|": " | ", "!x": "!", "-x": "-"}
+
+
+def render(
+    expr: ast.Expr,
+    leaf: Callable[[ast.Expr], str],
+    spelling: Mapping[str, str],
+    min_prec: int = 0,
+) -> str:
+    """Render an expression with minimal parentheses, each literal and name
+    by `leaf`, each operator as `spelling` has it (model text or Python)."""
+    if isinstance(expr, ast.Unary):
+        prec = NOT_PREC if expr.op == "!" else NEG_PREC
+        text = spelling[expr.op + "x"] + render(expr.operand, leaf, spelling, prec + 1)
+    elif isinstance(expr, ast.Binary):
+        prec = BIN_PREC[expr.op]
+        # Right operand gets prec+1 so non-associative printings re-bind the
+        # same way they parsed (a-(b-c) keeps its parentheses, a-b-c stays flat).
+        left = render(expr.left, leaf, spelling, prec)
+        right = render(expr.right, leaf, spelling, prec + 1)
+        text = left + spelling[expr.op] + right
+    else:
+        return leaf(expr)
+    return f"({text})" if prec < min_prec else text
+
+
+def _leaf(expr: ast.Expr) -> str:
+    if isinstance(expr, ast.Name):
+        return expr.ident
+    if isinstance(expr, ast.BoolLit):
+        return "true" if expr.value else "false"
+    return repr(expr.value)  # type: ignore[attr-defined]
 
 
 def print_expr(expr: ast.Expr) -> str:
     """Render an expression with minimal parentheses."""
-    return _expr(expr, 0)
-
-
-def _expr(expr: ast.Expr, min_prec: int) -> str:
-    if isinstance(expr, ast.IntLit):
-        return str(expr.value)
-    if isinstance(expr, ast.RealLit):
-        return repr(expr.value)
-    if isinstance(expr, ast.BoolLit):
-        return "true" if expr.value else "false"
-    if isinstance(expr, ast.Name):
-        return expr.ident
-    if isinstance(expr, ast.Unary):
-        prec = NOT_PREC if expr.op == "!" else NEG_PREC
-        text = f"{expr.op}{_expr(expr.operand, prec + 1)}"
-        return f"({text})" if prec < min_prec else text
-    assert isinstance(expr, ast.Binary)
-    prec = BIN_PREC[expr.op]
-    glue = f" {expr.op} " if expr.op in _SPACED else expr.op
-    # Right operand gets prec+1 so non-associative printings re-bind the same
-    # way they parsed (a-(b-c) keeps its parentheses, a-b-c stays flat).
-    text = f"{_expr(expr.left, prec)}{glue}{_expr(expr.right, prec + 1)}"
-    return f"({text})" if prec < min_prec else text
+    return render(expr, _leaf, MODEL_SPELLING)
 
 
 def _update(update: ast.Update) -> str:
     body = "&".join(
-        f"({assign.var}'={_expr(assign.value, 0)})" for assign in update.assignments
+        f"({assign.var}'={print_expr(assign.value)})" for assign in update.assignments
     )
     if update.prob is None:
         return body
-    return f"{_expr(update.prob, BIN_PREC['+'] + 1)}:{body}"
+    return f"{render(update.prob, _leaf, MODEL_SPELLING, BIN_PREC['+'] + 1)}:{body}"
 
 
 def _command(command: ast.Command) -> str:

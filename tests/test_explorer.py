@@ -587,12 +587,13 @@ class TestPinnedOutput:
 
 
 class TestScale:
-    @pytest.mark.parametrize("branching", [2, 0])
-    def test_many_modules_on_one_action(self, branching):
+    @pytest.mark.parametrize("branching", [5, 2, 0])
+    def test_many_modules_on_one_action(self, monkeypatch, branching):
         # The first `branching` modules branch; the others move
-        # deterministically. The walk hands the group's 3,000 update tuples
-        # to one `_row` call, which multiplies the probabilities at run time,
-        # so no generated expression grows with the group.
+        # deterministically. With 2**5 = 32 pairs, past MAX_UNROLLED_PAIRS,
+        # the walk hands the group's 3,000 update tuples to one `_row` call,
+        # which multiplies the probabilities at run time, so no generated
+        # expression grows with the group; 4 pairs or 1 are unrolled.
         modules = [
             f"module m{k}\n  x{k} : [0..1] init 0;\n"
             f"  [go] x{k}=0 -> "
@@ -600,7 +601,15 @@ class TestScale:
             + ";\nendmodule\n"
             for k in range(3000)
         ]
+        sources = []
+
+        def spy(source, *args):
+            sources.append(source)
+            return builtins.compile(source, *args)
+
+        monkeypatch.setattr(explorer_module, "compile", spy, raising=False)
         dtmc = explore("dtmc\n" + "".join(modules))
+        assert ("= _row(c, " in sources[0]) == (2**branching > explorer_module.MAX_UNROLLED_PAIRS)
         successors = 2**branching
         assert dtmc.state_count == 1 + successors
         assert dtmc.row(0) == tuple((i, 0.5**branching) for i in range(1, successors + 1))

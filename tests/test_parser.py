@@ -6,10 +6,17 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qkdmc.errors import ParseError, ValidationError
+from qkdmc.errors import (
+    AcceptanceViolation,
+    BuildError,
+    ParseError,
+    PropertyError,
+    QkdmcError,
+    ValidationError,
+)
 from qkdmc.explorer import build
-from qkdmc.lang import IntLit, Name, Unary, parse, print_expr, validate
-from qkdmc.lang.lexer import TokenType, tokenize
+from qkdmc.lang import IntLit, Name, Pos, Unary, parse, print_expr, validate
+from qkdmc.lang.lexer import Token, TokenType, tokenize
 from qkdmc.lang.parser import MAX_INT_DIGITS, MAX_NESTING, MAX_OPERATOR_DEPTH
 from qkdmc.properties import parse_property, resolve_operand
 
@@ -252,6 +259,19 @@ class TestErrors:
             assert str(error).startswith(f"{error.line}:{error.col}:")
         else:
             pytest.fail("expected a parse error")
+
+    @pytest.mark.parametrize(
+        "cls", [QkdmcError, ParseError, ValidationError, BuildError, PropertyError, AcceptanceViolation]
+    )
+    @pytest.mark.parametrize("pos", [Pos(4, 7), Token(TokenType.IDENT, "x", 4, 7)], ids=["pos", "token"])
+    def test_every_error_takes_message_code_pos(self, cls, pos):
+        error = cls("bad thing", "LITERAL", pos)
+        assert (error.code, error.line, error.col) == ("LITERAL", 4, 7)
+        assert str(error) == "4:7: bad thing"
+        bare = cls("bad thing", "LITERAL")
+        assert (bare.code, bare.line, bare.col) == ("LITERAL", None, None)
+        assert str(bare) == "bad thing"
+        assert cls("bad thing").code == cls.code
 
 
 # Pieces of model text, blanks and characters the language does not accept.
