@@ -5,8 +5,8 @@ sweep (CSV over a photon range), figure (the two three-curve experiments
 with an ordering report).
 
 Exit codes: 0 success, 1 usage or parameter error, 2 parse/validate/build
-or I/O error, 4 acceptance violation (curve ordering or oracle
-disagreement). Code 3 (solver non-convergence) is no longer produced: the
+error, I/O error or out of memory, 4 acceptance violation (curve ordering or
+oracle disagreement). Code 3 (solver non-convergence) is no longer produced: the
 solver is exact and has nothing to converge.
 """
 
@@ -263,6 +263,9 @@ def main(argv: list[str] | None = None) -> int:
         return 4
     except (QkdmcError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
+        return 2
+    except MemoryError:
+        click.echo("error: out of memory: the model is too large to build or solve here", err=True)
         return 2
     return 0
 

@@ -40,7 +40,7 @@ class ParseError(QkdmcError):
 class ValidationError(QkdmcError):
     """Semantic error found while checking a parsed model."""
 
-    code = "INVALID"
+    code = "TYPE"
 
 
 class BuildError(QkdmcError):

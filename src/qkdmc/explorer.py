@@ -11,23 +11,30 @@ deadlock that receives a probability-1 self-loop.
 `build` renders the whole model as the Python source of one function,
 the walk, compiles it once and calls it once. It visits its list of state
 codes in order while it appends newly found states to it, so it is the
-breadth-first search. In it, every guard is inlined: one selection per
-module and group picks the module's command, one line per group records
-whether the group is enabled, and the branch of the one enabled group
-stores the state's row. The function still checks, in every state it
-visits:
+breadth-first search. In it, every guard is inlined: each group has one
+test, in which a module with several commands for the group's action picks
+one, and the branch of the group that fires stores the state's row.
+Validation proved some of the semantics above over the declared ranges
+(`ValidatedModel.decided_picks` and `disjoint_groups`), and every reached
+state lies in them, so the walk checks at run time only the rest:
 
-- that each module of a group that fires has one enabled command for the
-  group's action (it evaluates every such guard, not the first true one;
-  NONDETERMINISM names the module, the action, both command lines and the
-  state). A group's modules are tested in order and the test stops at the
-  first module with no enabled command, so a state where the action does
-  not fire may pass unchecked;
-- that at most one group is enabled (NONDETERMINISM, naming the first two
-  enabled groups and the state);
-- that each assigned value lies in its variable's range (BOUNDS, naming
-  the command line, the variable, the value and the state), unless the
-  value's interval over the declared ranges (`analysis.bounds`) fits it.
+- A module picks the first command whose guard holds, in one conditional
+  expression, where validation decided its commands pairwise. Otherwise,
+  or past MAX_INLINE_PICK commands, `_pick` evaluates every such guard and
+  raises NONDETERMINISM if two hold, naming the module, the action, both
+  command lines and the state. A group's modules are tested in order and
+  the test stops at the first module with no enabled command, so a state
+  where the action does not fire may pass unchecked.
+- Where the groups are proven disjoint and every pick decided, the first
+  group whose test passes fires, and the state tests no later group.
+  Otherwise every group is tested, and a second enabled group raises
+  NONDETERMINISM, naming the first two and the state; then the enabled
+  group fires. So a model raises NONDETERMINISM in the same state, with the
+  same message, as it would with every check made.
+- Each assigned value must lie in its variable's range (BOUNDS, naming the
+  command line, the variable, the value and the state). The test is made
+  only where the value's interval over the declared ranges
+  (`analysis.bounds`) may leave it.
 
 Where the generator knows every probability of a row, the walk stores
 the row in straight-line code (partial evaluation: Jones, Gomard &
@@ -238,9 +245,9 @@ def build(vm: ValidatedModel) -> Dtmc:
     State indices follow discovery order, so two builds of the same model
     are identical structure for structure. Raises BuildError with code
     NONDETERMINISM (two groups, or two commands of one module for one
-    action, enabled; reports the state), BOUNDS (an update leaves a
-    variable's range; reports state, command line and variable) or ROW_SUM
-    (post-build stochasticity assert).
+    action, enabled where validation did not prove them apart; reports the
+    state), BOUNDS (an update leaves a variable's range; reports state,
+    command line and variable) or ROW_SUM (post-build stochasticity assert).
     """
     layout = Layout(vm.variables)
     explore = _compile_walk(vm, layout)
@@ -327,6 +334,12 @@ UpdateCode = tuple[float, dict[int, int | str]]
 # forms it at run time, so the generated source stays linear in the model text.
 MAX_UNROLLED_PAIRS = 16
 
+# The most commands a module's pick tests in one conditional expression. Its
+# `0 if g0 else 1 if g1 else ...` nests one level per command, and CPython
+# 3.11 fails to compile 1,000 levels; a longer pick passes a flat tuple to
+# `_pick`, which checks it again.
+MAX_INLINE_PICK = 64
+
 
 def _compile_walk(vm: ValidatedModel, layout: Layout) -> Callable[..., None]:
     """Compile the model into the walk, explore(codes, targets, _row,
@@ -344,6 +357,16 @@ def _compile_walk(vm: ValidatedModel, layout: Layout) -> Callable[..., None]:
     forms it from the bits b no module of the group writes and one tuple
     u{j} of (probability, bits) updates per module, and a deadlock to
     `_dead(si)`.
+
+    The loop body has one flat `if` per group. Where `vm.disjoint_groups`
+    holds and every pick is in `vm.decided_picks`, it is
+    `if <test>: <row>; continue`, and a state that passes no test is a
+    deadlock. Otherwise each test sets `g` to its group, or calls
+    `_nondeterminism` if `g` is already set, and a second run of ifs fires
+    group `g`. In a test, a picking module binds k{gi}_{j} to the index of
+    its enabled command, or -1: inline for a pick in `vm.decided_picks` of
+    at most MAX_INLINE_PICK commands, else by `_pick`, which checks that
+    one command at most is enabled.
     """
     var_index = vm.var_index
     modules = vm.model.modules
@@ -408,6 +431,15 @@ def _compile_walk(vm: ValidatedModel, layout: Layout) -> Callable[..., None]:
             pairs.append((prob, values))
         return pairs
 
+    # A group fires at its test only where validation proved the groups
+    # disjoint and decided every pick. An undecided pick may raise in the test
+    # of a later group, so then every group is tested, as without the proof.
+    fire_at_test = vm.disjoint_groups and all(
+        (mi, action) in vm.decided_picks
+        for _, action, parts in groups
+        for mi, commands in parts
+        if len(commands) > 1
+    )
     enable: list[str] = []
     fire: list[str] = []
     for gi, (_, action, parts) in enumerate(groups):
@@ -415,14 +447,18 @@ def _compile_walk(vm: ValidatedModel, layout: Layout) -> Callable[..., None]:
         choices = [[updates_of(mi, ci, c) for ci, c in commands] for mi, commands in parts]
         terms, pickers = [], []
         for j, (mi, commands) in enumerate(parts):
+            guards = [render(command.guard) for _, command in commands]
             if len(commands) == 1:
-                terms.append(render(commands[0][1].guard))
+                terms.append(guards[0])
+                continue
+            pickers.append(j)
+            if (mi, action) in vm.decided_picks and len(commands) <= MAX_INLINE_PICK:
+                chain = "".join(f"{k} if {guard} else " for k, guard in enumerate(guards))
+                terms.append(f"(k{gi}_{j} := ({chain}-1)) >= 0")
             else:
-                guards = ", ".join(render(command.guard) for _, command in commands)
-                terms.append(f"(k{gi}_{j} := _pick(({guards}), c, {len(picks)})) >= 0")
+                terms.append(f"(k{gi}_{j} := _pick(({', '.join(guards)}), c, {len(picks)})) >= 0")
                 lines = [command.pos.line for _, command in commands]
                 picks.append((modules[mi].name, action, lines))
-                pickers.append(j)
         # One branch per command of the picking module, if any: each fixes
         # one command per module.
         picker = pickers[0] if pickers else 0
@@ -443,18 +479,21 @@ def _compile_walk(vm: ValidatedModel, layout: Layout) -> Callable[..., None]:
                 body = _unrolled_row(branches[0], layout)
         else:
             body = _product_row(gi, parts, choices, layout)
-        enabled = f"g = {gi} if g < 0 else _nondeterminism(c, g, {gi})"
         # A guard has no side effects and holds wherever an equal earlier term
         # held, so only the first of equal terms is tested: bb84's modules
         # share one phase test per group.
-        enable.append(f"if {' and '.join(dict.fromkeys(terms))}: {enabled}")
+        test = f"if {' and '.join(dict.fromkeys(terms))}:"
+        if fire_at_test:
+            fire.append(test)
+        else:
+            enable.append(f"{test} g = {gi} if g < 0 else _nondeterminism(c, g, {gi})")
+            fire.append(f"if g == {gi}:")
         # Flat ifs, not an elif chain: Python compiles a chain of elifs as
         # nested statements, and one of 3,000 groups passes its recursion
         # limit.
-        fire.append(f"if g == {gi}:")
         fire.extend(f"    {line}" for line in [*body, "continue"])
 
-    # In a deadlock g stays -1: no group fires.
+    # In a deadlock no group fires.
     fire.append("_dead(si)")
     # codes grows while it is walked, so the walk is breadth-first.
     source = "\n        ".join(
@@ -462,8 +501,7 @@ def _compile_walk(vm: ValidatedModel, layout: Layout) -> Callable[..., None]:
             "def explore(codes, targets, _row, _merge, _dead, index, add, at, ap, end):\n"
             "    n = len(codes)\n    for si, c in enumerate(codes):",
             *binds,
-            "g = -1",
-            *enable,
+            *(["g = -1", *enable] if enable else []),
             *fire,
         ]
     )

@@ -42,11 +42,6 @@ _PYTHON_SPELLING = {op: f" {op} " for op in BIN_PREC} | {
 }
 
 
-def error(message: str, pos: ast.Pos, code: str = "TYPE") -> ValidationError:
-    """The ValidationError `code` at `pos`."""
-    return ValidationError(message, code, pos)
-
-
 def kind_of(expr: ast.Expr, const_kinds: Mapping[str, str], variables: Mapping[str, object]) -> str:
     """Infer the kind of an expression, rejecting ill-kinded operands."""
     if isinstance(expr, ast.IntLit):
@@ -63,25 +58,25 @@ def kind_of(expr: ast.Expr, const_kinds: Mapping[str, str], variables: Mapping[s
         inner = kind_of(expr.operand, const_kinds, variables)
         if expr.op == "!":
             if inner != "bool":
-                raise error("operand of '!' must be boolean", expr.pos)
+                raise ValidationError("operand of '!' must be boolean", pos=expr.pos)
             return "bool"
         if inner not in _NUMERIC:
-            raise error("operand of unary '-' must be numeric", expr.pos)
+            raise ValidationError("operand of unary '-' must be numeric", pos=expr.pos)
         return inner
     assert isinstance(expr, ast.Binary)
     left = kind_of(expr.left, const_kinds, variables)
     right = kind_of(expr.right, const_kinds, variables)
     if expr.op in _COMPARISONS:
         if left != "int" or right != "int":
-            raise error(f"'{expr.op}' compares integer expressions only", expr.pos)
+            raise ValidationError(f"'{expr.op}' compares integer expressions only", pos=expr.pos)
         return "bool"
     if expr.op in _BOOLEAN:
         if left != "bool" or right != "bool":
-            raise error(f"operands of '{expr.op}' must be boolean", expr.pos)
+            raise ValidationError(f"operands of '{expr.op}' must be boolean", pos=expr.pos)
         return "bool"
     assert expr.op in _ARITHMETIC
     if left not in _NUMERIC or right not in _NUMERIC:
-        raise error(f"operands of '{expr.op}' must be numeric", expr.pos)
+        raise ValidationError(f"operands of '{expr.op}' must be numeric", pos=expr.pos)
     if expr.op == "/":
         return "double"
     return "double" if "double" in (left, right) else "int"
@@ -97,10 +92,10 @@ def check_kind(
     kind = kind_of(expr, const_kinds, variables)
     if expected == "numeric":
         if kind not in _NUMERIC:
-            raise error(f"{what} must be numeric, got {kind}", expr.pos)
+            raise ValidationError(f"{what} must be numeric, got {kind}", pos=expr.pos)
         return
     if kind != expected:
-        raise error(f"{what} must be {expected}, got {kind}", expr.pos)
+        raise ValidationError(f"{what} must be {expected}, got {kind}", pos=expr.pos)
 
 
 def bounds(
@@ -120,19 +115,19 @@ def bounds(
             return ranges[expr.ident]
         if expr.ident not in constants:
             message = f"probability expression depends on state variable '{expr.ident}'"
-            raise error(message, expr.pos, code="PROB_CONST")
+            raise ValidationError(message, "PROB_CONST", expr.pos)
         return constants[expr.ident], constants[expr.ident]
     if isinstance(expr, ast.Unary) and expr.op == "-":
         low, high = bounds(expr.operand, ranges, constants)
         return -high, -low
     if not (isinstance(expr, ast.Binary) and expr.op in _ARITHMETIC):
-        raise error("expected a numeric constant expression", expr.pos)
+        raise ValidationError("expected a numeric constant expression", pos=expr.pos)
     a, b = bounds(expr.left, ranges, constants)
     c, d = bounds(expr.right, ranges, constants)
     if any(isinstance(v, float) for v in (a, b, c, d)):
         a, b, c, d = map(to_float, (a, b, c, d))
     if expr.op == "/" and c <= 0 <= d:
-        raise error("division by zero in constant expression", expr.pos, code="DIV_ZERO")
+        raise ValidationError("division by zero in constant expression", "DIV_ZERO", expr.pos)
     # Over a box each operation is extreme at a corner (no divisor is 0).
     ends = [_ARITHMETIC[expr.op](x, y) for x in (a, b) for y in (c, d)]
     return min(ends), max(ends)

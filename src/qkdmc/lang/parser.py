@@ -144,15 +144,20 @@ def _parse_const(stream: TokenStream) -> ast.ConstDecl:
 def _parse_literal(stream: TokenStream) -> ast.Expr:
     pos = stream.pos()
     negate = stream.accept("-") is not None
-    if stream.at(TokenType.INT):
-        value: ast.Expr = ast.IntLit(_int(stream.advance()), pos)
-    elif stream.at(TokenType.REAL):
-        value = ast.RealLit(float(stream.advance().text), pos)
-    else:
+    value = _parse_number(stream)
+    if value is None:
         stream.fail("a number", "constant declaration")
-    if negate:
-        value = ast.Unary("-", value, pos)
-    return value
+    return ast.Unary("-", value, pos) if negate else value
+
+
+def _parse_number(stream: TokenStream) -> ast.IntLit | ast.RealLit | None:
+    """The INT or REAL literal next in the stream, at its token's position."""
+    pos = stream.pos()
+    if stream.at(TokenType.INT):
+        return ast.IntLit(_int(stream.advance()), pos)
+    if stream.at(TokenType.REAL):
+        return ast.RealLit(float(stream.advance().text), pos)
+    return None
 
 
 def _int(tok: Token) -> int:
@@ -302,11 +307,10 @@ def _parse_nested(stream: TokenStream, min_prec: int, pos: ast.Pos) -> tuple[ast
 
 
 def _parse_primary(stream: TokenStream) -> tuple[ast.Expr, int]:
+    number = _parse_number(stream)
+    if number is not None:
+        return number, 0
     pos = stream.pos()
-    if stream.at(TokenType.INT):
-        return ast.IntLit(_int(stream.advance()), pos), 0
-    if stream.at(TokenType.REAL):
-        return ast.RealLit(float(stream.advance().text), pos), 0
     if stream.at("true") or stream.at("false"):
         return ast.BoolLit(stream.advance().text == "true", pos), 0
     if stream.at(TokenType.IDENT):

@@ -6,6 +6,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+from qkdmc.errors import ValidationError
 from qkdmc.lang import analysis, ast, names
 
 PROB_SUM_TOL = 1e-9
@@ -27,6 +28,13 @@ class ValidatedModel:
     Treat all fields as read-only. Expressions stay unfolded except update
     probabilities, which are folded to floats in ``update_probs`` (indexed by
     module position, then command position).
+
+    Two fields record what validation proved about guards over the declared
+    ranges, so the explorer can drop the run-time checks they cover:
+    ``decided_picks`` holds each (module position, action) whose two or more
+    commands `_check_overlaps` decided exactly, so no valuation enables two
+    of them; ``disjoint_groups`` is True if `_groups_disjoint` proved that no
+    valuation enables two groups.
     """
 
     model: ast.Model
@@ -35,6 +43,8 @@ class ValidatedModel:
     var_index: dict[str, int] = field(compare=False)
     update_probs: tuple[tuple[tuple[float, ...], ...], ...] = field(compare=False)
     action_order: tuple[str, ...] = field(compare=False)
+    decided_picks: frozenset[tuple[int, str]] = field(compare=False)
+    disjoint_groups: bool = field(compare=False)
 
     @property
     def initial_state(self) -> tuple[int, ...]:
@@ -59,15 +69,15 @@ def validate(model: ast.Model) -> ValidatedModel:
             owner[var.name] = module.name
             if var.low > var.high:
                 message = f"variable '{var.name}' has empty range [{var.low}..{var.high}]"
-                raise analysis.error(message, var.pos, "BAD_RANGE")
+                raise ValidationError(message, "BAD_RANGE", var.pos)
             if var.high > MAX_HIGH:
                 message = f"variable '{var.name}' has upper bound {var.high}, above 2**64 - 1"
-                raise analysis.error(message, var.pos, "BAD_RANGE")
+                raise ValidationError(message, "BAD_RANGE", var.pos)
             if not var.low <= var.init <= var.high:
                 message = (
                     f"initial value {var.init} of '{var.name}' outside [{var.low}..{var.high}]"
                 )
-                raise analysis.error(message, var.pos, "INIT_BOUNDS")
+                raise ValidationError(message, "INIT_BOUNDS", var.pos)
             variables.append(var)
     var_index = {var.name: i for i, var in enumerate(variables)}
     var_decls = {var.name: var for var in variables}
@@ -91,8 +101,15 @@ def validate(model: ast.Model) -> ValidatedModel:
             if command.label is not None and command.label not in action_order:
                 action_order.append(command.label)
 
-    for module in model.modules:
-        _check_overlaps(module, var_decls, constants)
+    boxes = [
+        [_box(command.guard, var_decls, constants) for command in module.commands]
+        for module in model.modules
+    ]
+    decided_picks = set()
+    for mi, module in enumerate(model.modules):
+        # None, as from a check switched off, proves nothing.
+        decided = _check_overlaps(module, boxes[mi], constants) or ()
+        decided_picks.update((mi, label) for label in decided if label is not None)
 
     return ValidatedModel(
         model=model,
@@ -101,6 +118,8 @@ def validate(model: ast.Model) -> ValidatedModel:
         var_index=var_index,
         update_probs=tuple(update_probs),
         action_order=tuple(action_order),
+        decided_picks=frozenset(decided_picks),
+        disjoint_groups=_groups_disjoint(model, boxes),
     )
 
 
@@ -112,7 +131,7 @@ def _fold_constants(model: ast.Model) -> dict[str, int | float]:
         value = analysis.bounds(const.value, {}, constants)[0]
         if const.kind == "int" and isinstance(value, float) and not value.is_integer():
             message = f"constant '{const.name}' declared int but equals {value}"
-            raise analysis.error(message, const.pos)
+            raise ValidationError(message, pos=const.pos)
         constants[const.name] = int(value) if const.kind == "int" else float(value)
     return constants
 
@@ -134,10 +153,10 @@ def _check_command(
                     f"module {module.name} assigns variable '{assign.var}' "
                     f"owned by module {owner[assign.var]}"
                 )
-                raise analysis.error(message, assign.pos, "FOREIGN_WRITE")
+                raise ValidationError(message, "FOREIGN_WRITE", assign.pos)
             if assign.var in assigned:
                 message = f"variable '{assign.var}' assigned twice in one update"
-                raise analysis.error(message, assign.pos, "DUP_ASSIGN")
+                raise ValidationError(message, "DUP_ASSIGN", assign.pos)
             assigned.add(assign.var)
             analysis.check_kind(
                 assign.value, "int", const_kinds, var_decls, f"value for '{assign.var}'"
@@ -151,45 +170,51 @@ def _check_command(
                 message = f"update probability {value} outside [0, 1]"
                 if not math.isfinite(value):
                     message += " (the expression overflows the double range)"
-                raise analysis.error(message, update.pos, "PROB_RANGE")
+                raise ValidationError(message, "PROB_RANGE", update.pos)
             probs.append(value)
     total = sum(probs)
     if abs(total - 1.0) > PROB_SUM_TOL:
         message = f"update probabilities sum to {total:.12g}, expected 1"
-        raise analysis.error(message, command.pos, "PROB_SUM")
+        raise ValidationError(message, "PROB_SUM", command.pos)
     return tuple(probs)
 
 
 def _check_overlaps(
     module: ast.Module,
-    var_decls: dict[str, ast.VarDecl],
+    boxes: list[dict[str, range]],
     constants: dict[str, int | float],
-) -> None:
-    """Reject same-label (or both-unlabeled) command pairs with joint guards.
+) -> set[str | None]:
+    """Reject same-label (or both-unlabeled) command pairs with joint guards,
+    and return the labels (None for unlabeled) whose two or more commands
+    it decided exactly.
 
-    A guard is false outside its box (see `_box`), so both guards of a pair
-    are evaluated over the intersection of their boxes alone, and a pair
-    whose boxes do not meet is skipped. Up to MAX_OVERLAP_VALUATIONS
-    valuations in the intersection, the check is exact: a pair is rejected
-    iff some in-bounds valuation enables both, and the witness is the first
-    such valuation in the order of the whole declared box. A larger
-    intersection is not enumerated; exploration still rejects two commands
-    enabled at once in every reached state where their action fires. Guards
-    may reference other modules' variables, so a box is not restricted to
+    `boxes` holds each command's box (see `_box`). A guard is false outside
+    its box, so both guards of a pair are evaluated over the intersection of
+    their boxes alone, and a pair whose boxes do not meet is decided without
+    evaluation. Up to MAX_OVERLAP_VALUATIONS valuations in the intersection,
+    the check is exact: a pair is rejected iff some in-bounds valuation
+    enables both, and the witness is the first such valuation in the order
+    of the whole declared box. A larger intersection is not enumerated, and
+    its pair is not decided; exploration still rejects two commands enabled
+    at once in every reached state where their action fires. Guards may
+    reference other modules' variables, so a box is not restricted to
     locals. Each guard is compiled once per group, over the group's
     variables.
     """
-    groups: dict[str | None, list[ast.Command]] = {}
-    for command in module.commands:
-        groups.setdefault(command.label, []).append(command)
-    for label, commands in groups.items():
-        if len(commands) < 2:
+    groups: dict[str | None, list[tuple[ast.Command, dict[str, range]]]] = {}
+    for command, box in zip(module.commands, boxes):
+        groups.setdefault(command.label, []).append((command, box))
+    decided: set[str | None] = set()
+    for label, members in groups.items():
+        if len(members) < 2:
             continue
-        boxes = [_box(command.guard, var_decls, constants) for command in commands]
-        order = sorted(set().union(*boxes))
+        commands, group_boxes = zip(*members)
+        exact = True
+        order = sorted(set().union(*group_boxes))
         index = {name: i for i, name in enumerate(order)}
         checks = [None] * len(commands)  # each guard compiled at most once
-        for (i, box_a), (j, box_b) in itertools.combinations(enumerate(boxes), 2):
+        for (i, box_a), (j, box_b) in itertools.combinations(enumerate(group_boxes), 2):
+            # `_meet` inlined: this runs once per pair of commands.
             joint = dict(box_b)
             for name, a in box_a.items():
                 b = box_b.get(name, a)
@@ -197,7 +222,10 @@ def _check_overlaps(
             # 0 if two ranges do not meet; r.stop - r.start, not len(r): len
             # overflows past 2**63.
             size = math.prod(max(r.stop - r.start, 0) for r in joint.values())
-            if not 0 < size <= MAX_OVERLAP_VALUATIONS:
+            if not size:
+                continue
+            if size > MAX_OVERLAP_VALUATIONS:
+                exact = False
                 continue
             for k in (i, j):
                 checks[k] = checks[k] or analysis.compile_expr(commands[k].guard, index, constants)
@@ -214,7 +242,66 @@ def _check_overlaps(
                 f"{action} in module {module.name}: guards at line {first.pos.line} "
                 f"and line {second.pos.line} are both enabled when {shown}"
             )
-            raise analysis.error(message, second.pos, "OVERLAPPING_GUARDS")
+            raise ValidationError(message, "OVERLAPPING_GUARDS", second.pos)
+        if exact:
+            decided.add(label)
+    return decided
+
+
+def _groups_disjoint(model: ast.Model, boxes: list[list[dict[str, range]]]) -> bool:
+    """Whether no valuation in the declared ranges enables two groups.
+
+    A group is one unlabeled command, or the commands of every module on one
+    action. Its box holds each valuation that enables it: an unlabeled
+    command's own box, or, for an action, the intersection over its modules
+    of the hull of the module's command boxes (a variable missing from a box
+    is unconstrained). The groups are proven disjoint if, sorted on some
+    variable that every nonempty group box narrows, each box's range ends
+    before the next one's begins; that costs O(G log G) per variable, not
+    a test of all pairs. Otherwise this answers False, which is always safe.
+    """
+    group_boxes = []
+    actions: dict[str, list[dict[str, range]]] = {}
+    for module, module_boxes in zip(model.modules, boxes):
+        by_label: dict[str, list[dict[str, range]]] = {}
+        for command, box in zip(module.commands, module_boxes):
+            if command.label is None:
+                group_boxes.append(box)
+            else:
+                by_label.setdefault(command.label, []).append(box)
+        for label, label_boxes in by_label.items():
+            actions.setdefault(label, []).append(_hull(label_boxes))
+    group_boxes += map(_meet, actions.values())
+    # An empty range is false: such a box holds no valuation.
+    live = [box for box in group_boxes if all(box.values())]
+    if len(live) < 2:
+        return True
+    for name in set.intersection(*map(set, live)):
+        spans = sorted((box[name].start, box[name].stop) for box in live)
+        if all(stop <= start for (_, stop), (start, _) in zip(spans, spans[1:])):
+            return True
+    return False
+
+
+def _hull(boxes: list[dict[str, range]]) -> dict[str, range]:
+    """The smallest box holding every valuation of the nonempty `boxes`."""
+    # If every box is empty, so is the hull of the first.
+    live = [box for box in boxes if all(box.values())] or boxes[:1]
+    shared = set.intersection(*map(set, live))
+    return {
+        name: range(min(box[name].start for box in live), max(box[name].stop for box in live))
+        for name in shared
+    }
+
+
+def _meet(boxes: list[dict[str, range]]) -> dict[str, range]:
+    """The intersection of `boxes`."""
+    met: dict[str, range] = {}
+    for box in boxes:
+        for name, r in box.items():
+            m = met.get(name, r)
+            met[name] = range(max(m.start, r.start), min(m.stop, r.stop))
+    return met
 
 
 def _box(

@@ -309,8 +309,8 @@ class TestBuildErrors:
         assert "(x=0, y=0)" in str(info.value)
 
 
-def range_tests(monkeypatch, vm) -> list[tuple[str, str]]:
-    """(value source, upper bound) of each run-time range test in the walk."""
+def walk_sources(monkeypatch) -> list[str]:
+    """The source of each walk `build` compiles from here on."""
     sources = []
 
     def spy(source, *args):
@@ -318,6 +318,12 @@ def range_tests(monkeypatch, vm) -> list[tuple[str, str]]:
         return builtins.compile(source, *args)
 
     monkeypatch.setattr(explorer_module, "compile", spy, raising=False)
+    return sources
+
+
+def range_tests(monkeypatch, vm) -> list[tuple[str, str]]:
+    """(value source, upper bound) of each run-time range test in the walk."""
+    sources = walk_sources(monkeypatch)
     build(vm)
     return re.findall(r"\(t := (.*?)\) <= (\d+) else _bounds", sources[0])
 
@@ -345,6 +351,98 @@ class TestRangeTests:
         dtmc = build(vm)
         assert dtmc.state_count == 16
         assert dtmc.export_text() == reference_build(vm)[1].export_text()
+
+
+class TestProvenChecks:
+    def test_the_bb84_walk_checks_no_pick_and_no_pair_of_groups(self, monkeypatch):
+        # Validate decided the channel's three [compare] commands and
+        # separated the six actions on phase.
+        vm = validate(model_ast(Bb84Params(photons=5, channel=HEAVY_NOISE_CHANNEL, eve_q=0.5)))
+        assert vm.disjoint_groups and vm.decided_picks == {(1, "compare")}
+        sources = walk_sources(monkeypatch)
+        build(vm)
+        assert "_pick" not in sources[0] and "_nondeterminism" not in sources[0]
+
+    def test_disjoint_groups_no_one_variable_separates_keep_the_group_check(self, monkeypatch):
+        # Each pair differs in x or in y, but sorted on either variable two
+        # groups meet, so nothing is proven. The groups cannot both be
+        # enabled, so the kept check passes and the build is the reference's.
+        source = (
+            "dtmc\nmodule m\n  x : [0..1] init 0;\n  y : [0..1] init 0;\n"
+            "  [a] x=0 & y=0 -> (x'=1);\n  [b] x=1 & y=0 -> (y'=1);\n"
+            "  [c] x=1 & y=1 -> (x'=0);\n  [d] x=0 & y=1 -> (y'=0);\nendmodule\n"
+        )
+        vm = validate(parse(source))
+        assert not vm.disjoint_groups
+        sources = walk_sources(monkeypatch)
+        assert build(vm).export_text() == reference_build(vm)[1].export_text()
+        assert "_nondeterminism" in sources[0]
+
+    def test_groups_whose_boxes_meet_keep_the_group_check(self, monkeypatch):
+        # [a] and [b] meet at x=1, the second state reached.
+        source = (
+            "dtmc\nmodule m\n  x : [0..3] init 0;\n"
+            "  [a] x<2 -> (x'=1);\n  [b] x>0 & x<3 -> (x'=2);\nendmodule\n"
+        )
+        vm = validate(parse(source))
+        assert not vm.disjoint_groups
+        sources = walk_sources(monkeypatch)
+        with pytest.raises(BuildError) as info:
+            build(vm)
+        assert "_nondeterminism" in sources[0]
+        assert info.value.code == "NONDETERMINISM"
+        assert "action [a] and action [b] both enabled in state (x=1)" in str(info.value)
+
+    def test_an_undecided_pick_keeps_its_check(self, monkeypatch):
+        # x+0<5 gets no box narrowing, so the pair's intersection is the
+        # whole range, past MAX_OVERLAP_VALUATIONS: validate leaves it open.
+        source = (
+            "dtmc\nmodule m\n  x : [0..4611686018427387904] init 0;\n"
+            "  [a] x+0<5 -> (x'=1);\n  [a] x+0<7 -> (x'=2);\nendmodule\n"
+        )
+        vm = validate(parse(source))
+        assert vm.disjoint_groups and not vm.decided_picks
+        sources = walk_sources(monkeypatch)
+        with pytest.raises(BuildError) as info:
+            build(vm)
+        assert "_pick" in sources[0]
+        assert info.value.code == "NONDETERMINISM"
+        message = "commands at line 4 and line 5 are both enabled for action [a] in state (x=0)"
+        assert message in str(info.value)
+
+    def test_an_undecided_pick_is_tested_in_a_state_where_another_group_fires(self):
+        # The groups are disjoint on y and [a] fires at (x=0, y=0), but m0's
+        # undecided [b] pick is tested there too and finds two commands.
+        source = (
+            "dtmc\nmodule m0\n  x : [0..4611686018427387904] init 0;\n"
+            "  [a] y=0 -> (x'=x);\n  [b] x+0<5 -> (x'=1);\n  [b] x+0<7 -> (x'=2);\nendmodule\n"
+            "module m1\n  y : [0..1] init 0;\n  [b] y=1 -> (y'=0);\nendmodule\n"
+        )
+        vm = validate(parse(source))
+        assert vm.disjoint_groups and not vm.decided_picks
+        with pytest.raises(BuildError) as info:
+            build(vm)
+        message = "commands at line 5 and line 6 are both enabled for action [b]"
+        assert f"{message} in state (x=0, y=0)" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "commands", [explorer_module.MAX_INLINE_PICK, explorer_module.MAX_INLINE_PICK + 1]
+    )
+    def test_a_long_decided_pick_stays_flat(self, monkeypatch, commands):
+        # Past MAX_INLINE_PICK commands the pick is a flat tuple for `_pick`,
+        # not a conditional expression nested once per command.
+        source = (
+            f"dtmc\nmodule m\n  x : [0..{commands}] init 0;\n"
+            + "".join(f"  [a] x={k} -> (x'={k + 1});\n" for k in range(commands))
+            + "endmodule\n"
+        )
+        vm = validate(parse(source))
+        assert vm.decided_picks == {(0, "a")}
+        sources = walk_sources(monkeypatch)
+        dtmc = build(vm)
+        assert ("_pick" in sources[0]) == (commands > explorer_module.MAX_INLINE_PICK)
+        assert dtmc.state_count == commands + 1
+        assert dtmc.deadlocks == frozenset({commands})
 
 
 class TestLabelsAndExport:
@@ -854,6 +952,35 @@ def test_build_matches_the_reference_explorer(source):
         assert info.value.code == error.code
     else:
         assert build(vm).export_text() == expected.export_text()
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_models())
+def test_what_validate_proves_holds_at_every_valuation(source):
+    # Over every valuation in the declared ranges, reached or not: two groups
+    # are never enabled where validate proved them disjoint, nor two commands
+    # of a module for an action whose pick it decided.
+    try:
+        vm = validate(parse(source))
+    except ValidationError:
+        reject()
+    guards = [
+        [
+            (command.label, compile_expr(command.guard, vm.var_index, vm.constants))
+            for command in module.commands
+        ]
+        for module in vm.model.modules
+    ]
+    for s in itertools.product(*(range(var.low, var.high + 1) for var in vm.variables)):
+        enabled = sum(label is None and guard(s) for own in guards for label, guard in own)
+        for action in vm.action_order:
+            fires = True
+            for mi, own in enumerate(guards):
+                hits = [label for label, guard in own if label == action and guard(s)]
+                assert len(hits) < 2 or (mi, action) not in vm.decided_picks
+                fires &= bool(hits) or all(label != action for label, _ in own)
+            enabled += fires
+        assert enabled < 2 or not vm.disjoint_groups
 
 
 @st.composite

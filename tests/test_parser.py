@@ -180,6 +180,19 @@ class TestExpressions:
         assert guard.pos.line == 4
         assert isinstance(guard.left, Name) and guard.left.pos.col == 6
 
+    def test_a_negated_number_sits_at_its_own_token(self):
+        # In a constant as in an expression, '-' and the number each keep
+        # their token's position.
+        model = parse(
+            "dtmc\nconst int k = -5;\nmodule m\n  x : [0..1] init 0;\n"
+            "  [] x > -5 -> (x'=0);\nendmodule\n"
+        )
+        constant = model.constants[0].value
+        expression = model.modules[0].commands[0].guard.right
+        assert isinstance(constant, Unary) and isinstance(constant.operand, IntLit)
+        assert (constant.pos, constant.operand.pos) == (Pos(2, 15), Pos(2, 16))
+        assert (expression.pos, expression.operand.pos) == (Pos(5, 10), Pos(5, 11))
+
 
 class TestErrors:
     def test_missing_arrow_names_the_line(self, golden):

@@ -226,6 +226,21 @@ class TestCliExitCodes:
         assert "error:" in capsys.readouterr().err
         assert built == []
 
+    def test_running_out_of_memory_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        model = tmp_path / "chain.pm"
+        model.write_text(
+            "dtmc\nmodule m\n  x : [0..1] init 0;\n  [] x=0 -> (x'=1);\nendmodule\n",
+            encoding="utf-8",
+        )
+
+        def exhausted(vm):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "build", exhausted)
+        code = cli.main(["check", "--model", str(model), "--prop", "P=? [ F (x=1) ]"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: out of memory")
+
     @pytest.mark.parametrize(
         "decls, prop",
         [

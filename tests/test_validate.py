@@ -427,6 +427,73 @@ def test_overlap_verdicts_match_the_brute_force_reference(commands):
         assert str(fails(source, "OVERLAPPING_GUARDS")) == expected
 
 
+class TestGroupProof:
+    # x over [0..3], y over [0..1]; the modules' commands follow.
+    HEAD = "dtmc\nmodule m\n  x : [0..3] init 0;\n  y : [0..1] init 0;\n"
+
+    @pytest.mark.parametrize(
+        "commands, disjoint",
+        [
+            # Apart on x, though y meets.
+            (["[] x=0 -> (y'=1);", "[] x>=1 & y=0 -> (y'=1);"], True),
+            # An action's box is its modules' boxes met: x=1 alone, apart from
+            # x=0 though each module's x range holds 0.
+            (
+                [
+                    "[a] x<2 -> (y'=1);",
+                    "[] x=0 -> (x'=1);",
+                    "endmodule\nmodule w\n  z : [0..1] init 0;\n  [a] x>=1 -> (z'=1);",
+                ],
+                True,
+            ),
+            # A guard that holds nowhere meets nothing.
+            (["[] x=1 & x=2 -> (y'=1);", "[] x>=0 -> (y'=1);"], True),
+            # A guard that reads no variable meets every box.
+            (["[a] true -> (y'=1);", "[b] x=3 -> (y'=0);"], False),
+            # The hull of [a]'s commands x=0 and x=2 holds x=1.
+            (["[a] x=0 -> (y'=1);", "[a] x=2 -> (y'=1);", "[b] x=1 -> (y'=0);"], False),
+            # Apart pairwise, but on x [a] and [c] meet and on y [a] and [b].
+            (
+                ["[a] x=0 & y=0 -> (y'=1);", "[b] x=1 & y=0 -> (y'=1);", "[c] x=0&y=1 -> (y'=0);"],
+                False,
+            ),
+        ],
+    )
+    def test_disjoint_groups(self, commands, disjoint):
+        source = self.HEAD + "".join(f"  {c}\n" for c in commands) + "endmodule\n"
+        assert check(source).disjoint_groups is disjoint
+
+    def test_many_groups_are_proven_by_one_sort(self):
+        # An all-pairs test of 3,000 boxes would take seconds.
+        source = (
+            "dtmc\nmodule m\n  x : [0..3000] init 0;\n"
+            + "".join(f"  [a{k}] x={k} -> (x'={k + 1});\n" for k in range(3000))
+            + "endmodule\n"
+        )
+        model = parse(source)
+        started = time.perf_counter()
+        assert validate(model).disjoint_groups
+        assert time.perf_counter() - started < 2.0
+
+    @pytest.mark.parametrize(
+        "decls, guards, decided",
+        [
+            # Boxes apart, or an intersection of 2 valuations enumerated.
+            ("  x : [0..3] init 0;\n", ["x=0", "x>0 & x+0<2", "x+0>=2 & x>1"], True),
+            # A pair's intersection past MAX_OVERLAP_VALUATIONS.
+            ("  x : [0..4611686018427387904] init 0;\n", ["x+0<5", "x+0>=5"], False),
+        ],
+    )
+    def test_decided_picks(self, decls, guards, decided):
+        source = (
+            "dtmc\nmodule w\nendmodule\nmodule m\n" + decls
+            + "".join(f"  [a] {g} -> (x'=0);\n" for g in guards)
+            + "  [] x=1 -> (x'=0);\n  [] x=2 -> (x'=0);\nendmodule\n"
+        )
+        # Unlabeled commands are no pick; the module's position is 1.
+        assert check(source).decided_picks == ({(1, "a")} if decided else set())
+
+
 class TestValidatedModel:
     def test_constant_folding(self):
         vm = check("dtmc\nconst int n = 5;\nconst double p = 0.25;\n")
