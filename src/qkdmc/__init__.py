@@ -4,55 +4,35 @@ The pipeline is parse -> validate -> build -> prob_until, where
 prob_until solves exactly in one SCC-ordered pass; bb84.generate produces
 the model sources, oracle holds the analytic ground truth, and sweep/cli
 drive parameter studies over the photon count.
+
+Importing the package loads none of its modules: each public name below is
+imported from its module on first use (PEP 562).
 """
 
-from qkdmc.bb84 import Bb84Params, Passthrough, detected_event_definition, generate
-from qkdmc.errors import (
-    AcceptanceViolation,
-    BuildError,
-    ParseError,
-    PropertyError,
-    QkdmcError,
-    ValidationError,
-)
-from qkdmc.explorer import Dtmc, build
-from qkdmc.lang import parse, print_expr, print_model, validate
-from qkdmc.oracle import detect_prob, per_photon_detect_prob, photon_outcomes
-from qkdmc.properties import PropertyQuery, parse_property
-from qkdmc.solver import SolveReport, prob0_states, prob1_states, prob_until
-from qkdmc.sweep import SweepSpec, analyze, run_figure, run_sweep
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AcceptanceViolation",
-    "Bb84Params",
-    "BuildError",
-    "Dtmc",
-    "ParseError",
-    "Passthrough",
-    "PropertyError",
-    "PropertyQuery",
-    "QkdmcError",
-    "SolveReport",
-    "SweepSpec",
-    "ValidationError",
-    "__version__",
-    "analyze",
-    "build",
-    "detect_prob",
-    "detected_event_definition",
-    "generate",
-    "parse",
-    "parse_property",
-    "per_photon_detect_prob",
-    "photon_outcomes",
-    "print_expr",
-    "print_model",
-    "prob0_states",
-    "prob1_states",
-    "prob_until",
-    "run_figure",
-    "run_sweep",
-    "validate",
-]
+_EXPORTS = {
+    "bb84": "Bb84Params Passthrough detected_event_definition generate",
+    "errors": "AcceptanceViolation BuildError ParseError PropertyError QkdmcError ValidationError",
+    "explorer": "Dtmc build",
+    "lang": "parse print_expr print_model validate",
+    "oracle": "detect_prob per_photon_detect_prob photon_outcomes",
+    "properties": "PropertyQuery parse_property",
+    "solver": "SolveReport prob0_states prob1_states prob_until",
+    "sweep": "SweepSpec analyze run_figure run_sweep",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(["__version__", *_HOME])
+
+
+def __getattr__(name: str) -> object:
+    if name not in _HOME:
+        raise AttributeError(f"module 'qkdmc' has no attribute {name!r}")
+    return globals().setdefault(name, getattr(import_module(f"qkdmc.{_HOME[name]}"), name))
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -37,9 +37,9 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
 
 from qkdmc.lang import ast, parse
+from qkdmc.record import Record
 
 CHANNEL_SUM_TOL = 1e-12
 
@@ -72,8 +72,7 @@ def check_count(name: str, value: int) -> None:
         raise ValueError(f"{name} must be an int, got {value!r}")
 
 
-@dataclass(frozen=True)
-class Bb84Params:
+class Bb84Params(Record):
     """Experiment parameters: photon count, channel noise, Eve power, bias.
 
     channel is (p00, p10, p01, p11): keep both / flip basis / flip bit /

@@ -83,7 +83,6 @@ from __future__ import annotations
 import functools
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import accumulate, compress, count, product
 from typing import Callable, Iterable, Iterator
 
@@ -91,6 +90,7 @@ from qkdmc.errors import BuildError
 from qkdmc.lang import ast, names
 from qkdmc.lang.analysis import bounds, render_expr
 from qkdmc.lang.validate import ValidatedModel
+from qkdmc.record import Record
 
 ROW_SUM_TOL = 1e-9
 
@@ -144,8 +144,7 @@ class Layout:
         return " | ".join(terms) or "0"
 
 
-@dataclass(frozen=True, eq=False)
-class Dtmc:
+class Dtmc(Record):
     """Sparse explicit DTMC with BFS state indexing, stored flat.
 
     Immutable once built; safe to share across threads for read-only
@@ -172,6 +171,10 @@ class Dtmc:
     probs: array[float]
     labels: dict[str, ast.Expr]
     deadlocks: frozenset[int]
+
+    __slots__ = ("__dict__",)  # where `layout` is cached
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     @property
     def state_count(self) -> int:

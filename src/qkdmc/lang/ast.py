@@ -1,17 +1,16 @@
 """Syntax tree for the modeling language.
 
-Nodes are frozen dataclasses. Source positions are carried on every node but
-excluded from equality, so a parse -> print -> reparse round trip compares
-structurally equal even though positions moved.
+Nodes are immutable records. Source positions are carried on every node but
+excluded from equality, hashing and repr, so a parse -> print -> reparse round
+trip compares structurally equal even though positions moved.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from qkdmc.record import Record
 
 
-@dataclass(frozen=True)
-class Pos:
+class Pos(Record):
     """1-based line/column of the token that started a construct."""
 
     line: int
@@ -24,71 +23,58 @@ class Pos:
 NO_POS = Pos(0, 0)
 
 
-def _pos_field() -> Pos:
-    return field(default=NO_POS, compare=False, repr=False)  # type: ignore[return-value]
+class Node(Record):
+    """Base of the syntax nodes; each one's last field is `pos`, where it starts."""
+
+    pos: Pos = NO_POS
+    _not_compared = _not_shown = ("pos",)
 
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(Node):
     pass
 
 
-@dataclass(frozen=True)
 class IntLit(Expr):
     value: int
-    pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
 class RealLit(Expr):
     value: float
-    pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
 class BoolLit(Expr):
     value: bool
-    pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
 class Name(Expr):
     """Reference to a declared constant or variable."""
 
     ident: str
-    pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
 class Unary(Expr):
     """Unary operation; ``op`` is ``!`` or ``-``."""
 
     op: str
     operand: Expr
-    pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
 class Binary(Expr):
     """Binary operation; ``op`` is one of ``| & = != < <= > >= + - * /``."""
 
     op: str
     left: Expr
     right: Expr
-    pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(Node):
     """One primed assignment ``(var' = expr)`` inside an update."""
 
     var: str
     value: Expr
-    pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
-class Update:
+class Update(Node):
     """One probabilistic branch of a command.
 
     ``prob`` is None for the implicit probability 1 of a sole update.
@@ -96,60 +82,47 @@ class Update:
 
     prob: Expr | None
     assignments: tuple[Assignment, ...]
-    pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(Node):
     """Guarded command ``[label] guard -> p1:u1 + ... ;`` (label optional)."""
 
     label: str | None
     guard: Expr
     updates: tuple[Update, ...]
-    pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
-class VarDecl:
+class VarDecl(Node):
     """Bounded integer variable ``name : [low..high] init start;``."""
 
     name: str
     low: int
     high: int
     init: int
-    pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
-class ConstDecl:
+class ConstDecl(Node):
     """Constant declaration; ``kind`` is ``int`` or ``double``."""
 
     name: str
     kind: str
     value: Expr
-    pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
-class Module:
+class Module(Node):
     name: str
     variables: tuple[VarDecl, ...]
     commands: tuple[Command, ...]
-    pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
-class LabelDef:
+class LabelDef(Node):
     """Named state predicate ``label "name" = bexpr;``."""
 
     name: str
     expr: Expr
-    pos: Pos = _pos_field()
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Node):
     constants: tuple[ConstDecl, ...]
     modules: tuple[Module, ...]
     labels: tuple[LabelDef, ...]
-    pos: Pos = _pos_field()

@@ -13,6 +13,10 @@ from qkdmc.errors import ParseError
 from qkdmc.lang import ast, names
 from qkdmc.lang.lexer import Token, TokenType, tokenize
 
+# A lookup through TokenType runs its metaclass's __getattr__ hook: name them once.
+IDENT, INT, REAL, STRING = TokenType.IDENT, TokenType.INT, TokenType.REAL, TokenType.STRING
+PUNCT, KEYWORD, EOF = TokenType.PUNCT, TokenType.KEYWORD, TokenType.EOF
+
 # Binding powers; comparisons sit between '!' and arithmetic as usual.
 BIN_PREC = {
     "|": 10,
@@ -51,49 +55,52 @@ MAX_INT_DIGITS = 300
 
 
 class TokenStream:
-    """Cursor over a token list with single-token error reporting."""
+    """Cursor over a token list with single-token error reporting.
+
+    `tok` is the current token and `key` what `at`, `accept` and `expect`
+    compare with: a punctuation or keyword token's text, any other token's
+    type. The cursor stops at the closing EOF token.
+    """
 
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
+        self._keys = [t.text if t.type is PUNCT or t.type is KEYWORD else t.type for t in tokens]
         self._index = 0
+        self.tok, self.key = tokens[0], self._keys[0]
         self.depth = 0
 
     def peek(self, ahead: int = 0) -> Token:
-        i = min(self._index + ahead, len(self._tokens) - 1)
-        return self._tokens[i]
+        if not ahead:
+            return self.tok
+        return self._tokens[min(self._index + ahead, len(self._tokens) - 1)]
 
     def advance(self) -> Token:
-        tok = self._tokens[self._index]
-        if tok.type is not TokenType.EOF:
+        tok = self.tok
+        if self.key is not EOF:
             self._index += 1
+            self.tok, self.key = self._tokens[self._index], self._keys[self._index]
         return tok
 
     def at(self, want: TokenType | str) -> bool:
-        tok = self.peek()
-        if isinstance(want, TokenType):
-            return tok.type is want
-        return tok.text == want and tok.type in (TokenType.PUNCT, TokenType.KEYWORD)
+        return self.key == want
 
     def accept(self, want: TokenType | str) -> Token | None:
-        if self.at(want):
+        if self.key == want:
             return self.advance()
         return None
 
     def expect(self, want: TokenType | str, context: str | None = None) -> Token:
-        tok = self.accept(want)
-        if tok is None:
-            label = want.value if isinstance(want, TokenType) else f"'{want}'"
-            return self.fail(label, context)
-        return tok
+        if self.key == want:
+            return self.advance()
+        label = want.value if isinstance(want, TokenType) else f"'{want}'"
+        return self.fail(label, context)
 
     def fail(self, expected: str, context: str | None = None) -> Token:
-        tok = self.peek()
         where = f" in {context}" if context else ""
-        raise ParseError(f"expected {expected}{where}, found {tok}", pos=tok)
+        raise ParseError(f"expected {expected}{where}, found {self.tok}", pos=self.tok)
 
     def pos(self) -> ast.Pos:
-        tok = self.peek()
-        return ast.Pos(tok.line, tok.col)
+        return ast.Pos(self.tok.line, self.tok.col)
 
 
 def parse(source: str) -> ast.Model:
@@ -116,7 +123,7 @@ def parse(source: str) -> ast.Model:
     labels = []
     while stream.at("label"):
         labels.append(_parse_labeldef(stream))
-    if not stream.at(TokenType.EOF):
+    if not stream.at(EOF):
         stream.fail("'const', 'module', 'label' or end of input")
 
     model = ast.Model(tuple(constants), tuple(modules), tuple(labels), pos)
@@ -134,7 +141,7 @@ def _parse_const(stream: TokenStream) -> ast.ConstDecl:
         kind = "double"
     else:
         stream.fail("'int' or 'double'", "constant declaration")
-    name = stream.expect(TokenType.IDENT, "constant declaration").text
+    name = stream.expect(IDENT, "constant declaration").text
     stream.expect("=", "constant declaration")
     value = _parse_literal(stream)
     stream.expect(";", "constant declaration")
@@ -152,11 +159,13 @@ def _parse_literal(stream: TokenStream) -> ast.Expr:
 
 def _parse_number(stream: TokenStream) -> ast.IntLit | ast.RealLit | None:
     """The INT or REAL literal next in the stream, at its token's position."""
-    pos = stream.pos()
-    if stream.at(TokenType.INT):
-        return ast.IntLit(_int(stream.advance()), pos)
-    if stream.at(TokenType.REAL):
-        return ast.RealLit(float(stream.advance().text), pos)
+    tok = stream.tok
+    if tok.type is INT:
+        stream.advance()
+        return ast.IntLit(_int(tok), ast.Pos(tok.line, tok.col))
+    if tok.type is REAL:
+        stream.advance()
+        return ast.RealLit(float(tok.text), ast.Pos(tok.line, tok.col))
     return None
 
 
@@ -171,9 +180,9 @@ def _int(tok: Token) -> int:
 def _parse_module(stream: TokenStream) -> ast.Module:
     pos = stream.pos()
     stream.expect("module")
-    name = stream.expect(TokenType.IDENT, "module header").text
+    name = stream.expect(IDENT, "module header").text
     variables = []
-    while stream.at(TokenType.IDENT):
+    while stream.at(IDENT):
         variables.append(_parse_vardecl(stream))
     commands = []
     while stream.at("["):
@@ -186,15 +195,15 @@ def _parse_module(stream: TokenStream) -> ast.Module:
 
 def _parse_vardecl(stream: TokenStream) -> ast.VarDecl:
     pos = stream.pos()
-    name = stream.expect(TokenType.IDENT).text
+    name = stream.expect(IDENT).text
     stream.expect(":", "variable declaration")
     stream.expect("[", "variable declaration")
-    low = _int(stream.expect(TokenType.INT, "variable bounds"))
+    low = _int(stream.expect(INT, "variable bounds"))
     stream.expect("..", "variable bounds")
-    high = _int(stream.expect(TokenType.INT, "variable bounds"))
+    high = _int(stream.expect(INT, "variable bounds"))
     stream.expect("]", "variable declaration")
     stream.expect("init", "variable declaration")
-    init = _int(stream.expect(TokenType.INT, "initial value"))
+    init = _int(stream.expect(INT, "initial value"))
     stream.expect(";", "variable declaration")
     return ast.VarDecl(name, low, high, init, pos)
 
@@ -203,7 +212,7 @@ def _parse_command(stream: TokenStream) -> ast.Command:
     pos = stream.pos()
     stream.expect("[")
     label = None
-    if stream.at(TokenType.IDENT):
+    if stream.at(IDENT):
         label = stream.advance().text
     stream.expect("]", "command label")
     guard = parse_expression(stream)
@@ -221,13 +230,8 @@ def _parse_command(stream: TokenStream) -> ast.Command:
 
 
 def _at_assignment(stream: TokenStream) -> bool:
-    # An update body starts "( ident '"; anything else after "(" is a
-    # probability expression.
-    return (
-        stream.at("(")
-        and stream.peek(1).type is TokenType.IDENT
-        and stream.peek(2).text == "'"
-    )
+    # An update body starts "( ident '"; anything else is a probability.
+    return stream.key == "(" and stream.peek(1).type is IDENT and stream.peek(2).text == "'"
 
 
 def _parse_update(stream: TokenStream) -> ast.Update:
@@ -245,7 +249,7 @@ def _parse_update(stream: TokenStream) -> ast.Update:
 def _parse_assignment(stream: TokenStream) -> ast.Assignment:
     pos = stream.pos()
     stream.expect("(", "assignment")
-    var = stream.expect(TokenType.IDENT, "assignment").text
+    var = stream.expect(IDENT, "assignment").text
     stream.expect("'", "assignment")
     stream.expect("=", "assignment")
     value = parse_expression(stream)
@@ -256,7 +260,7 @@ def _parse_assignment(stream: TokenStream) -> ast.Assignment:
 def _parse_labeldef(stream: TokenStream) -> ast.LabelDef:
     pos = stream.pos()
     stream.expect("label")
-    name = stream.expect(TokenType.STRING, "label definition").text
+    name = stream.expect(STRING, "label definition").text
     stream.expect("=", "label definition")
     expr = parse_expression(stream)
     stream.expect(";", "label definition")
@@ -270,18 +274,17 @@ def parse_expression(stream: TokenStream) -> ast.Expr:
 
 def _parse_binary(stream: TokenStream, min_prec: int) -> tuple[ast.Expr, int]:
     """The expression and its depth in binary operators."""
-    pos = stream.pos()
-    if stream.accept("!"):
-        operand, depth = _parse_nested(stream, NOT_PREC, pos)
-        left: ast.Expr = ast.Unary("!", operand, pos)
-    elif stream.accept("-"):
-        operand, depth = _parse_nested(stream, NEG_PREC, pos)
-        left = ast.Unary("-", operand, pos)
+    op = stream.key
+    if op == "!" or op == "-":
+        pos = stream.pos()
+        stream.advance()
+        operand, depth = _parse_nested(stream, NOT_PREC if op == "!" else NEG_PREC, pos)
+        left: ast.Expr = ast.Unary(op, operand, pos)
     else:
         left, depth = _parse_primary(stream)
     while True:
-        tok = stream.peek()
-        if tok.type is not TokenType.PUNCT:
+        tok = stream.tok
+        if tok.type is not PUNCT:
             break
         prec = BIN_PREC.get(tok.text)
         if prec is None or prec < min_prec:
@@ -307,14 +310,16 @@ def _parse_nested(stream: TokenStream, min_prec: int, pos: ast.Pos) -> tuple[ast
 
 
 def _parse_primary(stream: TokenStream) -> tuple[ast.Expr, int]:
+    tok, key = stream.tok, stream.key
+    if key is IDENT:
+        stream.advance()
+        return ast.Name(tok.text, ast.Pos(tok.line, tok.col)), 0
     number = _parse_number(stream)
     if number is not None:
         return number, 0
     pos = stream.pos()
-    if stream.at("true") or stream.at("false"):
+    if key == "true" or key == "false":
         return ast.BoolLit(stream.advance().text == "true", pos), 0
-    if stream.at(TokenType.IDENT):
-        return ast.Name(stream.advance().text, pos), 0
     if stream.accept("("):
         parsed = _parse_nested(stream, 0, pos)
         stream.expect(")", "parenthesized expression")

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from qkdmc.errors import ValidationError
 from qkdmc.lang import analysis, ast, names
+from qkdmc.record import Record
 
 PROB_SUM_TOL = 1e-9
 
@@ -21,8 +21,7 @@ MAX_OVERLAP_VALUATIONS = 2**20
 _MIRRORED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
 
-@dataclass(frozen=True)
-class ValidatedModel:
+class ValidatedModel(Record):
     """Parsed model plus the facts validation established.
 
     Treat all fields as read-only. Expressions stay unfolded except update
@@ -38,13 +37,16 @@ class ValidatedModel:
     """
 
     model: ast.Model
-    constants: dict[str, int | float] = field(compare=False)
-    variables: tuple[ast.VarDecl, ...] = field(compare=False)
-    var_index: dict[str, int] = field(compare=False)
-    update_probs: tuple[tuple[tuple[float, ...], ...], ...] = field(compare=False)
-    action_order: tuple[str, ...] = field(compare=False)
-    decided_picks: frozenset[tuple[int, str]] = field(compare=False)
-    disjoint_groups: bool = field(compare=False)
+    constants: dict[str, int | float]
+    variables: tuple[ast.VarDecl, ...]
+    var_index: dict[str, int]
+    update_probs: tuple[tuple[tuple[float, ...], ...], ...]
+    action_order: tuple[str, ...]
+    decided_picks: frozenset[tuple[int, str]]
+    disjoint_groups: bool
+
+    _not_compared = ("constants", "variables", "var_index", "update_probs", "action_order",
+                     "decided_picks", "disjoint_groups")  # equality looks at the model only
 
     @property
     def initial_state(self) -> tuple[int, ...]:
@@ -269,9 +271,11 @@ def _groups_disjoint(model: ast.Model, boxes: list[list[dict[str, range]]]) -> b
                 group_boxes.append(box)
             else:
                 by_label.setdefault(command.label, []).append(box)
+        # One box is its own hull, and its own meet below.
         for label, label_boxes in by_label.items():
-            actions.setdefault(label, []).append(_hull(label_boxes))
-    group_boxes += map(_meet, actions.values())
+            hull = label_boxes[0] if len(label_boxes) == 1 else _hull(label_boxes)
+            actions.setdefault(label, []).append(hull)
+    group_boxes += [hulls[0] if len(hulls) == 1 else _meet(hulls) for hulls in actions.values()]
     # An empty range is false: such a box holds no valuation.
     live = [box for box in group_boxes if all(box.values())]
     if len(live) < 2:

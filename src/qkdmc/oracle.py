@@ -11,13 +11,12 @@ states rather than checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from qkdmc.bb84 import Passthrough, check_channel, check_unit
+from qkdmc.record import Record
 
 
-@dataclass(frozen=True)
-class PhotonOutcome:
+class PhotonOutcome(Record):
     """One leaf of the per-photon tree with its exact probability weight."""
 
     weight: float

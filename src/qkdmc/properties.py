@@ -7,8 +7,6 @@ expression over the model's variables. ``F psi`` is sugar for ``true U psi``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from qkdmc.errors import PropertyError, ValidationError
 from qkdmc.explorer import Dtmc
 from qkdmc.lang import ast
@@ -16,23 +14,21 @@ from qkdmc.lang.analysis import check_kind
 from qkdmc.lang.lexer import TokenType, tokenize
 from qkdmc.lang.names import expr_names
 from qkdmc.lang.parser import TokenStream, parse_expression
+from qkdmc.record import Record
 
 
-@dataclass(frozen=True)
-class LabelOperand:
+class LabelOperand(Record):
     name: str
 
 
-@dataclass(frozen=True)
-class ExprOperand:
+class ExprOperand(Record):
     expr: ast.Expr
 
 
 Operand = LabelOperand | ExprOperand
 
 
-@dataclass(frozen=True)
-class PropertyQuery:
+class PropertyQuery(Record):
     """Until query; constraint is None for the Eventually form."""
 
     constraint: Operand | None

@@ -40,18 +40,16 @@ its one walk, in row order; only a cyclic SCC reads its rows again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from qkdmc.explorer import Dtmc
 from qkdmc.properties import PropertyQuery, resolve_operand
+from qkdmc.record import Record
 
 # Per-state bits of the pass; 0 marks a state not settled yet.
 REACH = 1  # some path reaches the target: not in prob0
 MISS = 2  # some path misses it: not in prob1
 
 
-@dataclass(frozen=True)
-class SolveReport:
+class SolveReport(Record):
     """Result of one query: value at the initial state plus solver health.
 
     `values` is the whole solved vector, indexed by state like the Dtmc: the
@@ -65,7 +63,9 @@ class SolveReport:
     residual: float
     prob0_count: int
     prob1_count: int
-    values: tuple[float, ...] = field(repr=False)
+    values: tuple[float, ...]
+
+    _not_shown = ("values",)
 
 
 def _settle_cyclic(

@@ -11,7 +11,6 @@ full interception; interception power over a perfect channel).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import IO
 
 from qkdmc import oracle, solver
@@ -20,6 +19,7 @@ from qkdmc.errors import AcceptanceViolation
 from qkdmc.explorer import Dtmc, build
 from qkdmc.lang import parse, validate
 from qkdmc.properties import parse_property
+from qkdmc.record import Record
 
 ORACLE_TOL = 1e-9
 
@@ -34,8 +34,7 @@ EVE_FULL = 1.0
 DETECTED_PROPERTY = 'P=? [ F "detected" ]'
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Record):
     """Inclusive photon range plus the per-photon parameters."""
 
     n_start: int
@@ -61,8 +60,7 @@ class SweepSpec:
         return range(self.n_start, self.n_stop + 1, self.n_step)
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(Record):
     n: int
     p_checked: float
     p_oracle: float
@@ -151,15 +149,13 @@ def write_csv(rows: list[ResultRow], sink: IO[str], include_timing: bool = True)
         sink.write(",".join(fields) + "\n")
 
 
-@dataclass(frozen=True)
-class CurveSpec:
+class CurveSpec(Record):
     key: str
     channel: tuple[float, float, float, float]
     eve_q: float
 
 
-@dataclass(frozen=True)
-class FigureSpec:
+class FigureSpec(Record):
     """Three curves over a shared photon range, ordered weakest first."""
 
     name: str
@@ -192,8 +188,7 @@ FIGURES = {
 }
 
 
-@dataclass(frozen=True)
-class FigureResult:
+class FigureResult(Record):
     spec: FigureSpec
     curves: tuple[tuple[CurveSpec, tuple[ResultRow, ...]], ...]
     violations: tuple[str, ...]

@@ -1,5 +1,6 @@
 """Static checks: kinds, probability sums, ownership, guard overlaps."""
 
+import importlib
 import itertools
 import time
 
@@ -492,6 +493,22 @@ class TestGroupProof:
         )
         # Unlabeled commands are no pick; the module's position is 1.
         assert check(source).decided_picks == ({(1, "a")} if decided else set())
+
+
+def test_a_one_box_action_needs_no_hull_or_meet(monkeypatch):
+    # The model of test_many_groups_are_proven_by_one_sort: each of its 3,000
+    # actions is one command of one module, whose box is the action's box.
+    module = importlib.import_module("qkdmc.lang.validate")
+    calls = []
+    for name in ("_hull", "_meet"):
+        monkeypatch.setattr(module, name, lambda boxes, name=name: calls.append(name))
+    source = (
+        "dtmc\nmodule m\n  x : [0..3000] init 0;\n"
+        + "".join(f"  [a{k}] x={k} -> (x'={k + 1});\n" for k in range(3000))
+        + "endmodule\n"
+    )
+    assert validate(parse(source)).disjoint_groups
+    assert calls == []
 
 
 class TestValidatedModel:
