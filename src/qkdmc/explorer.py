@@ -18,13 +18,13 @@ Validation proved some of the semantics above over the declared ranges
 (`ValidatedModel.decided_picks` and `disjoint_groups`), and every reached
 state lies in them, so the walk checks at run time only the rest:
 
-- A module picks the first command whose guard holds, in one conditional
-  expression, where validation decided its commands pairwise. Otherwise,
-  or past MAX_INLINE_PICK commands, `_pick` evaluates every such guard and
-  raises NONDETERMINISM if two hold, naming the module, the action, both
-  command lines and the state. A group's modules are tested in order and
-  the test stops at the first module with no enabled command, so a state
-  where the action does not fire may pass unchecked.
+- A module picks the first command whose guard holds, in one flat `or`,
+  where validation decided its commands pairwise. Otherwise `_pick`
+  evaluates every such guard and raises NONDETERMINISM if two hold, naming
+  the module, the action, both command lines and the state. A group's
+  modules are tested in order and the test stops at the first module with
+  no enabled command, so a state where the action does not fire may pass
+  unchecked.
 - Where the groups are proven disjoint and every pick decided, the first
   group whose test passes fires, and the state tests no later group.
   Otherwise every group is tested, and a second enabled group raises
@@ -337,12 +337,6 @@ UpdateCode = tuple[float, dict[int, int | str]]
 # forms it at run time, so the generated source stays linear in the model text.
 MAX_UNROLLED_PAIRS = 16
 
-# The most commands a module's pick tests in one conditional expression. Its
-# `0 if g0 else 1 if g1 else ...` nests one level per command, and CPython
-# 3.11 fails to compile 1,000 levels; a longer pick passes a flat tuple to
-# `_pick`, which checks it again.
-MAX_INLINE_PICK = 64
-
 
 def _compile_walk(vm: ValidatedModel, layout: Layout) -> Callable[..., None]:
     """Compile the model into the walk, explore(codes, targets, _row,
@@ -361,40 +355,23 @@ def _compile_walk(vm: ValidatedModel, layout: Layout) -> Callable[..., None]:
     u{j} of (probability, bits) updates per module, and a deadlock to
     `_dead(si)`.
 
-    The loop body has one flat `if` per group. Where `vm.disjoint_groups`
-    holds and every pick is in `vm.decided_picks`, it is
-    `if <test>: <row>; continue`, and a state that passes no test is a
-    deadlock. Otherwise each test sets `g` to its group, or calls
-    `_nondeterminism` if `g` is already set, and a second run of ifs fires
-    group `g`. In a test, a picking module binds k{gi}_{j} to the index of
-    its enabled command, or -1: inline for a pick in `vm.decided_picks` of
-    at most MAX_INLINE_PICK commands, else by `_pick`, which checks that
-    one command at most is enabled.
+    The loop body has one flat `if` per group of `vm.groups`, in order.
+    Where `vm.disjoint_groups` holds and every pick is in
+    `vm.decided_picks`, it is `if <test>: <row>; continue`, and a state that
+    passes no test is a deadlock. Otherwise each test sets `g` to its group,
+    or calls `_nondeterminism` if `g` is already set, and a second run of
+    ifs fires group `g`. In a test, a picking module binds k{gi}_{j} to the
+    index of its enabled command, or -1: in one flat `or` for a pick in
+    `vm.decided_picks`, else by `_pick`, which checks that one command at
+    most is enabled.
     """
     var_index = vm.var_index
     modules = vm.model.modules
 
-    # A group is each participating module's commands for one action, or one
-    # unlabeled command as a module of its own. It is enabled when each of its
-    # modules has an enabled command.
-    groups: list[tuple[str, str | None, list[tuple[int, list[tuple[int, ast.Command]]]]]] = []
-    by_action: dict[str, dict[int, list[tuple[int, ast.Command]]]] = {
-        action: {} for action in vm.action_order
-    }
-    for mi, module in enumerate(modules):
-        for ci, command in enumerate(module.commands):
-            if command.label is None:
-                name = f"unlabeled command (module {module.name})"
-                groups.append((name, None, [(mi, [(ci, command)])]))
-            else:
-                by_action[command.label].setdefault(mi, []).append((ci, command))
-    for action, parts in by_action.items():
-        groups.append((f"action [{action}]", action, list(parts.items())))
-
     # A variable the guards of several groups read goes to a local per state.
     readers: dict[str, int] = {}
-    for _, _, parts in groups:
-        guards = [command.guard for _, commands in parts for _, command in commands]
+    for _, parts in vm.groups:
+        guards = [modules[mi].commands[ci].guard for mi, cis in parts for ci in cis]
         for name in set().union(*map(names.expr_names, guards)) & var_index.keys():
             readers[name] = readers.get(name, 0) + 1
     shared = sorted(var_index[name] for name, count in readers.items() if count > 1)
@@ -419,10 +396,10 @@ def _compile_walk(vm: ValidatedModel, layout: Layout) -> Callable[..., None]:
         test = f"{var.low} <= (t := {render(value)}) <= {var.high}"
         return f"(t if {test} else _bounds(c, {len(bound_sites) - 1}, t))"
 
-    def updates_of(mi: int, ci: int, command: ast.Command) -> list[UpdateCode]:
+    def updates_of(mi: int, ci: int) -> list[UpdateCode]:
         # One (probability, value per assigned variable) pair per update of
         # nonzero probability.
-        pairs = []
+        command, pairs = modules[mi].commands[ci], []
         for ui, update in enumerate(command.updates):
             prob = vm.update_probs[mi][ci][ui]
             if prob == 0.0:
@@ -434,33 +411,27 @@ def _compile_walk(vm: ValidatedModel, layout: Layout) -> Callable[..., None]:
             pairs.append((prob, values))
         return pairs
 
-    # A group fires at its test only where validation proved the groups
-    # disjoint and decided every pick. An undecided pick may raise in the test
-    # of a later group, so then every group is tested, as without the proof.
-    fire_at_test = vm.disjoint_groups and all(
-        (mi, action) in vm.decided_picks
-        for _, action, parts in groups
-        for mi, commands in parts
-        if len(commands) > 1
-    )
-    enable: list[str] = []
-    fire: list[str] = []
-    for gi, (_, action, parts) in enumerate(groups):
+    tests: list[str] = []
+    bodies: list[list[str]] = []
+    # A group is enabled when each of its modules has an enabled command.
+    for gi, (action, parts) in enumerate(vm.groups):
         # choices[j][c]: the updates of command c of the group's module j.
-        choices = [[updates_of(mi, ci, c) for ci, c in commands] for mi, commands in parts]
+        choices = [[updates_of(mi, ci) for ci in cis] for mi, cis in parts]
         terms, pickers = [], []
-        for j, (mi, commands) in enumerate(parts):
-            guards = [render(command.guard) for _, command in commands]
+        for j, (mi, cis) in enumerate(parts):
+            commands = [modules[mi].commands[ci] for ci in cis]
+            guards = [render(command.guard) for command in commands]
             if len(commands) == 1:
                 terms.append(guards[0])
                 continue
             pickers.append(j)
-            if (mi, action) in vm.decided_picks and len(commands) <= MAX_INLINE_PICK:
-                chain = "".join(f"{k} if {guard} else " for k, guard in enumerate(guards))
-                terms.append(f"(k{gi}_{j} := ({chain}-1)) >= 0")
+            if (mi, action) in vm.decided_picks:
+                # Flat at any length: a guard's own `or` is bracketed.
+                chain = "".join(f"({guard}) and {k} or " for k, guard in enumerate(guards, 1))
+                terms.append(f"(k{gi}_{j} := ({chain}0) - 1) >= 0")
             else:
                 terms.append(f"(k{gi}_{j} := _pick(({', '.join(guards)}), c, {len(picks)})) >= 0")
-                lines = [command.pos.line for _, command in commands]
+                lines = [command.pos.line for command in commands]
                 picks.append((modules[mi].name, action, lines))
         # One branch per command of the picking module, if any: each fixes
         # one command per module.
@@ -481,31 +452,37 @@ def _compile_walk(vm: ValidatedModel, layout: Layout) -> Callable[..., None]:
             else:
                 body = _unrolled_row(branches[0], layout)
         else:
-            body = _product_row(gi, parts, choices, layout)
+            body = _product_row(gi, choices, layout)
         # A guard has no side effects and holds wherever an equal earlier term
         # held, so only the first of equal terms is tested: bb84's modules
         # share one phase test per group.
-        test = f"if {' and '.join(dict.fromkeys(terms))}:"
-        if fire_at_test:
-            fire.append(test)
-        else:
-            enable.append(f"{test} g = {gi} if g < 0 else _nondeterminism(c, g, {gi})")
-            fire.append(f"if g == {gi}:")
-        # Flat ifs, not an elif chain: Python compiles a chain of elifs as
-        # nested statements, and one of 3,000 groups passes its recursion
-        # limit.
-        fire.extend(f"    {line}" for line in [*body, "continue"])
+        tests.append(f"if {' and '.join(dict.fromkeys(terms))}:")
+        bodies.append([f"    {line}" for line in [*body, "continue"]])
 
-    # In a deadlock no group fires.
-    fire.append("_dead(si)")
+    # A group fires at its test only where validation proved the groups
+    # disjoint and decided every pick, so no pick goes to `_pick`. An
+    # undecided pick may raise in the test of a later group, so then every
+    # group is tested, as without the proof.
+    enable: list[str] = []
+    if not vm.disjoint_groups or picks:
+        enable = ["g = -1"]
+        for gi, test in enumerate(tests):
+            enable.append(f"{test} g = {gi} if g < 0 else _nondeterminism(c, g, {gi})")
+        tests = [f"if g == {gi}:" for gi in range(len(tests))]
+    # Flat ifs, not an elif chain: Python compiles a chain of elifs as
+    # nested statements, and one of 3,000 groups passes its recursion
+    # limit.
+    fire = [line for test, body in zip(tests, bodies) for line in [test, *body]]
     # codes grows while it is walked, so the walk is breadth-first.
     source = "\n        ".join(
         [
             "def explore(codes, targets, _row, _merge, _dead, index, add, at, ap, end):\n"
             "    n = len(codes)\n    for si, c in enumerate(codes):",
             *binds,
-            *(["g = -1", *enable] if enable else []),
+            *enable,
             *fire,
+            # In a deadlock no group fires.
+            "_dead(si)",
         ]
     )
 
@@ -532,9 +509,13 @@ def _compile_walk(vm: ValidatedModel, layout: Layout) -> Callable[..., None]:
             code="BOUNDS",
         )
 
+    def described(gi: int) -> str:
+        action, ((mi, _), *_) = vm.groups[gi]
+        return f"action [{action}]" if action else f"unlabeled command (module {modules[mi].name})"
+
     def nondeterminism(code: int, first: int, second: int) -> None:
         raise BuildError(
-            f"{groups[first][0]} and {groups[second][0]} both enabled in state "
+            f"{described(first)} and {described(second)} both enabled in state "
             f"({layout.describe(layout.decode(code))})",
             code="NONDETERMINISM",
         )
@@ -605,12 +586,7 @@ def _unrolled_row(per_module: list[list[UpdateCode]], layout: Layout) -> list[st
     return lines
 
 
-def _product_row(
-    gi: int,
-    parts: list[tuple[int, list[tuple[int, ast.Command]]]],
-    choices: list[list[list[UpdateCode]]],
-    layout: Layout,
-) -> list[str]:
+def _product_row(gi: int, choices: list[list[list[UpdateCode]]], layout: Layout) -> list[str]:
     """The statements that hand a group's row to `_row`, for a row the walk
     does not unroll.
 
@@ -621,16 +597,16 @@ def _product_row(
     writes = [{i for updates in each for _, values in updates for i in values} for each in choices]
     unwritten = layout.full & ~layout.mask(set().union(*writes))
     body = []
-    for j, (_, commands) in enumerate(parts):
+    for j, per_command in enumerate(choices):
         written = layout.mask(writes[j])
         stmts = []
-        for updates in choices[j]:
+        for updates in per_command:
             pairs = "".join(f"({prob!r}, {layout.code(values, written)}), " for prob, values in updates)
             stmts.append(f"u{j} = ({pairs})")
-        if len(commands) == 1:
+        if len(stmts) == 1:
             body.append(stmts[0])
         else:
             body.extend(f"if k{gi}_{j} == {k}: {stmt}" for k, stmt in enumerate(stmts))
-    modules = ", ".join(f"u{j}" for j in range(len(parts)))
+    modules = ", ".join(f"u{j}" for j in range(len(choices)))
     body.append(f"n = _row(c, {layout.code({}, unwritten)}, {modules})")
     return body

@@ -20,6 +20,8 @@ MAX_OVERLAP_VALUATIONS = 2**20
 # `c op var` says the same as `var _MIRRORED[op] c`.
 _MIRRORED = {"=": "=", "<": ">", "<=": ">=", ">": "<", ">=": "<="}
 
+Group = tuple[str | None, tuple[tuple[int, tuple[int, ...]], ...]]  # see ValidatedModel
+
 
 class ValidatedModel(Record):
     """Parsed model plus the facts validation established.
@@ -27,6 +29,11 @@ class ValidatedModel(Record):
     Treat all fields as read-only. Expressions stay unfolded except update
     probabilities, which are folded to floats in ``update_probs`` (indexed by
     module position, then command position).
+
+    ``groups`` lists the sets of commands that fire together, in the order
+    the explorer tests them: each unlabeled command alone (by module, then
+    command), then each action by first use. An entry is ``(action or None,
+    ((module position, (command position, ...)), ...))``.
 
     Two fields record what validation proved about guards over the declared
     ranges, so the explorer can drop the run-time checks they cover:
@@ -41,12 +48,16 @@ class ValidatedModel(Record):
     variables: tuple[ast.VarDecl, ...]
     var_index: dict[str, int]
     update_probs: tuple[tuple[tuple[float, ...], ...], ...]
-    action_order: tuple[str, ...]
+    groups: tuple[Group, ...]
     decided_picks: frozenset[tuple[int, str]]
     disjoint_groups: bool
 
-    _not_compared = ("constants", "variables", "var_index", "update_probs", "action_order",
+    _not_compared = ("constants", "variables", "var_index", "update_probs", "groups",
                      "decided_picks", "disjoint_groups")  # equality looks at the model only
+
+    @property
+    def action_order(self) -> tuple[str, ...]:
+        return tuple(action for action, _ in self.groups if action is not None)
 
     @property
     def initial_state(self) -> tuple[int, ...]:
@@ -97,11 +108,16 @@ def validate(model: ast.Model) -> ValidatedModel:
     for label in model.labels:
         analysis.check_kind(label.expr, "bool", const_kinds, var_decls, "label definition")
 
-    action_order: list[str] = []
-    for module in model.modules:
-        for command in module.commands:
-            if command.label is not None and command.label not in action_order:
-                action_order.append(command.label)
+    groups: list[Group] = []
+    actions: dict[str, dict[int, list[int]]] = {}
+    for mi, module in enumerate(model.modules):
+        for ci, command in enumerate(module.commands):
+            if command.label is None:
+                groups.append((None, ((mi, (ci,)),)))
+            else:
+                actions.setdefault(command.label, {}).setdefault(mi, []).append(ci)
+    for action, parts in actions.items():
+        groups.append((action, tuple((mi, tuple(cis)) for mi, cis in parts.items())))
 
     boxes = [
         [_box(command.guard, var_decls, constants) for command in module.commands]
@@ -119,9 +135,9 @@ def validate(model: ast.Model) -> ValidatedModel:
         variables=tuple(variables),
         var_index=var_index,
         update_probs=tuple(update_probs),
-        action_order=tuple(action_order),
+        groups=tuple(groups),
         decided_picks=frozenset(decided_picks),
-        disjoint_groups=_groups_disjoint(model, boxes),
+        disjoint_groups=_groups_disjoint(groups, boxes),
     )
 
 
@@ -250,32 +266,24 @@ def _check_overlaps(
     return decided
 
 
-def _groups_disjoint(model: ast.Model, boxes: list[list[dict[str, range]]]) -> bool:
-    """Whether no valuation in the declared ranges enables two groups.
+def _groups_disjoint(groups: list[Group], boxes: list[list[dict[str, range]]]) -> bool:
+    """Whether no valuation in the declared ranges enables two of `groups`.
 
-    A group is one unlabeled command, or the commands of every module on one
-    action. Its box holds each valuation that enables it: an unlabeled
-    command's own box, or, for an action, the intersection over its modules
-    of the hull of the module's command boxes (a variable missing from a box
-    is unconstrained). The groups are proven disjoint if, sorted on some
-    variable that every nonempty group box narrows, each box's range ends
-    before the next one's begins; that costs O(G log G) per variable, not
-    a test of all pairs. Otherwise this answers False, which is always safe.
+    A group's box holds each valuation that enables it: the intersection over
+    its modules of the hull of the module's command boxes (a variable missing
+    from a box is unconstrained). The groups are proven disjoint if, sorted
+    on some variable that every nonempty group box narrows, each box's range
+    ends before the next one's begins; that costs O(G log G) per variable,
+    not a test of all pairs. Otherwise this answers False, always safe.
     """
     group_boxes = []
-    actions: dict[str, list[dict[str, range]]] = {}
-    for module, module_boxes in zip(model.modules, boxes):
-        by_label: dict[str, list[dict[str, range]]] = {}
-        for command, box in zip(module.commands, module_boxes):
-            if command.label is None:
-                group_boxes.append(box)
-            else:
-                by_label.setdefault(command.label, []).append(box)
-        # One box is its own hull, and its own meet below.
-        for label, label_boxes in by_label.items():
-            hull = label_boxes[0] if len(label_boxes) == 1 else _hull(label_boxes)
-            actions.setdefault(label, []).append(hull)
-    group_boxes += [hulls[0] if len(hulls) == 1 else _meet(hulls) for hulls in actions.values()]
+    for _, parts in groups:
+        # One box is its own hull, and its own meet.
+        hulls = [
+            boxes[mi][cis[0]] if len(cis) == 1 else _hull([boxes[mi][ci] for ci in cis])
+            for mi, cis in parts
+        ]
+        group_boxes.append(hulls[0] if len(hulls) == 1 else _meet(hulls))
     # An empty range is false: such a box holds no valuation.
     live = [box for box in group_boxes if all(box.values())]
     if len(live) < 2:

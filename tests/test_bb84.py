@@ -193,6 +193,10 @@ class TestParameterValidation:
         with pytest.raises(ValueError):
             Bb84Params(photons=1, channel=(1.5, -0.5, 0.0, 0.0))
 
+    def test_channel_needs_four_probabilities(self):
+        with pytest.raises(ValueError, match="channel needs 4 probabilities, got 3"):
+            Bb84Params(photons=3, channel=(0.5, 0.5, 0.0))
+
     def test_unit_interval_parameters(self):
         with pytest.raises(ValueError):
             Bb84Params(photons=1, eve_q=1.1)

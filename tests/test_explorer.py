@@ -393,6 +393,21 @@ class TestProvenChecks:
         assert info.value.code == "NONDETERMINISM"
         assert "action [a] and action [b] both enabled in state (x=1)" in str(info.value)
 
+    def test_two_unlabeled_commands_are_named_by_their_modules(self):
+        source = (
+            "dtmc\nmodule m\n  x : [0..1] init 0;\n  [] x=0 -> (x'=1);\nendmodule\n"
+            "module w\n  y : [0..1] init 0;\n  [] y=0 -> (y'=1);\nendmodule\n"
+        )
+        vm = validate(parse(source))
+        assert not vm.disjoint_groups
+        with pytest.raises(BuildError) as info:
+            build(vm)
+        assert info.value.code == "NONDETERMINISM"
+        assert str(info.value) == (
+            "unlabeled command (module m) and unlabeled command (module w) both enabled "
+            "in state (x=0, y=0)"
+        )
+
     def test_an_undecided_pick_keeps_its_check(self, monkeypatch):
         # x+0<5 gets no box narrowing, so the pair's intersection is the
         # whole range, past MAX_OVERLAP_VALUATIONS: validate leaves it open.
@@ -425,12 +440,11 @@ class TestProvenChecks:
         message = "commands at line 5 and line 6 are both enabled for action [b]"
         assert f"{message} in state (x=0, y=0)" in str(info.value)
 
-    @pytest.mark.parametrize(
-        "commands", [explorer_module.MAX_INLINE_PICK, explorer_module.MAX_INLINE_PICK + 1]
-    )
+    @pytest.mark.parametrize("commands", [64, 65, 1000])
     def test_a_long_decided_pick_stays_flat(self, monkeypatch, commands):
-        # Past MAX_INLINE_PICK commands the pick is a flat tuple for `_pick`,
-        # not a conditional expression nested once per command.
+        # A decided pick of any length is one flat `or`, not an expression
+        # nested once per command, which CPython fails to compile at 1,000
+        # levels; no `_pick` checks it again.
         source = (
             f"dtmc\nmodule m\n  x : [0..{commands}] init 0;\n"
             + "".join(f"  [a] x={k} -> (x'={k + 1});\n" for k in range(commands))
@@ -440,9 +454,25 @@ class TestProvenChecks:
         assert vm.decided_picks == {(0, "a")}
         sources = walk_sources(monkeypatch)
         dtmc = build(vm)
-        assert ("_pick" in sources[0]) == (commands > explorer_module.MAX_INLINE_PICK)
+        assert "_pick" not in sources[0]
         assert dtmc.state_count == commands + 1
         assert dtmc.deadlocks == frozenset({commands})
+
+    def test_a_guard_with_a_top_level_or_picks_its_own_command(self, monkeypatch):
+        # Each guard of the flat `or` is bracketed: bare, `x=0 | x=3` would
+        # make `c == (1) and 1 or c == (0) or ...` pick the first command at
+        # x=0.
+        source = (
+            "dtmc\nmodule m\n  x : [0..3] init 0;\n"
+            "  [a] x=1 -> (x'=2);\n  [a] x=0 | x=3 -> (x'=1);\n  [a] x=2 -> (x'=3);\nendmodule\n"
+        )
+        vm = validate(parse(source))
+        assert vm.decided_picks == {(0, "a")}
+        sources = walk_sources(monkeypatch)
+        dtmc = build(vm)
+        assert "_pick" not in sources[0]
+        assert list(dtmc.iter_states()) == [(0,), (1,), (2,), (3,)]
+        assert dtmc.export_text() == reference_build(vm)[1].export_text()
 
 
 class TestLabelsAndExport:

@@ -227,6 +227,18 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse("dtmc\nconst int k = 1 + 2;\n")
 
+    @pytest.mark.parametrize(
+        "decl, message",
+        [
+            ("const bool b = 1;", "2:7: expected 'int' or 'double' in constant declaration, found 'bool'"),
+            ("const int k = x;", "2:15: expected a number in constant declaration, found 'x'"),
+        ],
+    )
+    def test_constant_declaration_errors(self, decl, message):
+        with pytest.raises(ParseError) as info:
+            parse(f"dtmc\n{decl}\n")
+        assert str(info.value) == message
+
     def test_keywords_are_reserved(self):
         with pytest.raises(ParseError):
             parse("dtmc\nmodule module\n  x : [0..1] init 0;\nendmodule\n")

@@ -8,7 +8,7 @@ node equality, which makes whole-model comparison meaningful.
 import pytest
 
 from qkdmc.bb84 import Bb84Params, Passthrough, generate, model_ast
-from qkdmc.lang import Binary, IntLit, Name, RealLit, Unary, parse, print_expr, print_model
+from qkdmc.lang import Binary, BoolLit, IntLit, Name, RealLit, Unary, parse, print_expr, print_model
 
 GOLDEN_MODELS = [
     "channel_perfect.pm",
@@ -65,6 +65,10 @@ class TestExprPrinting:
         assert print_expr(Unary("-", IntLit(3))) == "-3"
         assert print_expr(Unary("!", Name("ok"))) == "!ok"
         assert print_expr(Unary("-", Binary("+", Name("a"), IntLit(1)))) == "-(a+1)"
+
+    def test_boolean_literals(self):
+        assert print_expr(BoolLit(True)) == "true"
+        assert print_expr(BoolLit(False)) == "false"
 
     def test_real_literals_are_lossless(self):
         assert print_expr(RealLit(0.1)) == "0.1"

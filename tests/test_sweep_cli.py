@@ -399,6 +399,12 @@ class TestCliExitCodes:
         assert cli.main(["bb84", "--photons", "1", "--channel", "1,0,0",
                          "--emit", "x.pm"]) == 1
 
+    def test_a_non_numeric_channel_is_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "rows.csv"
+        assert cli.main(["sweep", "--photons", "2", "--channel", "a,b,c,d", "--out", str(out)]) == 1
+        assert "non-numeric" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_parameter_value_is_exit_1(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
         code = cli.main(["sweep", "--photons", "1..3", "--eve-q", "1.5",

@@ -194,6 +194,19 @@ class TestKinds:
         )
         assert "guard must be bool" in str(error)
 
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("[] !x -> (x'=1);", "4:6: operand of '!' must be boolean"),
+            ("[] x=0 -> (x'=-true);", "4:17: operand of unary '-' must be numeric"),
+            ("[] x & 1 -> (x'=1);", "4:8: operands of '&' must be boolean"),
+            ("[] x=0 -> true:(x'=1) + 0.5:(x'=0);", "4:13: probability must be numeric, got bool"),
+        ],
+    )
+    def test_operand_kinds(self, command, message):
+        error = fails(f"dtmc\nmodule m\n  x : [0..1] init 0;\n  {command}\nendmodule\n", "TYPE")
+        assert str(error) == message
+
     def test_comparisons_are_integer_only(self):
         fails(
             "dtmc\nconst double p = 0.5;\nmodule m\n  x : [0..1] init 0;\n"
@@ -531,6 +544,41 @@ class TestValidatedModel:
             "module w\n  y : [0..1] init 0;\n  [go] y=0 -> (y'=1);\n  [] y=1 -> (y'=0);\nendmodule\n"
         )
         assert vm.action_order == ("go",)
+
+    def test_groups_put_unlabeled_commands_first_then_actions_by_first_use(self):
+        vm = check(
+            "dtmc\nmodule m\n  x : [0..3] init 0;\n"
+            "  [b] x=0 -> (x'=1);\n  [] x=1 -> (x'=2);\n  [a] x=2 -> (x'=3);\n"
+            "  [b] x=3 -> (x'=0);\nendmodule\n"
+            "module w\n  y : [0..1] init 0;\n"
+            "  [a] y=0 -> (y'=1);\n  [] y=1 -> (y'=0);\n  [c] y=0 -> (y'=0);\nendmodule\n"
+        )
+        assert vm.groups == (
+            (None, ((0, (1,)),)),
+            (None, ((1, (1,)),)),
+            ("b", ((0, (0, 3)),)),
+            ("a", ((0, (2,)), (1, (0,)))),
+            ("c", ((1, (2,)),)),
+        )
+        assert vm.action_order == ("b", "a", "c") == first_use(vm.model)
+
+    def test_the_bb84_groups_are_its_six_actions(self):
+        vm = validate(model_ast(Bb84Params(photons=3)))
+        assert vm.groups == (
+            ("alicedraw", ((0, (0,)), (1, (0,)))),
+            ("compare", ((0, (1,)), (1, (5, 6, 7)), (2, (1,)), (3, (1,)))),
+            ("aliceput", ((1, (1,)),)),
+            ("evemeasure", ((1, (2,)), (2, (0,)))),
+            ("eveput", ((1, (3,)),)),
+            ("bobmeasure", ((1, (4,)), (3, (0,)))),
+        )
+        assert vm.action_order == tuple(action for action, _ in vm.groups) == first_use(vm.model)
+
+
+def first_use(model) -> tuple[str, ...]:
+    """Each action once, in module order, then command order."""
+    labels = (command.label for module in model.modules for command in module.commands)
+    return tuple(dict.fromkeys(label for label in labels if label is not None))
 
 
 @pytest.mark.parametrize(
