@@ -56,7 +56,9 @@ model's rows take that path. Other rows go to one of three helpers that
   whose targets are not ascending goes here, or one whose sum misses 1;
 - `_row(c, b, u0, ..., uM)` forms a row at run time. b holds the bits
   no module of the group writes, and u{j} is module j's tuple of
-  (probability, bits) updates. It walks their product in order,
+  (probability, bits) updates. It refuses a product of more than
+  MAX_ROW_PAIRS pairs (ROW_LIMIT, naming the state) before it forms any,
+  then walks the product in order,
   multiplying the probabilities left to right and ORing the bits into b,
   drops a zero product, indexes the successors and merges the row as
   `_merge` does. It takes the rows of a group in which two modules pick,
@@ -205,10 +207,17 @@ class Dtmc(Record):
     def states_where(self, expr: ast.Expr) -> frozenset[int]:
         """Indices of the states where a kind-checked boolean expression over
         the variables and constants holds, from one scan of the codes.
+
+        The scan is one comprehension, compiled here, that evaluates the
+        expression at every code with no Python call per state. It lists a
+        truth value per code and keeps the indices of the true ones: a
+        comprehension that filters would loop back through a conditional
+        jump, and CPython 3.11 does not specialize a fresh code object on
+        those, so its one long run would stay on the generic bytecode.
         """
         source = render_expr(expr, self.layout.reads, self.constants)
-        holds = eval(f"lambda c: {source}", {"__builtins__": {}})
-        return frozenset(compress(count(), map(holds, self.codes)))
+        truths = eval(f"lambda codes: [{source} for c in codes]", {"__builtins__": {}})
+        return frozenset(compress(count(), truths(self.codes)))
 
     def row(self, index: int) -> tuple[tuple[int, float], ...]:
         """The (target, probability) pairs of one row, sorted by target."""
@@ -250,7 +259,9 @@ def build(vm: ValidatedModel) -> Dtmc:
     NONDETERMINISM (two groups, or two commands of one module for one
     action, enabled where validation did not prove them apart; reports the
     state), BOUNDS (an update leaves a variable's range; reports state,
-    command line and variable) or ROW_SUM (post-build stochasticity assert).
+    command line and variable), ROW_LIMIT (a product row of more than
+    MAX_ROW_PAIRS pairs; reports the state) or ROW_SUM (post-build
+    stochasticity assert).
     """
     layout = Layout(vm.variables)
     explore = _compile_walk(vm, layout)
@@ -284,10 +295,17 @@ def build(vm: ValidatedModel) -> Dtmc:
         end_row(len(targets))
 
     def row(code: int, bits: int, *parts: tuple[tuple[float, int], ...]) -> int:
-        # Extend the row module by module, in product order, multiplying
-        # left to right and ORing each update's bits into the successor;
-        # drop a zero product, index the successors in order, merge the row;
-        # return the new state count.
+        # Refuse a product too large to form. Otherwise extend the row module
+        # by module, in product order, multiplying left to right and ORing
+        # each update's bits into the successor; drop a zero product, index
+        # the successors in order, merge the row; return the new state count.
+        size = math.prod(map(len, parts))
+        if size > MAX_ROW_PAIRS:
+            raise BuildError(
+                f"row for state ({layout.describe(layout.decode(code))}) is a product of "
+                f"{size} pairs; ROW_LIMIT is {MAX_ROW_PAIRS}",
+                code="ROW_LIMIT",
+            )
         pairs = [(p, bits | w) for p, w in parts[0]]
         for part in parts[1:]:
             pairs = [(q * p, key | w) for q, key in pairs for p, w in part]
@@ -331,6 +349,11 @@ def build(vm: ValidatedModel) -> Dtmc:
 # assigns, a constant known to be in range or the source of the value,
 # range-tested unless it provably fits.
 UpdateCode = tuple[float, dict[int, int | str]]
+
+# The most (probability, successor) pairs `_row` forms for one row. A product
+# of distributions can have exponentially many; past this the row is refused
+# (ROW_LIMIT) before any pair is formed.
+MAX_ROW_PAIRS = 2**16
 
 # The most (probability, successor) pairs one row is unrolled into. A row of
 # a product of distributions can have exponentially many; past this `_row`

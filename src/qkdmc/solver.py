@@ -27,15 +27,15 @@ where one from the bottom would first descend the whole BFS chain. The
 order changes no value: SCCs do not depend on it, a one-state SCC still
 sums its row in row order and a cyclic SCC's members are sorted first.
 
-Each state keeps one number, `low`: its visit number, lowered to the least
-`low` of the unsettled states its edges reach. A state whose `low` does not
-drop roots an SCC of itself and the stacked states whose `low` is at least
-its visit number. Only a state whose `low` drops is stacked, so a one-state
-SCC (every state of a bb84 model) never touches the stack. The pass reads
-the Dtmc's CSR columns (`row_starts`, `targets`, `probs`) in place and
-copies no row. An edge into a state the search descends to is read again
-once that state is done, so a one-state SCC is settled with the edges of
-its one walk, in row order; only a cyclic SCC reads its rows again.
+A state is numbered only once its row reaches an unsettled state other
+than itself, before it descends; one that reaches only settled states and
+itself settles unnumbered where its row ends, as every bb84 state does. A
+numbered state's `low` is its visit number, lowered to the least `low` of
+the unsettled states its edges reach. One whose `low` does not drop roots
+an SCC of itself and the stacked states whose `low` is at least its visit
+number; only one whose `low` drops is stacked. The CSR columns are read in
+place. A descent's edge is read again once the state it reaches is done,
+so a one-state SCC sums the edges of its one walk in row order.
 """
 
 from __future__ import annotations
@@ -163,8 +163,9 @@ def _solve(dtmc: Dtmc, query: PropertyQuery) -> tuple[list[float], bytearray, fl
         kind[s] = REACH
         values[s] = 1.0
 
-    low = [0] * n  # visit number, lowered while unsettled; 0 while unvisited
+    low = [0] * n  # visit number, lowered while unsettled; 0 while unnumbered
     stack: list[int] = []  # searched states waiting for the root of their SCC
+    calls: list[tuple[int, int, int, int, int, float, float]] = []  # suspended frames
     counter = 0
     residual = 0.0
     solved = False
@@ -172,43 +173,42 @@ def _solve(dtmc: Dtmc, query: PropertyQuery) -> tuple[list[float], bytearray, fl
     for root in range(n - 1, -1, -1):
         if kind[root]:
             continue
-        counter += 1
-        low[root] = counter
-        # The frame of the state v being searched: its visit number, its next
-        # edge k, its row end, and what its settled successors contribute.
-        v, index, k, end = root, counter, starts[root], starts[root + 1]
+        # The frame of the state v being searched: its visit number (0 while
+        # unnumbered), next edge k, row end and settled successors' share.
+        v, index = root, 0
+        k, end = starts[root], starts[root + 1]
         flags, incoming, self_prob = 0, 0.0, 0.0
-        calls: list[tuple[int, int, int, int, int, float, float]] = []  # suspended frames
         while True:
-            if k < end:
+            while k < end:
                 t = targets[k]
                 bits = kind[t]
                 if bits:
                     flags |= bits
                     incoming += probs[k] * values[t]
-                elif not low[t]:
-                    # Descend; edge k is looked at again once t is done.
-                    calls.append((v, index, k, end, flags, incoming, self_prob))
-                    counter += 1
-                    low[t] = counter
-                    v, index, k, end = t, counter, starts[t], starts[t + 1]
-                    flags, incoming, self_prob = 0, 0.0, 0.0
-                    continue
                 elif t == v:
                     self_prob = probs[k]
-                elif low[t] < low[v]:
-                    # t is visited but unsettled: in v's SCC.
-                    low[v] = low[t]
+                else:
+                    if not index:
+                        counter += 1
+                        low[v] = index = counter
+                    if not low[t]:
+                        # Descend; edge k is read again once t is done.
+                        calls.append((v, index, k, end, flags, incoming, self_prob))
+                        v, index, k, end = t, 0, starts[t], starts[t + 1]
+                        flags, incoming, self_prob = 0, 0.0, 0.0
+                        continue
+                    if low[t] < low[v]:
+                        # t is numbered but unsettled: in v's SCC.
+                        low[v] = low[t]
                 k += 1
-                continue
-            if low[v] < index:
+            if index and low[v] < index:
                 # The root of v's SCC is further up the search path.
                 stack.append(v)
             else:
-                # v roots an SCC of itself and the stacked states whose low is
-                # at least index; every edge leaving it reaches a settled state.
+                # v roots an SCC: itself and, if numbered, the stacked states
+                # whose low is at least index. Every edge leaving it is settled.
                 base = len(stack)
-                while base and low[stack[base - 1]] >= index:
+                while index and base and low[stack[base - 1]] >= index:
                     base -= 1
                 if base == len(stack):
                     if flags & REACH:

@@ -12,6 +12,7 @@ import importlib
 import itertools
 import math
 import re
+import time
 import tracemalloc
 from array import array
 
@@ -307,6 +308,38 @@ class TestBuildErrors:
             explore(source)
         assert info.value.code == "ROW_SUM"
         assert "(x=0, y=0)" in str(info.value)
+
+    @staticmethod
+    def product_source(modules: int) -> str:
+        # Every module takes [a] with two updates to the same value, so one
+        # row is a product of 2**modules pairs that merge into one successor.
+        return "dtmc\n" + "".join(
+            f"module m{j}\n  x{j} : [0..1] init 0;\n"
+            f"  [a] x{j}=0 -> 0.5:(x{j}'=1) + 0.5:(x{j}'=1);\nendmodule\n"
+            for j in range(modules)
+        )
+
+    def test_a_product_row_past_the_limit_is_refused_before_it_is_formed(self, tmp_path, capsys):
+        assert explorer_module.MAX_ROW_PAIRS == 2**16
+        vm = validate(parse(self.product_source(17)))
+        started = time.perf_counter()
+        with pytest.raises(BuildError) as info:
+            build(vm)
+        assert time.perf_counter() - started < 0.1
+        assert info.value.code == "ROW_LIMIT"
+        zeros = ", ".join(f"x{j}=0" for j in range(17))
+        assert str(info.value) == (
+            f"row for state ({zeros}) is a product of 131072 pairs; ROW_LIMIT is 65536"
+        )
+        model = tmp_path / "product.pm"
+        model.write_text(self.product_source(17), encoding="utf-8")
+        assert cli.main(["check", "--model", str(model), "--prop", "P=? [ F (x0=1) ]"]) == 2
+        assert "ROW_LIMIT is 65536" in capsys.readouterr().err
+
+    def test_a_product_row_at_the_limit_is_formed(self):
+        dtmc = explore(self.product_source(16))
+        assert dtmc.state_count == 2
+        assert dtmc.row(0) == ((1, 1.0),)
 
 
 def walk_sources(monkeypatch) -> list[str]:

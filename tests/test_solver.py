@@ -316,3 +316,87 @@ class TestAgainstExactArithmetic:
             assert abs(value - float(truth)) <= 1e-12
         assert report.prob0_count == len(zero)
         assert report.prob1_count == len(one)
+
+
+def _chain(rows: list[tuple[tuple[int, float], ...]], target, constraint) -> tuple:
+    """(Dtmc, query, target, constraint) with the given (target, probability)
+    rows, each sorted by target, over one variable x whose value is the state."""
+    size = len(rows)
+    row_starts = array("q", [0])
+    for row in rows:
+        row_starts.append(row_starts[-1] + len(row))
+    dtmc = Dtmc(
+        variables=(ast.VarDecl("x", 0, size - 1, 0),),
+        constants={},
+        codes=array("Q", range(size)),  # x is the only field, at offset 0
+        initial=0,
+        row_starts=row_starts,
+        targets=array("q", [t for row in rows for t, _ in row]),
+        probs=array("d", [prob for row in rows for _, prob in row]),
+        labels={"t": _one_of(target), "c": _one_of(constraint or frozenset())},
+        deadlocks=frozenset(),
+    )
+    prop = 'P=? [ F "t" ]' if constraint is None else 'P=? [ "c" U "t" ]'
+    return dtmc, parse_property(prop), target, constraint
+
+
+@st.composite
+def bfs_chains(draw):
+    """A chain over at most 30 states shaped like a BFS build: most edges go
+    to a higher index, a few go back or loop on their state.
+
+    The solver takes its roots from the top, so a row often reaches settled
+    states (higher ones, targets, states outside the constraint) beside
+    unsettled lower ones. Rows spread 1, 2 or 4 dyadic units, as in
+    `small_chains`.
+    """
+    size = draw(st.integers(1, 30))
+    rows = []
+    for s in range(size):
+        units = draw(st.sampled_from([1, 2, 4]))
+        picks = []
+        for _ in range(units):
+            way = draw(st.integers(0, 9)) if s < size - 1 else draw(st.integers(0, 1))
+            if way == 0:
+                picks.append(s)
+            elif way == 1:
+                picks.append(draw(st.integers(0, s)))
+            else:
+                picks.append(draw(st.integers(s + 1, size - 1)))
+        rows.append(tuple((t, picks.count(t) / units) for t in sorted(set(picks))))
+    states = range(size)
+    target = draw(st.frozensets(st.sampled_from(states), max_size=3))
+    constraint = draw(st.none() | st.frozensets(st.sampled_from(states), min_size=size // 2))
+    return _chain(rows, target, constraint)
+
+
+def _assert_matches_the_references(dtmc, query, target, constraint):
+    everything = set(range(dtmc.state_count))
+    allowed = everything if constraint is None else set(constraint)
+    zero = everything - _backward(set(target), allowed, dtmc)
+    one = everything - _backward(zero, allowed - target, dtmc)
+    report = prob_until(dtmc, query)
+    exact = _exact_values(dtmc, target, zero)
+    for value, truth in zip(report.values, exact):
+        assert abs(value - float(truth)) <= 1e-12
+    assert prob0_states(dtmc, query) == zero
+    assert prob1_states(dtmc, query) == one
+    assert report.prob0_count == len(zero)
+    assert report.prob1_count == len(one)
+
+
+class TestBfsShapedChains:
+    @given(bfs_chains())
+    def test_values_and_qualitative_sets_match_a_brute_force_solve(self, case):
+        _assert_matches_the_references(*case)
+
+    def test_a_root_carries_its_settled_mass_into_the_search(self):
+        # Root 3 reads the target 0 (settled) and then descends to 1, which
+        # reads 0 and then descends to the sink 2. Each must keep the mass of
+        # the edges it read before descending: 3 settles at 1/4 + 3/4 * 1/2.
+        rows = [((0, 1.0),), ((0, 0.5), (2, 0.5)), ((2, 1.0),), ((0, 0.25), (1, 0.75))]
+        case = _chain(rows, frozenset({0}), None)
+        _assert_matches_the_references(*case)
+        report = prob_until(case[0], case[1])
+        assert report.values == (1.0, 0.5, 0.0, 0.625)
+        assert (report.prob0_count, report.prob1_count) == (1, 1)
