@@ -24,7 +24,10 @@ Every probabilistic choice inside one phase is merged into a single
 command's update distribution, so each reachable state enables exactly one
 synchronized action and the model builds without nondeterminism. All
 per-round scratch variables reset on the compare step, which keeps the
-reachable state count affine in the photon count.
+reachable state count affine in the photon count. A reduced build (see
+`explorer.build`) resets some earlier, where validation finds them dead:
+Eve's pair as the receive phase begins, the channel's as the compare phase
+begins.
 
 The model is written as text, in the canonical form `print_model` gives:
 its fixed lines are one literal, and only the photon constant n, the bound

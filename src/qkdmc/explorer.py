@@ -60,8 +60,9 @@ model's rows take that path. Other rows go to one of three helpers that
   MAX_ROW_PAIRS pairs (ROW_LIMIT, naming the state) before it forms any,
   then walks the product in order,
   multiplying the probabilities left to right and ORing the bits into b,
-  drops a zero product, indexes the successors and merges the row as
-  `_merge` does. It takes the rows of a group in which two modules pick,
+  drops a zero product, resets dead variables in a reduced build, indexes
+  the successors and merges the row as `_merge` does. It takes the rows
+  of a group in which two modules pick,
   and rows of more than MAX_UNROLLED_PAIRS pairs: a product of
   distributions can have exponentially many, and the generated source
   stays linear in the model text;
@@ -73,7 +74,15 @@ so nothing they reach outlives the build. The walk keys each state by its
 code, one int with a bit field per variable (see `Layout`). It reads a
 variable as ``(c >> offset & mask)`` and builds a successor as
 ``c & KEEP | CONST | value << offset``; a value in range, tested or
-proven, stays out of its neighbour's bits. It evaluates no label: the
+proven, stays out of its neighbour's bits. A reduced build folds the
+resets of dead variables (Bozga, Fernandez & Ghirvu, SAS 1999) into the
+same masks: where validation found a location variable
+(`ValidatedModel.dead_on_entry`), every update sets it to a constant, so
+the generator knows each unrolled successor's location, and a variable
+dead there leaves KEEP while its initial value joins CONST. The walk pays
+nothing per state for it; `_row` resets the successors it forms itself.
+A dead variable's assigned value is still computed and range-tested, so
+BOUNDS is raised where a full build raises it. It evaluates no label: the
 Dtmc keeps their definitions, and `Dtmc.states_where` answers each state
 query in one scan of the codes. The Dtmc keeps the codes and the CSR
 arrays: a few flat buffers, not a container per row and per state for the
@@ -162,6 +171,8 @@ class Dtmc(Record):
     500-photon bb84 model), else a list. Decode them with `state`,
     `iter_states` and `describe_state`. `labels` maps each label name to its
     defining expression; `states_where` finds the states where one holds.
+    `reset` names the variables a reduced build (see `build`) may have reset
+    to their initial values; it is empty for a full build.
     """
 
     variables: tuple[ast.VarDecl, ...]
@@ -173,6 +184,7 @@ class Dtmc(Record):
     probs: array[float]
     labels: dict[str, ast.Expr]
     deadlocks: frozenset[int]
+    reset: frozenset[str] = frozenset()
 
     __slots__ = ("__dict__",)  # where `layout` is cached
     __eq__ = object.__eq__
@@ -251,11 +263,17 @@ class Dtmc(Record):
         return "\n".join(lines) + "\n"
 
 
-def build(vm: ValidatedModel) -> Dtmc:
+def build(vm: ValidatedModel, *, reduce: bool = False) -> Dtmc:
     """Breadth-first exploration from the initial valuation.
 
     State indices follow discovery order, so two builds of the same model
-    are identical structure for structure. Raises BuildError with code
+    are identical structure for structure. With `reduce`, a successor
+    entering a location resets each variable dead on entry to it
+    (`ValidatedModel.dead_on_entry`) to its initial value, so states that
+    differ only in values no label and no later step reads are built once.
+    The reduced chain answers every label query as the full one does, and
+    its `reset` names the variables that an expression query must not read.
+    A model without a location variable builds in full. Raises BuildError with code
     NONDETERMINISM (two groups, or two commands of one module for one
     action, enabled where validation did not prove them apart; reports the
     state), BOUNDS (an update leaves a variable's range; reports state,
@@ -264,7 +282,27 @@ def build(vm: ValidatedModel) -> Dtmc:
     stochasticity assert).
     """
     layout = Layout(vm.variables)
-    explore = _compile_walk(vm, layout)
+    # (location variable, {location: {dead variable: its initial value}})
+    resets = None
+    if reduce and vm.dead_on_entry is not None:
+        location, dead_on_entry = vm.dead_on_entry
+        resets = (
+            vm.var_index[location],
+            {
+                at: {vm.var_index[name]: vm.variables[vm.var_index[name]].init for name in held}
+                for at, held in dead_on_entry.items()
+            },
+        )
+    explore = _compile_walk(vm, layout, resets)
+    # The walk folds the resets into an unrolled row's masks; `row` applies
+    # them to each successor it forms, as (keep, initial bits) per location.
+    rebase: dict[int, tuple[int, int]] = {}
+    offset = mask = 0
+    if resets:
+        offset, mask = layout.fields[resets[0]]
+        for at, values in resets[1].items():
+            bits = sum(value << layout.fields[i][0] for i, value in values.items())
+            rebase[at] = (layout.full & ~layout.mask(values), bits)
     initial = layout.encode(vm.initial_state)
     codes = [initial]
     code_index = {initial: 0}
@@ -297,8 +335,9 @@ def build(vm: ValidatedModel) -> Dtmc:
     def row(code: int, bits: int, *parts: tuple[tuple[float, int], ...]) -> int:
         # Refuse a product too large to form. Otherwise extend the row module
         # by module, in product order, multiplying left to right and ORing
-        # each update's bits into the successor; drop a zero product, index
-        # the successors in order, merge the row; return the new state count.
+        # each update's bits into the successor; drop a zero product, reset
+        # the dead variables of a reduced build, index the successors in
+        # order, merge the row; return the new state count.
         size = math.prod(map(len, parts))
         if size > MAX_ROW_PAIRS:
             raise BuildError(
@@ -313,6 +352,9 @@ def build(vm: ValidatedModel) -> Dtmc:
         for prob, key in pairs:
             if not prob:
                 continue
+            if rebase:
+                keep, bits = rebase.get(key >> offset & mask, (-1, 0))
+                key = key & keep | bits
             fresh = len(codes)
             ti = index(key, fresh)
             if ti == fresh:
@@ -342,6 +384,7 @@ def build(vm: ValidatedModel) -> Dtmc:
         probs=probs,
         labels={label.name: label.expr for label in vm.model.labels},
         deadlocks=frozenset(deadlocks),
+        reset=frozenset().union(*vm.dead_on_entry[1].values()) if resets else frozenset(),
     )
 
 
@@ -361,7 +404,9 @@ MAX_ROW_PAIRS = 2**16
 MAX_UNROLLED_PAIRS = 16
 
 
-def _compile_walk(vm: ValidatedModel, layout: Layout) -> Callable[..., None]:
+def _compile_walk(
+    vm: ValidatedModel, layout: Layout, resets: tuple[int, dict[int, dict[int, int]]] | None
+) -> Callable[..., None]:
     """Compile the model into the walk, explore(codes, targets, _row,
     _merge, _dead, index, add, at, ap, end).
 
@@ -387,6 +432,10 @@ def _compile_walk(vm: ValidatedModel, layout: Layout) -> Callable[..., None]:
     index of its enabled command, or -1: in one flat `or` for a pick in
     `vm.decided_picks`, else by `_pick`, which checks that one command at
     most is enabled.
+
+    `resets`, if given, is (location variable, {location: {variable dead
+    there: its initial value}}); an unrolled row's successors take those
+    values (see `_unrolled_row`), and `_row` applies them itself.
     """
     var_index = vm.var_index
     modules = vm.model.modules
@@ -470,10 +519,10 @@ def _compile_walk(vm: ValidatedModel, layout: Layout) -> Callable[..., None]:
                 body = []
                 for c, branch in enumerate(branches):
                     body.append(f"if k{gi}_{picker} == {c}:")
-                    rows = [*_unrolled_row(branch, layout), "continue"]
+                    rows = [*_unrolled_row(branch, layout, resets), "continue"]
                     body.extend(f"    {line}" for line in rows)
             else:
-                body = _unrolled_row(branches[0], layout)
+                body = _unrolled_row(branches[0], layout, resets)
         else:
             body = _product_row(gi, choices, layout)
         # A guard has no side effects and holds wherever an equal earlier term
@@ -553,9 +602,18 @@ def _compile_walk(vm: ValidatedModel, layout: Layout) -> Callable[..., None]:
     return namespace["explore"]
 
 
-def _unrolled_row(per_module: list[list[UpdateCode]], layout: Layout) -> list[str]:
+def _unrolled_row(
+    per_module: list[list[UpdateCode]],
+    layout: Layout,
+    resets: tuple[int, dict[int, dict[int, int]]] | None,
+) -> list[str]:
     """The statements that store the row of one choice of command per module
     of a group, each of whose probabilities the generator knows.
+
+    With `resets`, (location variable, {location: {variable: value}}), a
+    successor whose location is known takes the values given for it. They
+    join the successor's constant bits; a value they replace is still
+    computed, and range-tested where it would be.
 
     Each successor, in product order, is looked up in the index, and a new
     one appended to the walk's codes. Strictly ascending targets are
@@ -592,6 +650,8 @@ def _unrolled_row(per_module: list[list[UpdateCode]], layout: Layout) -> list[st
         values: dict[int, int | str] = {}
         for _, assigned in combination:
             values.update(assigned)
+        if resets:
+            values.update(resets[1].get(values.get(resets[0]), {}))
         t = f"t{len(pairs)}"
         successor = layout.code(values, layout.full)
         lines.append(f"if ({t} := index(k := {successor}, n)) == n: add(k); n += 1")

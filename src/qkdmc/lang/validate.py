@@ -41,6 +41,10 @@ class ValidatedModel(Record):
     commands `_check_overlaps` decided exactly, so no valuation enables two
     of them; ``disjoint_groups`` is True if `_groups_disjoint` proved that no
     valuation enables two groups.
+
+    ``dead_on_entry`` is ``(location variable, {location: the variables dead
+    on entry to it})``, by name, from `_dead_on_entry`; None if the model
+    has no location variable.
     """
 
     model: ast.Model
@@ -50,10 +54,11 @@ class ValidatedModel(Record):
     update_probs: tuple[tuple[tuple[float, ...], ...], ...]
     groups: tuple[Group, ...]
     decided_picks: frozenset[tuple[int, str]]
+    dead_on_entry: tuple[str, dict[int, frozenset[str]]] | None
     disjoint_groups: bool
 
     _not_compared = ("constants", "variables", "var_index", "update_probs", "groups",
-                     "decided_picks", "disjoint_groups")  # equality looks at the model only
+                     "decided_picks", "dead_on_entry", "disjoint_groups")  # the model only
 
     @property
     def action_order(self) -> tuple[str, ...]:
@@ -129,6 +134,19 @@ def validate(model: ast.Model) -> ValidatedModel:
         decided = _check_overlaps(module, boxes[mi], constants) or ()
         decided_picks.update((mi, label) for label in decided if label is not None)
 
+    # A group's box holds each valuation that enables it: the meet over its
+    # modules of the hull of the module's command boxes (one box is its own
+    # hull, and its own meet).
+    group_boxes = []
+    for _, parts in groups:
+        hulls = [
+            boxes[mi][cis[0]] if len(cis) == 1 else _hull([boxes[mi][ci] for ci in cis])
+            for mi, cis in parts
+        ]
+        group_boxes.append(hulls[0] if len(hulls) == 1 else _meet(hulls))
+    # An empty range is false: such a box holds no valuation.
+    firing = [i for i, box in enumerate(group_boxes) if all(box.values())]
+
     return ValidatedModel(
         model=model,
         constants=constants,
@@ -137,7 +155,10 @@ def validate(model: ast.Model) -> ValidatedModel:
         update_probs=tuple(update_probs),
         groups=tuple(groups),
         decided_picks=frozenset(decided_picks),
-        disjoint_groups=_groups_disjoint(groups, boxes),
+        dead_on_entry=_dead_on_entry(
+            model, variables, groups, boxes, group_boxes, firing, constants
+        ),
+        disjoint_groups=_groups_disjoint([group_boxes[i] for i in firing]),
     )
 
 
@@ -266,26 +287,15 @@ def _check_overlaps(
     return decided
 
 
-def _groups_disjoint(groups: list[Group], boxes: list[list[dict[str, range]]]) -> bool:
-    """Whether no valuation in the declared ranges enables two of `groups`.
+def _groups_disjoint(live: list[dict[str, range]]) -> bool:
+    """Whether no valuation in the declared ranges enables two groups, given
+    the boxes of those that some valuation may enable.
 
-    A group's box holds each valuation that enables it: the intersection over
-    its modules of the hull of the module's command boxes (a variable missing
-    from a box is unconstrained). The groups are proven disjoint if, sorted
-    on some variable that every nonempty group box narrows, each box's range
-    ends before the next one's begins; that costs O(G log G) per variable,
-    not a test of all pairs. Otherwise this answers False, always safe.
+    The groups are proven disjoint if, sorted on some variable that every
+    box narrows, each box's range ends before the next one's begins; that
+    costs O(G log G) per variable, not a test of all pairs. Otherwise this
+    answers False, always safe.
     """
-    group_boxes = []
-    for _, parts in groups:
-        # One box is its own hull, and its own meet.
-        hulls = [
-            boxes[mi][cis[0]] if len(cis) == 1 else _hull([boxes[mi][ci] for ci in cis])
-            for mi, cis in parts
-        ]
-        group_boxes.append(hulls[0] if len(hulls) == 1 else _meet(hulls))
-    # An empty range is false: such a box holds no valuation.
-    live = [box for box in group_boxes if all(box.values())]
     if len(live) < 2:
         return True
     for name in set.intersection(*map(set, live)):
@@ -293,6 +303,114 @@ def _groups_disjoint(groups: list[Group], boxes: list[list[dict[str, range]]]) -
         if all(stop <= start for (_, stop), (start, _) in zip(spans, spans[1:])):
             return True
     return False
+
+
+def _dead_on_entry(
+    model: ast.Model,
+    variables: list[ast.VarDecl],
+    groups: list[Group],
+    boxes: list[list[dict[str, range]]],
+    group_boxes: list[dict[str, range]],
+    firing: list[int],
+    constants: dict[str, int | float],
+) -> tuple[str, dict[int, frozenset[str]]] | None:
+    """The location variable and, per location, the variables dead on entry
+    to it; None if no variable is a location.
+
+    Control flow reconstruction (van de Pol & Timmer, ATVA 2009): a location
+    variable is one that the box of every group in `firing` pins to one
+    value, the group's location, and that every update of the group's
+    commands sets to a constant, a successor location. A live-variable
+    fixpoint over the locations (Bozga, Fernandez & Ghirvu, SAS 1999) then
+    finds live-in(L) = reads(L) | (the live-ins of L's successors - must(L)).
+    reads(L) holds the variables the guards and assigned values of L's
+    groups read; must(L) those every update at L writes. The location
+    variable and every variable a label reads are live everywhere. No path
+    from L reads a dead variable before writing it, so a state entering L
+    may reset it to its initial value and no label's answer changes.
+    """
+    if not firing:
+        return None
+    ranges = {var.name: (var.low, var.high) for var in variables}
+    owner = {var.name: mi for mi, module in enumerate(model.modules) for var in module.variables}
+    # Sets of variables are bit masks, a bit per variable in declaration order.
+    bit = {var.name: 1 << i for i, var in enumerate(variables)}
+
+    def flow(location: str) -> tuple[dict[int, int], dict[int, int], dict[int, set[int]]] | None:
+        # Per location: the variables read, those every update writes, and
+        # the successor locations; None if `location` is not a location.
+        reads: dict[int, int] = {}
+        must: dict[int, int] = {}
+        successors: dict[int, set[int]] = {}
+        home, here = owner[location], bit[location]
+        for gi in firing:
+            parts = groups[gi][1]
+            # Only the owner's updates set the location, and every one must.
+            if home not in dict(parts):
+                return None
+            at = group_boxes[gi][location].start
+            read = reads.get(at, here)
+            nexts = successors.setdefault(at, set())
+            written = 0  # what every update of the group writes
+            for mi, cis in parts:
+                own = -1  # what every update of module mi writes
+                for ci in cis:
+                    for name in boxes[mi][ci]:
+                        read |= bit[name]
+                    for update in model.modules[mi].commands[ci].updates:
+                        assigned = 0
+                        for assign in update.assignments:
+                            assigned |= bit[assign.var]
+                            value = assign.value
+                            if isinstance(value, ast.Name):
+                                read |= bit.get(value.ident, 0)
+                            elif not isinstance(value, ast.IntLit):
+                                for name in names.expr_names(value):
+                                    read |= bit.get(name, 0)
+                            if assign.var != location:
+                                continue
+                            if isinstance(value, ast.IntLit):
+                                nexts.add(value.value)
+                                continue
+                            low, high = analysis.bounds(value, ranges, constants)
+                            if low != high:
+                                return None
+                            nexts.add(low)
+                        if mi == home and not assigned & here:
+                            return None
+                        own &= assigned
+                written |= own
+            reads[at] = read
+            must[at] = must.get(at, -1) & written
+        return reads, must, successors
+
+    pinned = set.intersection(
+        *({name for name, r in group_boxes[gi].items() if r.stop - r.start == 1} for gi in firing)
+    )
+    for location in [var.name for var in variables if var.name in pinned]:
+        found = flow(location)
+        if found is not None:
+            break
+    else:
+        return None
+    reads, must, successors = found
+    labels = bit[location]
+    for label in model.labels:
+        for name in names.expr_names(label.expr):
+            labels |= bit.get(name, 0)
+    live = {at: labels | reads.get(at, 0) for at in set(reads).union(*successors.values())}
+    changed = True
+    while changed:
+        changed = False
+        for at, nexts in reversed(successors.items()):
+            grown = live[at]
+            for t in nexts:
+                grown |= live[t] & ~must[at]
+            changed |= grown != live[at]
+            live[at] = grown
+    return location, {
+        at: frozenset(name for name, b in bit.items() if not held & b) for at, held in live.items()
+    }
 
 
 def _hull(boxes: list[dict[str, range]]) -> dict[str, range]:

@@ -91,8 +91,9 @@ def resolve_operand(operand: Operand, dtmc: Dtmc) -> frozenset[int]:
 
     A label operand scans for its definition; PropertyError UNKNOWN_LABEL
     lists the labels the model defines. An expression operand must name
-    only the model's variables and constants (UNKNOWN_IDENT) and be boolean
-    (TYPE).
+    only the model's variables and constants (UNKNOWN_IDENT), read none that
+    a reduced build may have reset (RESET_READ, see `Dtmc.reset`) and be
+    boolean (TYPE). A label reads no variable the reduction resets.
     """
     if isinstance(operand, LabelOperand):
         if operand.name not in dtmc.labels:
@@ -106,6 +107,12 @@ def resolve_operand(operand: Operand, dtmc: Dtmc) -> frozenset[int]:
     for ident in sorted(expr_names(operand.expr)):
         if ident not in decls and ident not in dtmc.constants:
             raise PropertyError(f"unknown identifier '{ident}' in property", code="UNKNOWN_IDENT")
+        if ident in dtmc.reset:
+            raise PropertyError(
+                f"property reads '{ident}', which this reduced model resets where no label "
+                "reads it; query a label, or a model built without the reduction",
+                code="RESET_READ",
+            )
     const_kinds = {
         name: ("int" if isinstance(value, int) else "double")
         for name, value in dtmc.constants.items()

@@ -35,7 +35,9 @@ the unsettled states its edges reach. One whose `low` does not drop roots
 an SCC of itself and the stacked states whose `low` is at least its visit
 number; only one whose `low` drops is stacked. The CSR columns are read in
 place. A descent's edge is read again once the state it reaches is done,
-so a one-state SCC sums the edges of its one walk in row order.
+so a one-state SCC sums the edges of its one walk in row order. A state
+is descended into at most once, so a descent past the n-th is an internal
+error that names its state, not a search that never ends.
 """
 
 from __future__ import annotations
@@ -167,6 +169,7 @@ def _solve(dtmc: Dtmc, query: PropertyQuery) -> tuple[list[float], bytearray, fl
     stack: list[int] = []  # searched states waiting for the root of their SCC
     calls: list[tuple[int, int, int, int, int, float, float]] = []  # suspended frames
     counter = 0
+    descents = 0  # each state is descended into at most once
     residual = 0.0
     solved = False
     # Roots from the top: see the module docstring.
@@ -193,6 +196,12 @@ def _solve(dtmc: Dtmc, query: PropertyQuery) -> tuple[list[float], bytearray, fl
                         low[v] = index = counter
                     if not low[t]:
                         # Descend; edge k is read again once t is done.
+                        descents += 1
+                        if descents > n:
+                            raise RuntimeError(
+                                f"internal error: descent {descents} of the search, into state "
+                                f"{t} ({dtmc.describe_state(t)}), in a chain of {n} states"
+                            )
                         calls.append((v, index, k, end, flags, incoming, self_prob))
                         v, index, k, end = t, 0, starts[t], starts[t + 1]
                         flags, incoming, self_prob = 0, 0.0, 0.0

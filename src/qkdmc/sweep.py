@@ -10,13 +10,13 @@ full interception; interception power over a perfect channel).
 
 from __future__ import annotations
 
+import functools
 import time
 from typing import IO
 
-from qkdmc import oracle, solver
+from qkdmc import explorer, oracle, solver
 from qkdmc.bb84 import Bb84Params, Passthrough, check_count, generate
 from qkdmc.errors import AcceptanceViolation
-from qkdmc.explorer import Dtmc, build
 from qkdmc.lang import parse, validate
 from qkdmc.properties import parse_property
 from qkdmc.record import Record
@@ -32,6 +32,10 @@ EVE_MEDIUM = 0.5
 EVE_FULL = 1.0
 
 DETECTED_PROPERTY = 'P=? [ F "detected" ]'
+
+# A sweep builds the reduced chain (see `explorer.build`): it queries a
+# label only. Like `cli.build`, it takes the validated model alone.
+build = functools.partial(explorer.build, reduce=True)
 
 
 class SweepSpec(Record):
@@ -69,8 +73,9 @@ class ResultRow(Record):
     wall_ms: float
 
 
-def analyze(params: Bb84Params) -> tuple[solver.SolveReport, Dtmc]:
-    """Full pipeline for one parameter set, querying the detection event."""
+def analyze(params: Bb84Params) -> tuple[solver.SolveReport, explorer.Dtmc]:
+    """Full pipeline for one parameter set, querying the detection event on
+    the reduced chain."""
     dtmc = build(validate(parse(generate(params))))
     report = solver.prob_until(dtmc, parse_property(DETECTED_PROPERTY))
     return report, dtmc
@@ -82,7 +87,10 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     The model has as many photons as the range's last point, top. The
     round-start state with i = top - n (the initial valuation otherwise)
     has n photons left to send, so its solved value is P(n); one scan of
-    the state codes finds every row's. Every row carries the curve's solver
+    the state codes finds every row's. The chain is reduced (see `analyze`);
+    that state survives the reduction, as the compare step resets every
+    other variable itself. A round start missing from the chain is an
+    internal error, not a wrong row. Every row carries the curve's solver
     iteration count and the wall time of its one analysis. With
     oracle_check set, a row beyond the 1e-9 agreement tolerance raises
     AcceptanceViolation naming the offending n.
@@ -106,6 +114,8 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     start = {row_of[code]: s for s, code in enumerate(dtmc.codes) if code in row_of}
     rows = []
     for n in points:
+        if n not in start:
+            raise RuntimeError(f"internal error: no round-start state for n={n} in the chain")
         p_checked = report.values[start[n]]
         p_oracle = oracle.detect_prob(n, p1)
         row = ResultRow(

@@ -1,4 +1,6 @@
 import re
+import signal
+import time
 from pathlib import Path
 
 import pytest
@@ -16,6 +18,37 @@ def golden_text(name: str) -> str:
 @pytest.fixture
 def golden():
     return golden_text
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran past its time limit. Not an Exception, so that hypothesis
+    does not catch it and rerun the example to shrink it."""
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    """Fail a test that runs past 60 s, about 20 times the slowest, by name
+    and elapsed time, instead of letting it hang the run. Where there is no
+    SIGALRM, tests run without a limit.
+    """
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    limit = 60.0
+    started = time.monotonic()
+
+    def expire(signum, frame):
+        elapsed = time.monotonic() - started
+        message = f"{request.node.nodeid} ran {elapsed:.1f} s, past the {limit:.0f} s limit"
+        raise TimeLimitExceeded(message)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, limit)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

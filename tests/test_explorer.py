@@ -22,10 +22,12 @@ from hypothesis import example, given, reject, settings, strategies as st
 import _machine
 from qkdmc import cli
 from qkdmc.bb84 import Bb84Params, Passthrough, generate, model_ast
-from qkdmc.errors import BuildError, ValidationError
+from qkdmc.errors import BuildError, PropertyError, ValidationError
 from qkdmc.explorer import ROW_SUM_TOL, Dtmc, build
 from qkdmc.lang import parse, print_expr, validate
 from qkdmc.lang.analysis import compile_expr
+from qkdmc.properties import parse_property
+from qkdmc.solver import prob_until
 from qkdmc.sweep import HEAVY_NOISE_CHANNEL
 
 # The package re-exports the validate function under the module's own name.
@@ -1101,3 +1103,176 @@ def test_codes_round_trip_through_the_layout(source):
     for name, expr in dtmc.labels.items():
         holds = compile_expr(expr, vm.var_index, vm.constants)
         assert dtmc.states_where(expr) == {i for i, values in enumerate(states) if holds(values)}
+
+
+@st.composite
+def phased_models(draw) -> str:
+    """Model text in the style of `small_models`, with a location variable.
+
+    Module m0 owns a phase p over [0..P-1] and a variable x. It has one or
+    two commands for phase 0 and for each of some other phases, on the
+    phase's action; each tests p, may test x or y, and sets p to a drawn
+    constant (now and then one past its range) and perhaps x. An optional module m1 with y joins
+    some actions with one or two commands, so that rows with two picking
+    modules occur. The label "goal" tests one variable, so the others are
+    dead where no later step reads them, and a value assigned to a dead
+    variable may leave its range.
+    """
+    phases = draw(st.integers(2, 4))
+    names = ["x", "y"][: draw(st.integers(1, 2))]
+    highs = {var: draw(st.integers(1, 3)) for var in names}
+    atom = st.builds(
+        " & {}{}{}".format, st.sampled_from(names), st.sampled_from(["=", "!=", "<", ">="]),
+        st.integers(0, 3),
+    )
+    extra = st.sampled_from(["", "", ""]) | atom
+
+    def split(var: str) -> list[str]:
+        # One command, or two that a bound on `var` keeps apart.
+        if draw(st.sampled_from([True, True, False])):
+            return [""]
+        c = draw(st.integers(1, highs[var]))
+        return [f" & {var}<{c}", f" & {var}>={c}"]
+
+    def updates(var: str, phase: bool) -> str:
+        values = st.sampled_from(
+            [str(c) for c in range(highs[var] + 1)]
+            + [*names, f"{var}+1", f"{var}-1", f"{highs[var]}-{var}"]
+        )
+        succ = st.sampled_from([*range(phases)] * 8 + [phases])
+        parts = []
+        for p in draw(st.sampled_from(_DISTRIBUTIONS)):
+            sets = [f"(p'={draw(succ)})"] if phase else []
+            sets += [f"({var}'={draw(values)})"] if draw(st.integers(0, 2)) or not phase else []
+            parts.append(f"{p}:{'&'.join(sets)}")
+        return " + ".join(parts)
+
+    actions = [0, *sorted(draw(st.sets(st.integers(1, phases - 1))))]
+    lines = [
+        "dtmc",
+        "module m0",
+        f"  p : [0..{phases - 1}] init 0;",
+        f"  x : [0..{highs['x']}] init {draw(st.integers(0, highs['x']))};",
+    ]
+    for k in actions:
+        for guard in split("x"):
+            lines.append(f"  [a{k}] p={k}{guard}{draw(extra)} -> {updates('x', True)};")
+    lines.append("endmodule")
+    if "y" in names:
+        lines += ["module m1", f"  y : [0..{highs['y']}] init {draw(st.integers(0, highs['y']))};"]
+        for k in draw(st.sets(st.sampled_from(actions))):
+            for guard in split("y"):
+                lines.append(f"  [a{k}] true{guard}{draw(extra)} -> {updates('y', False)};")
+        lines.append("endmodule")
+    var = draw(st.sampled_from(["p", "p", *names]))
+    lines.append(f'label "goal" = {var}={draw(st.integers(0, 1))};')
+    return "\n".join(lines) + "\n"
+
+
+# Two modules pick on [a0], so `_row` forms its row; y is dead at p=2.
+_TWO_PICKERS = (
+    "dtmc\nmodule m0\n  p : [0..2] init 0;\n  x : [0..1] init 0;\n"
+    "  [a0] p=0 & x<1 -> 0.5:(p'=1)&(x'=1) + 0.5:(p'=2);\n  [a0] p=0 & x>=1 -> (p'=0);\n"
+    "  [a1] p=1 -> (p'=0);\nendmodule\n"
+    "module m1\n  y : [0..1] init 0;\n"
+    "  [a0] true & y<1 -> 0.5:(y'=1) + 0.5:(y'=0);\n  [a0] true & y>=1 -> (y'=0);\nendmodule\n"
+    'label "goal" = p=2;\n'
+)
+
+
+class TestReduction:
+    """A reduced build (`build(vm, reduce=True)`) answers every label query
+    as the full build does, and raises the same BuildError codes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(phased_models())
+    # x is dead at p=1: its reset merges the two successors of p=0.
+    @example(
+        "dtmc\nmodule m0\n  p : [0..1] init 0;\n  x : [0..1] init 0;\n"
+        "  [a0] p=0 -> 0.5:(p'=1)&(x'=0) + 0.5:(p'=1)&(x'=1);\n  [a1] p=1 -> (p'=1);\n"
+        'endmodule\nlabel "goal" = p=1;\n'
+    )
+    @example(_TWO_PICKERS)
+    def test_a_reduced_build_answers_as_the_full_one(self, source):
+        try:
+            vm = validate(parse(source))
+        except ValidationError:
+            reject()
+        query = parse_property('P=? [ F "goal" ]')
+        try:
+            full = build(vm)
+        except BuildError as error:
+            with pytest.raises(BuildError) as info:
+                build(vm, reduce=True)
+            assert info.value.code == error.code
+            return
+        reduced = build(vm, reduce=True)
+        assert reduced.state_count <= full.state_count
+        expected = prob_until(full, query).probability
+        assert math.isclose(prob_until(reduced, query).probability, expected, rel_tol=1e-15)
+
+    @settings(max_examples=50, deadline=None)
+    @given(phased_models())
+    def test_the_generated_models_have_a_location(self, source):
+        try:
+            vm = validate(parse(source))
+        except ValidationError:
+            reject()
+        if vm.dead_on_entry is None:
+            # Only where no group can fire, as no valuation meets its guard.
+            assert build(vm).state_count == 1
+        else:
+            assert vm.dead_on_entry[0] == "p"
+
+    def test_the_bb84_resets_are_found(self):
+        vm = validate(model_ast(Bb84Params(photons=3)))
+        location, dead = vm.dead_on_entry
+        assert location == "phase"
+        assert {"eve_bas", "eve_bit"} <= dead[4] & dead[5]
+        assert {"ch_bas", "ch_bit"} <= dead[5] - dead[4]
+        assert not {"phase", "detected"} & set().union(*dead.values())
+
+    def test_a_model_without_a_location_builds_in_full(self):
+        # The walk's guard does not pin x to one value.
+        vm = validate(parse(
+            "dtmc\nmodule walk\n  x : [0..4] init 2;\n"
+            "  [] x>0 & x<4 -> 0.5:(x'=x+1) + 0.5:(x'=x-1);\nendmodule\n"
+        ))
+        assert vm.dead_on_entry is None
+        assert build(vm, reduce=True).export_text() == build(vm).export_text()
+        assert build(vm, reduce=True).reset == frozenset()
+
+    def test_a_row_formed_at_run_time_resets_dead_variables(self):
+        vm = validate(parse(_TWO_PICKERS))
+        assert (2, 0, 1) in set(build(vm).iter_states())
+        assert (2, 0, 1) not in set(build(vm, reduce=True).iter_states())
+
+    def test_an_out_of_range_value_of_a_dead_variable_is_still_reported(self):
+        # x is dead at p=1, which reads it nowhere; x+2 leaves [0..1].
+        source = (
+            "dtmc\nmodule m\n  p : [0..1] init 0;\n  x : [0..1] init 0;\n"
+            "  [a] p=0 -> (p'=1)&(x'=x+2);\n  [b] p=1 -> (p'=1);\nendmodule\n"
+            'label "goal" = p=1;\n'
+        )
+        vm = validate(parse(source))
+        assert vm.dead_on_entry == ("p", {0: set(), 1: {"x"}})
+        for reduce in (False, True):
+            with pytest.raises(BuildError, match=r"sets x=2, outside \[0\.\.1\]") as info:
+                build(vm, reduce=reduce)
+            assert info.value.code == "BOUNDS"
+
+    def test_an_expression_over_a_reset_variable_is_refused(self):
+        vm = validate(model_ast(Bb84Params(photons=3, eve_q=0.5)))
+        reduced = build(vm, reduce=True)
+        assert {"ch_bas", "eve_bit"} <= reduced.reset
+        with pytest.raises(PropertyError) as info:
+            prob_until(reduced, parse_property("P=? [ F (eve_bit=1) ]"))
+        assert info.value.code == "RESET_READ"
+        assert "eve_bit" in str(info.value)
+        # A label, and an expression over variables never reset, are answered.
+        full = build(vm)
+        for prop in ('P=? [ F "detected" ]', "P=? [ F (detected=1 & phase=6) ]"):
+            query = parse_property(prop)
+            assert prob_until(reduced, query).probability == prob_until(full, query).probability
+        assert prob_until(full, parse_property("P=? [ F (eve_bit=1) ]")).probability > 0
+

@@ -17,8 +17,10 @@ from hypothesis import given, settings, strategies as st
 
 import qkdmc.sweep as sweep_module
 from qkdmc import cli
-from qkdmc.bb84 import Bb84Params, Passthrough
+from qkdmc.bb84 import Bb84Params, Passthrough, generate
 from qkdmc.errors import AcceptanceViolation
+from qkdmc.explorer import build
+from qkdmc.lang import parse, validate
 from qkdmc.lang.parser import MAX_NESTING
 from test_explorer import small_models
 from test_validate import HUGE_RESIDUAL
@@ -131,6 +133,32 @@ class TestOneBuildPerCurve:
         result = run_figure_with(type(spec)(spec.name, 3, 6, spec.curves))
         assert len(result.curves) == 3
         assert len(builds) == 3
+
+
+class TestReducedChain:
+    """A sweep solves the reduced chain, which keeps every round start."""
+
+    @pytest.mark.parametrize("passthrough", list(Passthrough))
+    @pytest.mark.parametrize("curve", FIGURES["fig1"].curves, ids=lambda curve: curve.key)
+    def test_every_round_start_survives_the_reduction(self, curve, passthrough):
+        top = 6
+        params = Bb84Params(top, curve.channel, curve.eve_q, passthrough=passthrough)
+        vm = validate(parse(generate(params)))
+        dtmc = sweep_module.build(vm)
+        assert dtmc.reset and dtmc.state_count < build(vm).state_count
+        states = set(dtmc.iter_states())
+        i = dtmc.var_index["i"]
+        for n in range(1, top + 1):
+            start = list(vm.initial_state)
+            start[i] = top - n
+            assert tuple(start) in states
+
+    def test_a_missing_round_start_is_an_internal_error_naming_n(self, monkeypatch):
+        # A chain of two photons for a sweep up to five: i never reaches 2.
+        real = sweep_module.generate
+        monkeypatch.setattr(sweep_module, "generate", lambda params: real(Bb84Params(2)))
+        with pytest.raises(RuntimeError, match=r"^internal error: no round-start state for n=3 "):
+            run_sweep(SweepSpec(3, 5))
 
 
 class TestCsv:
