@@ -12,17 +12,18 @@ solver is exact and has nothing to converge.
 
 from __future__ import annotations
 
+import argparse
 import codecs
 import contextlib
 import ctypes
+import functools
 import io
 import os
 import re
 import stat
 import sys
 from pathlib import Path
-
-import click
+from typing import Callable, NoReturn
 
 from qkdmc import solver, sweep
 from qkdmc.bb84 import Bb84Params, Passthrough, detected_event_definition, generate, variable_schema
@@ -33,33 +34,42 @@ from qkdmc.properties import parse_property
 from qkdmc.sweep import SweepSpec, format_probability
 
 
-@click.group()
-def cli() -> None:
-    """Explicit-state DTMC workbench for BB84 eavesdropping analysis."""
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise, so `main` reports them as exit 1."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
 
 
 def _parse_channel(text: str) -> tuple[float, float, float, float]:
     parts = text.split(",")
     if len(parts) != 4:
-        raise click.UsageError(f"--channel needs 4 comma-separated probabilities, got {len(parts)}")
+        raise ValueError(f"--channel needs 4 comma-separated probabilities, got {len(parts)}")
     try:
         values = tuple(float(part) for part in parts)
     except ValueError:
-        raise click.UsageError(f"--channel has a non-numeric component in '{text}'") from None
+        raise ValueError(f"--channel has a non-numeric component in '{text}'") from None
     return values  # type: ignore[return-value]
 
 
-_RANGE = re.compile(r"^(\d+)(?:\.\.(\d+)(?::(\d+))?)?$")
+# Photon counts are ASCII digits, as numbers are in the model language: `\d`
+# would take any Unicode digit, and int() alone also takes "+3" and "1_0".
+_COUNT = "([0-9]+)"
+_RANGE = re.compile(rf"{_COUNT}(?:\.\.{_COUNT}(?::{_COUNT})?)?")
+
+
+def _parse_count(text: str) -> int:
+    if re.fullmatch(_COUNT, text) is None:
+        raise ValueError(f"--photons expects N, got '{text}'")
+    return int(text)
 
 
 def _parse_range(text: str) -> tuple[int, int, int]:
-    match = _RANGE.match(text)
+    match = _RANGE.fullmatch(text)
     if match is None:
-        raise click.UsageError(f"--photons expects N or A..B[:STEP], got '{text}'")
-    start = int(match.group(1))
-    stop = int(match.group(2)) if match.group(2) is not None else start
-    step = int(match.group(3)) if match.group(3) is not None else 1
-    return start, stop, step
+        raise ValueError(f"--photons expects N or A..B[:STEP], got '{text}'")
+    start, stop, step = match.groups()
+    return int(start), int(stop or start), int(step or 1)
 
 
 def _read_model(path: str) -> str:
@@ -102,128 +112,119 @@ def _csv_text(rows: list[sweep.ResultRow], include_timing: bool) -> str:
     return buffer.getvalue()
 
 
-channel_option = click.option(
-    "--channel", "channel_text", default="1,0,0,0", show_default=True,
-    help="Noise 4-vector p00,p10,p01,p11 (keep / flip basis / flip bit / flip both).",
-)
-eve_q_option = click.option(
-    "--eve-q", default=1.0, show_default=True, help="Per-photon interception probability."
-)
-bias_option = click.option(
-    "--bias", default=0.5, show_default=True, help="Probability that Alice's data bit is 1."
-)
-passthrough_option = click.option(
-    "--passthrough", type=click.Choice(["channel", "source"]), default="channel",
-    show_default=True, help="What Eve forwards when she does not intercept.",
-)
+def _model_options(args: argparse.Namespace) -> dict:
+    """The BB84 parameters that `bb84` and `sweep` share, as keyword arguments."""
+    return {"channel": _parse_channel(args.channel), "eve_q": args.eve_q, "bias": args.bias,
+            "passthrough": Passthrough(args.passthrough)}
 
 
-@cli.command()
-@click.option("--model", "model_path", required=True, help="Model file to analyze.")
-@click.option("--prop", "prop_text", required=True,
-              help="Property, e.g. 'P=? [ F \"detected\" ]'.")
-def check(model_path: str, prop_text: str) -> None:
+def check(args: argparse.Namespace) -> None:
     """Compute a P=? property on a model file."""
     # A malformed property fails before the model is read and built.
-    query = parse_property(prop_text)
-    dtmc = build(validate(parse(_read_model(model_path))))
+    query = parse_property(args.prop)
+    dtmc = build(validate(parse(_read_model(args.model))))
     report = solver.prob_until(dtmc, query)
-    click.echo(format_probability(report.probability))
-    click.echo(f"states {dtmc.state_count}")
-    click.echo(f"transitions {dtmc.transition_count}")
-    click.echo(f"deadlocks {len(dtmc.deadlocks)}")
-    click.echo(f"iterations {report.iterations}")
-    click.echo(f"residual {report.residual:.3e}")
-    click.echo(f"prob0 {report.prob0_count}")
-    click.echo(f"prob1 {report.prob1_count}")
+    # One write: a reader that stops after the first line cannot break the pipe.
+    print(f"{format_probability(report.probability)}\n"
+          f"states {dtmc.state_count}\n"
+          f"transitions {dtmc.transition_count}\n"
+          f"deadlocks {len(dtmc.deadlocks)}\n"
+          f"iterations {report.iterations}\n"
+          f"residual {report.residual:.3e}\n"
+          f"prob0 {report.prob0_count}\n"
+          f"prob1 {report.prob1_count}\n", end="")
 
 
-@cli.command()
-@click.option("--photons", required=True, type=int, help="Number of photons n.")
-@channel_option
-@eve_q_option
-@bias_option
-@passthrough_option
-@click.option("--emit", "emit_path", required=True, help="Where to write the model.")
-def bb84(photons: int, channel_text: str, eve_q: float, bias: float,
-         passthrough: str, emit_path: str) -> None:
+def bb84(args: argparse.Namespace) -> None:
     """Generate a BB84 intercept-resend model file."""
-    params = Bb84Params(
-        photons=photons,
-        channel=_parse_channel(channel_text),
-        eve_q=eve_q,
-        bias=bias,
-        passthrough=Passthrough(passthrough),
-    )
-    _write(emit_path, generate(params))
-    click.echo(f"wrote {emit_path}")
-    click.echo(
+    params = Bb84Params(photons=_parse_count(args.photons), **_model_options(args))
+    _write(args.emit, generate(params))
+    print(f"wrote {args.emit}")
+    print(
         f"photons={params.photons} channel={params.channel} eve_q={params.eve_q} "
         f"bias={params.bias} passthrough={params.passthrough.value}"
     )
-    click.echo("variables:")
+    print("variables:")
     for name, low, high, role in variable_schema(params):
-        click.echo(f"  {name:<9} [{low}..{high}]  {role}")
-    click.echo(f'label "detected" = {print_expr(detected_event_definition())}')
+        print(f"  {name:<9} [{low}..{high}]  {role}")
+    print(f'label "detected" = {print_expr(detected_event_definition())}')
 
 
-@cli.command("sweep")
-@click.option("--photons", "photons_text", required=True,
-              help="Photon range A..B[:STEP] (or a single N).")
-@channel_option
-@eve_q_option
-@bias_option
-@passthrough_option
-@click.option("--oracle-check", is_flag=True,
-              help="Fail (exit 4) if any row drifts from the analytic value by > 1e-9.")
-@click.option("--out", "out_path", required=True, help="CSV output path.")
-@click.option("--no-timing", is_flag=True,
-              help="Omit the wall_ms column for byte-identical reruns.")
-def sweep_cmd(photons_text: str, channel_text: str, eve_q: float, bias: float,
-              passthrough: str, oracle_check: bool, out_path: str, no_timing: bool) -> None:
+def sweep_cmd(args: argparse.Namespace) -> None:
     """Sweep the photon count and write one CSV row per point."""
-    start, stop, step = _parse_range(photons_text)
-    spec = SweepSpec(
-        n_start=start,
-        n_stop=stop,
-        n_step=step,
-        channel=_parse_channel(channel_text),
-        eve_q=eve_q,
-        bias=bias,
-        passthrough=Passthrough(passthrough),
-        oracle_check=oracle_check,
-    )
+    start, stop, step = _parse_range(args.photons)
+    spec = SweepSpec(n_start=start, n_stop=stop, n_step=step, oracle_check=args.oracle_check,
+                     **_model_options(args))
     rows = sweep.run_sweep(spec)
-    _write(out_path, _csv_text(rows, include_timing=not no_timing))
-    click.echo(f"wrote {out_path} ({len(rows)} rows)")
+    _write(args.out, _csv_text(rows, include_timing=not args.no_timing))
+    print(f"wrote {args.out} ({len(rows)} rows)")
 
 
-@cli.command()
-@click.option("--name", "figure_name", required=True, type=click.Choice(sorted(sweep.FIGURES)),
-              help="Which figure to reproduce.")
-@click.option("--out", "out_dir", required=True, help="Directory for curve CSVs and the report.")
-@click.option("--oracle-check", is_flag=True,
-              help="Fail (exit 4) if any row drifts from the analytic value by > 1e-9.")
-@click.option("--no-timing", is_flag=True,
-              help="Omit the wall_ms column for byte-identical reruns.")
-def figure(figure_name: str, out_dir: str, oracle_check: bool, no_timing: bool) -> None:
+def figure(args: argparse.Namespace) -> None:
     """Reproduce a three-curve figure and check the curve ordering."""
-    result = sweep.run_figure(figure_name, oracle_check=oracle_check)
-    directory = Path(out_dir)
+    result = sweep.run_figure(args.name, oracle_check=args.oracle_check)
+    directory = Path(args.out)
     directory.mkdir(parents=True, exist_ok=True)
     for curve, rows in result.curves:
-        path = directory / f"{figure_name}_{curve.key}.csv"
-        _write(path, _csv_text(list(rows), include_timing=not no_timing))
-        click.echo(f"wrote {path}")
+        path = directory / f"{args.name}_{curve.key}.csv"
+        _write(path, _csv_text(list(rows), include_timing=not args.no_timing))
+        print(f"wrote {path}")
     report = sweep.figure_report(result)
-    report_path = directory / f"{figure_name}_report.txt"
+    report_path = directory / f"{args.name}_report.txt"
     _write(report_path, report)
-    click.echo(f"wrote {report_path}")
-    click.echo(report, nl=False)
+    print(f"wrote {report_path}")
+    print(report, end="")
     if not result.ok:
         raise AcceptanceViolation(
             f"{len(result.violations)} ordering violation(s); see {report_path}"
         )
+
+
+# Built on first use, not at import, and kept: a build costs about twenty parses.
+@functools.cache
+def _parser() -> _Parser:
+    bb84_options = _Parser(add_help=False)
+    add = bb84_options.add_argument
+    add("--channel", default="1,0,0,0", help="Noise 4-vector p00,p10,p01,p11 (keep / flip "
+        "basis / flip bit / flip both); default %(default)s.")
+    add("--eve-q", type=float, default=1.0,
+        help="Per-photon interception probability; default %(default)s.")
+    add("--bias", type=float, default=0.5,
+        help="Probability that Alice's data bit is 1; default %(default)s.")
+    add("--passthrough", choices=("channel", "source"), default="channel",
+        help="What Eve forwards when she does not intercept; default %(default)s.")
+    csv_options = _Parser(add_help=False)
+    add = csv_options.add_argument
+    add("--oracle-check", action="store_true",
+        help="Fail (exit 4) if any row drifts from the analytic value by > 1e-9.")
+    add("--no-timing", action="store_true",
+        help="Omit the wall_ms column for byte-identical reruns.")
+
+    # allow_abbrev=False: `--mod` is an unknown option, not `--model`.
+    parser = _Parser(prog="qkdmc", allow_abbrev=False,
+                     description="Explicit-state DTMC workbench for BB84 eavesdropping analysis.")
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    def command(name: str, run: Callable[[argparse.Namespace], None],
+                *parents: _Parser) -> Callable[..., argparse.Action]:
+        sub = commands.add_parser(name, help=run.__doc__, description=run.__doc__,
+                                  parents=parents, allow_abbrev=False)
+        sub.set_defaults(run=run)
+        return sub.add_argument
+
+    add = command("check", check)
+    add("--model", required=True, help="Model file to analyze.")
+    add("--prop", required=True, help="Property, e.g. 'P=? [ F \"detected\" ]'.")
+    add = command("bb84", bb84, bb84_options)
+    add("--photons", required=True, help="Number of photons n.")
+    add("--emit", required=True, help="Where to write the model.")
+    add = command("sweep", sweep_cmd, bb84_options, csv_options)
+    add("--photons", required=True, help="Photon range A..B[:STEP] (or a single N).")
+    add("--out", required=True, help="CSV output path.")
+    add = command("figure", figure, csv_options)
+    add("--name", required=True, choices=sorted(sweep.FIGURES), help="Which figure to reproduce.")
+    add("--out", required=True, help="Directory for curve CSVs and the report.")
+    return parser
 
 
 # glibc raises its mmap threshold to the size of each mapped block it frees.
@@ -249,25 +250,21 @@ def main(argv: list[str] | None = None) -> int:
     """Run the CLI, mapping exception classes to the documented exit codes."""
     _pin_mmap_threshold()
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
-    except click.UsageError as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
-        return 1
+        args = _parser().parse_args(argv)
+        args.run(args)
+        return 0
+    except SystemExit as exc:  # --help
+        return exc.code
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 1
+        message, code = exc, 1
     except AcceptanceViolation as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 4
+        message, code = exc, 4
     except (QkdmcError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return 2
+        message, code = exc, 2
     except MemoryError:
-        click.echo("error: out of memory: the model is too large to build or solve here", err=True)
-        return 2
-    return 0
+        message, code = "out of memory: the model is too large to build or solve here", 2
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def entry() -> None:

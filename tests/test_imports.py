@@ -24,11 +24,15 @@ def loaded_after(statement: str) -> set[str]:
 
 
 def test_the_cli_does_not_load_dataclasses():
-    if "dataclasses" in loaded_after("import click"):
-        pytest.skip("click alone loads dataclasses")
     modules = loaded_after("import qkdmc.cli")
     assert "qkdmc.lang.ast" in modules
     assert "dataclasses" not in modules
+
+
+def test_the_cli_loads_only_the_standard_library_and_qkdmc():
+    for name in loaded_after("import qkdmc.cli") - loaded_after("pass"):
+        top = name.partition(".")[0]
+        assert top in sys.stdlib_module_names or top == "qkdmc", name
 
 
 def test_a_bare_import_loads_no_submodule():

@@ -421,11 +421,53 @@ class TestCliExitCodes:
                          "--prop", 'P=? [ F "t" ]'])
         assert code == 2
 
-    def test_usage_error_is_exit_1(self, capsys):
-        assert cli.main(["check", "--model"]) == 1
-        assert cli.main(["sweep", "--photons", "abc", "--out", "x.csv"]) == 1
-        assert cli.main(["bb84", "--photons", "1", "--channel", "1,0,0",
-                         "--emit", "x.pm"]) == 1
+    def test_usage_error_is_exit_1(self, tmp_path, capsys):
+        emit, out = str(tmp_path / "x.pm"), str(tmp_path / "x.csv")
+        for argv in (
+            [],
+            ["verify"],
+            ["check", "--model"],
+            # An abbreviation is refused, not taken for --model.
+            ["check", "--mod", "x", "--prop", "y"],
+            ["figure", "--name", "fig9", "--out", str(tmp_path)],
+            ["sweep", "--photons", "2", "--eve-q", "abc", "--out", out],
+            ["bb84", "--photons", "1", "--passthrough", "foo", "--emit", emit],
+            ["bb84", "--photons", "1", "--channel", "1,0,0", "--emit", emit],
+            # Photon counts are ASCII digits and nothing else.
+            ["sweep", "--photons", "abc", "--out", out],
+            ["sweep", "--photons", "\u0663..\u0665", "--out", out],
+            ["sweep", "--photons", "+3", "--out", out],
+            ["bb84", "--photons", "1_0", "--emit", emit],
+            ["bb84", "--photons", "+3", "--emit", emit],
+        ):
+            assert cli.main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            assert "usage:" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_and_a_value_that_starts_with_a_dash(self, tmp_path, capsys, monkeypatch):
+        documented = {
+            "check": {"--model", "--prop"},
+            "bb84": {"--photons", "--channel", "--eve-q", "--bias", "--passthrough", "--emit"},
+            "sweep": {"--photons", "--channel", "--eve-q", "--bias", "--passthrough",
+                      "--oracle-check", "--no-timing", "--out"},
+            "figure": {"--name", "--out", "--oracle-check", "--no-timing"},
+        }
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        for name, options in re.findall(r"^qkdmc (\w+)(.*)$", readme, re.MULTILINE):
+            assert set(re.findall(r"--[a-z-]+", options)) <= documented[name]
+        assert cli.main(["--help"]) == 0
+        assert cli.main(["-h"]) == 0
+        assert "{check,bb84,sweep,figure}" in capsys.readouterr().out
+        for name, options in documented.items():
+            assert cli.main([name, "--help"]) == 0
+            usage = capsys.readouterr().out
+            assert set(re.findall(r"--[a-z-]+", usage)) == options | {"--help"}, name
+        # A value starting with "-" needs the --opt=value form.
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["check", "--model=-x.pm", "--prop", 'P=? [ F "t" ]']) == 2
+        assert "'-x.pm'" in capsys.readouterr().err
 
     def test_a_non_numeric_channel_is_exit_1(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
