@@ -124,7 +124,6 @@ def check(args: argparse.Namespace) -> None:
     query = parse_property(args.prop)
     dtmc = build(validate(parse(_read_model(args.model))))
     report = solver.prob_until(dtmc, query)
-    # One write: a reader that stops after the first line cannot break the pipe.
     print(f"{format_probability(report.probability)}\n"
           f"states {dtmc.state_count}\n"
           f"transitions {dtmc.transition_count}\n"
@@ -238,6 +237,7 @@ M_MMAP_THRESHOLD = -3
 MMAP_THRESHOLD_BYTES = 128 * 1024
 
 
+@functools.cache  # once per process: tests and perfbench call main many times
 def _pin_mmap_threshold() -> None:
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -251,7 +251,14 @@ def main(argv: list[str] | None = None) -> int:
     _pin_mmap_threshold()
     try:
         args = _parser().parse_args(argv)
-        args.run(args)
+        # A command's output goes out in one write, so a reader that stops
+        # after the first line cannot break the pipe under a later one.
+        out = io.StringIO()
+        try:
+            with contextlib.redirect_stdout(out):
+                args.run(args)
+        finally:
+            sys.stdout.write(out.getvalue())
         return 0
     except SystemExit as exc:  # --help
         return exc.code

@@ -44,28 +44,27 @@ the picking module, and the products of the modules' probabilities are
 formed at generation time, left to right as the run-time product would
 be, so every stored float has the same bits. The walk looks each
 successor up in the state index in product order, appending a new one,
-and stores the pairs as they are when their targets come out strictly
-ascending: they are then distinct and sorted, and their sum was checked
-against ROW_SUM_TOL at generation time. 94 % of a 500-photon bb84
-model's rows take that path. Other rows go to one of three helpers that
-`build` defines once over its CSR columns and passes in as arguments:
+and stores the row sorted and merged by target in inline code, its sum
+checked against ROW_SUM_TOL at generation time. Every row of a bb84
+model with eve_q > 0, full or reduced, takes that path. Other rows go to
+one of three helpers that `build` defines once over its CSR columns and
+passes in as arguments:
 
 - `_merge(pairs, c)` merges (probability, target) pairs by target,
   checks that they sum to 1 within ROW_SUM_TOL (ROW_SUM, naming the
   state), sorts them by target and appends the row. An unrolled row
-  whose targets are not ascending goes here, or one whose sum misses 1;
+  goes here whose sum misses 1, or that repeats a target among 3 or more
+  pairs;
 - `_row(c, b, u0, ..., uM)` forms a row at run time. b holds the bits
   no module of the group writes, and u{j} is module j's tuple of
   (probability, bits) updates. It refuses a product of more than
   MAX_ROW_PAIRS pairs (ROW_LIMIT, naming the state) before it forms any,
-  then walks the product in order,
-  multiplying the probabilities left to right and ORing the bits into b,
-  drops a zero product, resets dead variables in a reduced build, indexes
-  the successors and merges the row as `_merge` does. It takes the rows
-  of a group in which two modules pick,
-  and rows of more than MAX_UNROLLED_PAIRS pairs: a product of
-  distributions can have exponentially many, and the generated source
-  stays linear in the model text;
+  then walks the product in order, multiplying the probabilities left to
+  right and ORing the bits into b, drops a zero product, resets dead
+  variables in a reduced build, indexes the successors and merges the row
+  as `_merge` does. It takes the rows of a group in which two modules
+  pick, and rows of more than MAX_UNROLLED_PAIRS pairs, so the generated
+  source stays linear in the model text;
 - `_dead(si)` stores a deadlock's self-loop.
 
 Passed as arguments, the helpers and the bound methods the walk calls stay
@@ -333,11 +332,7 @@ def build(vm: ValidatedModel, *, reduce: bool = False) -> Dtmc:
         end_row(len(targets))
 
     def row(code: int, bits: int, *parts: tuple[tuple[float, int], ...]) -> int:
-        # Refuse a product too large to form. Otherwise extend the row module
-        # by module, in product order, multiplying left to right and ORing
-        # each update's bits into the successor; drop a zero product, reset
-        # the dead variables of a reduced build, index the successors in
-        # order, merge the row; return the new state count.
+        # `_row` of the module docstring; returns the new state count.
         size = math.prod(map(len, parts))
         if size > MAX_ROW_PAIRS:
             raise BuildError(
@@ -398,9 +393,7 @@ UpdateCode = tuple[float, dict[int, int | str]]
 # (ROW_LIMIT) before any pair is formed.
 MAX_ROW_PAIRS = 2**16
 
-# The most (probability, successor) pairs one row is unrolled into. A row of
-# a product of distributions can have exponentially many; past this `_row`
-# forms it at run time, so the generated source stays linear in the model text.
+# The most pairs one row is unrolled into; `_row` forms a longer one.
 MAX_UNROLLED_PAIRS = 16
 
 
@@ -416,12 +409,8 @@ def _compile_walk(
     `at` and `ap` (the columns' appends) and `end` (the row starts'
     append), where the generator knows the row's probabilities: at most one
     module of the firing group picks among several commands, and the row has
-    at most MAX_UNROLLED_PAIRS pairs. Such a row whose targets do not come
-    out strictly ascending goes to `_merge(pairs, c)` as (probability,
-    target) pairs. Any other row goes to `_row(c, b, u0, ..., uM)`, which
-    forms it from the bits b no module of the group writes and one tuple
-    u{j} of (probability, bits) updates per module, and a deadlock to
-    `_dead(si)`.
+    at most MAX_UNROLLED_PAIRS pairs (see `_unrolled_row` for the ones that
+    go to `_merge`). Any other row goes to `_row`, and a deadlock to `_dead`.
 
     The loop body has one flat `if` per group of `vm.groups`, in order.
     Where `vm.disjoint_groups` holds and every pick is in
@@ -593,7 +582,7 @@ def _compile_walk(
         )
 
     namespace = {
-        "__builtins__": {"enumerate": enumerate, "len": len},
+        "__builtins__": {"enumerate": enumerate, "len": len, "sorted": sorted},
         "_pick": pick,
         "_bounds": out_of_range,
         "_nondeterminism": nondeterminism,
@@ -616,10 +605,10 @@ def _unrolled_row(
     computed, and range-tested where it would be.
 
     Each successor, in product order, is looked up in the index, and a new
-    one appended to the walk's codes. Strictly ascending targets are
-    distinct and already sorted, so the merge would change nothing: the
-    pairs are stored as they are, their row sum checked here. Otherwise
-    `_merge` merges them, checks their sum and sorts them, as for any row.
+    one appended to the walk's codes. The row is stored as `_merge` would
+    store it, its sum checked here: ascending targets as they are, two
+    pairs swapped or merged into one, more distinct ones sorted. A target
+    repeated among three or more pairs, or a sum off 1, goes to `_merge`.
     """
     lines: list[str] = []
 
@@ -656,16 +645,29 @@ def _unrolled_row(
         successor = layout.code(values, layout.full)
         lines.append(f"if ({t} := index(k := {successor}, n)) == n: add(k); n += 1")
         pairs.append((q, t))
-    store = "".join(f"at({t}); ap({q!r}); " for q, t in pairs) + "end(len(targets))"
+    end = "end(len(targets))"
+    stores = [f"at({t}); ap({q!r}); " for q, t in pairs]
     merge = f"_merge(({''.join(f'({q!r}, {t}), ' for q, t in pairs)}), c)"
     if abs(math.fsum(q for q, _ in pairs) - 1.0) > ROW_SUM_TOL:
         # The merge raises ROW_SUM, naming the state.
         lines.append(merge)
     elif len(pairs) == 1:
-        lines.append(store)
+        lines.append(stores[0] + end)
+    elif len(pairs) == 2:
+        # One target: `_merge`'s one pair, 0.0 + q0 + q1, rounded once as
+        # the fsum above, so it passes the same sum check.
+        (q0, t0), (q1, t1) = pairs
+        lines += [f"if {t0} < {t1}: {stores[0]}{stores[1]}{end}",
+                  f"elif {t1} < {t0}: {stores[1]}{stores[0]}{end}",
+                  f"else: at({t0}); ap({0.0 + q0 + q1!r}); {end}"]
     else:
-        ascending = " < ".join(t for _, t in pairs)
-        lines.extend([f"if {ascending}:", f"    {store}", "else:", f"    {merge}"])
+        # Distinct targets: `_merge`'s pairs are the q's, sorted.
+        targets = [t for _, t in pairs]
+        listed = ", ".join(f"({t}, {q!r})" for q, t in pairs)
+        lines += [f"if {' < '.join(targets)}: {''.join(stores)}{end}",
+                  f"elif len({{{', '.join(targets)}}}) == {len(pairs)}:",
+                  f"    for t, q in sorted(({listed})): at(t); ap(q)",
+                  f"    {end}", f"else: {merge}"]
     return lines
 
 

@@ -28,7 +28,7 @@ from qkdmc.lang import parse, print_expr, validate
 from qkdmc.lang.analysis import compile_expr
 from qkdmc.properties import parse_property
 from qkdmc.solver import prob_until
-from qkdmc.sweep import HEAVY_NOISE_CHANNEL
+from qkdmc.sweep import FIGURES, HEAVY_NOISE_CHANNEL
 
 # The package re-exports the validate function under the module's own name.
 validate_module = importlib.import_module("qkdmc.lang.validate")
@@ -735,8 +735,52 @@ PROTOCOL_DIGESTS = [
 ]
 
 
+# The reduced chains `sweep` builds, recorded before unrolled rows in any
+# target order were stored inline: fig2's three at its top photon count,
+# then heavy noise at n=40 for each passthrough.
+_FIG2 = FIGURES["fig2"]
+HEAVY_40 = [
+    Bb84Params(photons=40, channel=HEAVY_NOISE_CHANNEL, eve_q=0.5, passthrough=passthrough)
+    for passthrough in Passthrough
+]
+REDUCED_DIGESTS = list(
+    zip(
+        [Bb84Params(photons=_FIG2.n_stop, channel=c.channel, eve_q=c.eve_q) for c in _FIG2.curves]
+        + HEAVY_40,
+        [
+            "5b71c97377a24054124b905b8d9e360bf795cee1a5fff2d96e59762756758d37",
+            "89a3e5c5fd5280d9877d67355ed8bbefa85488e02674b1370341bab467b45113",
+            "3a91160dfcbff1a7077f92d5bef7ac1361c92cf65f75c6e618b9a8d6d4ebfc20",
+            "14b4029819ace93d892f2a61ad48ef8fa59f0a87c4da7db82583e90c39c7fa92",
+            "64971957d941482c556a8b6adad346941ff94e67b2455f47a277ec2083f2ec64",
+        ],
+    )
+)
+
+
 def _digest(dtmc) -> str:
     return hashlib.sha256(dtmc.export_text().encode()).hexdigest()
+
+
+def merge_calls(monkeypatch) -> list[tuple[tuple[float, int], ...]]:
+    """The pairs handed to `_merge` by each walk `build` runs from here on."""
+    calls = []
+    compile_walk = explorer_module._compile_walk
+
+    def spy(*args):
+        walk = compile_walk(*args)
+
+        def counted(codes, targets, _row, _merge, *rest):
+            def merge(pairs, c):
+                calls.append(pairs)
+                _merge(pairs, c)
+
+            walk(codes, targets, _row, merge, *rest)
+
+        return counted
+
+    monkeypatch.setattr(explorer_module, "_compile_walk", spy)
+    return calls
 
 
 class TestPinnedOutput:
@@ -747,6 +791,21 @@ class TestPinnedOutput:
     @pytest.mark.parametrize("params, digest", PROTOCOL_DIGESTS)
     def test_protocol_model_export(self, params, digest):
         assert _digest(build(validate(model_ast(params)))) == digest
+
+    @pytest.mark.parametrize("params, digest", REDUCED_DIGESTS)
+    def test_reduced_protocol_model_export(self, params, digest):
+        assert _digest(build(validate(model_ast(params)), reduce=True)) == digest
+
+    @pytest.mark.parametrize(
+        "params, reduce",
+        [(params, True) for params, _ in REDUCED_DIGESTS] + [(params, False) for params in HEAVY_40],
+    )
+    def test_no_bb84_row_reaches_merge(self, monkeypatch, params, reduce):
+        # Their rows repeat targets or find them out of order, and the walk
+        # stores each inline, as `_merge` would.
+        calls = merge_calls(monkeypatch)
+        build(validate(model_ast(params)), reduce=reduce)
+        assert calls == []
 
 
 class TestScale:
@@ -969,6 +1028,12 @@ def small_models(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
+_REPEATED_AMONG_THREE = (
+    "dtmc\nmodule m\n  x : [0..3] init 0;\n  [] x=0 -> 0.5:(x'=3) + 0.5:(x'=1);\n"
+    "  [] x=3 -> 0.2:(x'=1) + 0.3:(x'=3) + 0.5:(x'=1);\nendmodule\n"
+)
+
+
 @settings(max_examples=400, deadline=None)
 @given(small_models())
 # Duplicate successors, merged.
@@ -998,6 +1063,23 @@ def small_models(draw) -> str:
     "  [a] y=0 -> 0.2:(y'=3) + 0.2:(y'=2) + 0.2:(y'=1) + 0.2:(y'=0) + 0.2:(y'=y);\n"
     "  [a] y!=0 -> (y'=y-1);\nendmodule\n"
 )
+# x=3 finds x=2 between the known x=1 and x=3: a 3-pair row in mixed order.
+@example(
+    "dtmc\nmodule m\n  x : [0..3] init 0;\n  [] x=0 -> 0.5:(x'=3) + 0.5:(x'=1);\n"
+    "  [] x=3 -> 0.2:(x'=1) + 0.3:(x'=2) + 0.5:(x'=3);\nendmodule\n"
+)
+# x=1 repeated among three pairs: that row goes to _merge.
+@example(_REPEATED_AMONG_THREE)
+# Two pairs in descending order, of unequal probabilities.
+@example(
+    "dtmc\nmodule m\n  x : [0..2] init 0;\n"
+    "  [] x=0 -> (x'=1);\n  [] x=1 -> 0.3:(x'=2) + 0.7:(x'=0);\nendmodule\n"
+)
+# Two pairs, by different expressions, on one target: a new one, then a known one.
+@example(
+    "dtmc\nmodule m\n  x : [0..1] init 0;\n"
+    "  [] x=0 -> 0.6:(x'=1) + 0.4:(x'=x+1);\n  [] x=1 -> 0.3:(x'=1-x) + 0.7:(x'=0);\nendmodule\n"
+)
 # A lone module's row of 20 pairs, past the cap too, with duplicates.
 @example(
     "dtmc\nmodule m\n  x : [0..9] init 0;\n  [] true -> "
@@ -1017,6 +1099,13 @@ def test_build_matches_the_reference_explorer(source):
         assert info.value.code == error.code
     else:
         assert build(vm).export_text() == expected.export_text()
+
+
+def test_a_target_repeated_among_three_pairs_reaches_merge(monkeypatch):
+    calls = merge_calls(monkeypatch)
+    dtmc = explore(_REPEATED_AMONG_THREE)
+    assert calls == [((0.2, 2), (0.3, 1), (0.5, 2))]
+    assert dtmc.row(1) == ((1, 0.3), (2, 0.7))
 
 
 @settings(max_examples=400, deadline=None)

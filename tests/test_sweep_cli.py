@@ -6,8 +6,10 @@ as the console script would return them.
 
 import codecs
 import contextlib
+import ctypes
 import io
 import re
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -555,13 +557,50 @@ class TestCliCommands:
         assert "ordering holds at every point" in out
 
 
+    @pytest.mark.parametrize("command", ["check", "bb84", "sweep", "figure"])
+    def test_each_command_prints_in_one_write(self, tmp_path, monkeypatch, command):
+        # A reader that closes the pipe after the first line then finds
+        # nothing left to write.
+        class Stdout(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                self.writes += 1
+                return super().write(text)
+
+        model = tmp_path / "m.pm"
+        model.write_text(generate(Bb84Params(photons=2)), encoding="utf-8")
+        short = type(FIGURES["fig1"])("fig1", 2, 3, FIGURES["fig1"].curves)
+        monkeypatch.setitem(sweep_module.FIGURES, "fig1", short)
+        argv = {
+            "check": ["--model", str(model), "--prop", 'P=? [ F "detected" ]'],
+            "bb84": ["--photons", "2", "--emit", str(tmp_path / "out.pm")],
+            "sweep": ["--photons", "2..3", "--out", str(tmp_path / "rows.csv")],
+            "figure": ["--name", "fig1", "--out", str(tmp_path / "fig")],
+        }[command]
+        stdout = Stdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert cli.main([command, *argv]) == 0
+        assert stdout.writes == 1
+        assert stdout.getvalue().count("\n") >= (1 if command == "sweep" else 4)
+
+    def test_the_mmap_threshold_is_pinned_once_per_process(self, tmp_path, capsys, monkeypatch):
+        loads, load = [], ctypes.CDLL
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: loads.append(name) or load(name))
+        cli._pin_mmap_threshold.cache_clear()
+        for _ in range(3):
+            assert cli.main(["bb84", "--photons", "1", "--emit", str(tmp_path / "m.pm")]) == 0
+        assert loads == [None]
+
     def test_figure_ordering_violation_is_exit_4(self, tmp_path, capsys, monkeypatch):
         spec = FIGURES["fig2"]
         reversed_curves = type(spec)(spec.name, 3, 4, spec.curves[::-1])
         monkeypatch.setitem(sweep_module.FIGURES, "fig2", reversed_curves)
         out_dir = tmp_path / "fig"
         assert cli.main(["figure", "--name", "fig2", "--out", str(out_dir)]) == 4
-        assert "4 ordering violation(s)" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "4 ordering violation(s)" in captured.err
+        assert "VIOLATIONS:\n  ordering violated at n=3:" in captured.out
         report = (out_dir / "fig2_report.txt").read_text(encoding="utf-8")
         assert "VIOLATIONS:\n  ordering violated at n=3:" in report
         for key in ("weak_eve", "medium_eve", "full_eve"):
