@@ -11,12 +11,19 @@ the caller says, constants inlined. ``compile_expr`` evaluates it as one
 function over a state tuple ``s``; the explorer inlines it, over a state's
 code, into its walk and state queries. The parser's nesting and operator
 limits keep that source within what Python compiles.
+
+Every generated function (the overlap guards of ``compile_expr``, the
+explorer's walk and its state scans) is compiled by ``compiled``, which
+keeps the code of the last CODE_CACHE_SIZE sources per process: a model
+built again, or one of the same shape with other probabilities, reuses it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+from types import CodeType
 from typing import Callable, Mapping
 
 from qkdmc.errors import ValidationError
@@ -154,6 +161,18 @@ def render_expr(
     return render(expr, leaf, _PYTHON_SPELLING)
 
 
+# The most compiled sources `compiled` keeps: a figure or a grid over one
+# model shape makes a handful, and a code object is freed once it leaves.
+CODE_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=CODE_CACHE_SIZE)
+def compiled(source: str, filename: str = "<generated>", mode: str = "eval") -> CodeType:
+    """The code of generated source, compiled once per process while it is
+    among the last CODE_CACHE_SIZE sources asked for."""
+    return compile(source, filename, mode)
+
+
 def compile_expr(
     expr: ast.Expr,
     var_index: Mapping[str, int],
@@ -161,7 +180,8 @@ def compile_expr(
 ) -> Callable[[tuple[int, ...]], int | bool]:
     """Compile a kind-checked expression to one function over a state tuple.
 
-    Variables read ``s[i]``. Used for guard-overlap enumeration.
+    Variables read ``s[i]``. Used for guard-overlap enumeration; equal
+    sources share their code (see `compiled`).
     """
     source = render_expr(expr, {name: f"s[{i}]" for name, i in var_index.items()}, constants)
-    return eval(f"lambda s: {source}", {"__builtins__": {}})
+    return eval(compiled(f"lambda s: {source}"), {"__builtins__": {}})

@@ -9,10 +9,12 @@ import builtins
 import hashlib
 import gc
 import importlib
+import io
 import itertools
 import math
 import re
 import time
+import tokenize
 import tracemalloc
 from array import array
 
@@ -25,14 +27,15 @@ from qkdmc.bb84 import Bb84Params, Passthrough, generate, model_ast
 from qkdmc.errors import BuildError, PropertyError, ValidationError
 from qkdmc.explorer import ROW_SUM_TOL, Dtmc, build
 from qkdmc.lang import parse, print_expr, validate
-from qkdmc.lang.analysis import compile_expr
+from qkdmc.lang.analysis import CODE_CACHE_SIZE, compile_expr, compiled
 from qkdmc.properties import parse_property
 from qkdmc.solver import prob_until
-from qkdmc.sweep import FIGURES, HEAVY_NOISE_CHANNEL
+from qkdmc.sweep import FIGURES, HEAVY_NOISE_CHANNEL, PERFECT_CHANNEL
 
 # The package re-exports the validate function under the module's own name.
 validate_module = importlib.import_module("qkdmc.lang.validate")
 explorer_module = importlib.import_module("qkdmc.explorer")
+analysis_module = importlib.import_module("qkdmc.lang.analysis")
 
 
 def explore(source: str):
@@ -345,14 +348,20 @@ class TestBuildErrors:
 
 
 def walk_sources(monkeypatch) -> list[str]:
-    """The source of each walk `build` compiles from here on."""
+    """The source of each walk `build` compiles from here on.
+
+    The code cache is cleared first, and a walk is recorded where it is
+    compiled, at a cache miss; so a walk compiled before is recorded again.
+    """
     sources = []
 
-    def spy(source, *args):
-        sources.append(source)
-        return builtins.compile(source, *args)
+    def spy(source, filename, mode):
+        if filename == "<explore>":
+            sources.append(source)
+        return builtins.compile(source, filename, mode)
 
-    monkeypatch.setattr(explorer_module, "compile", spy, raising=False)
+    compiled.cache_clear()
+    monkeypatch.setattr(analysis_module, "compile", spy, raising=False)
     return sources
 
 
@@ -756,6 +765,18 @@ REDUCED_DIGESTS = list(
         ],
     )
 )
+# Without Eve (eve_q 0), the reduced perfect and heavy-noise chains at
+# n=500, recorded before the generator merged a row's repeated successors.
+NO_EVE_500 = [
+    (
+        Bb84Params(photons=500, channel=PERFECT_CHANNEL, eve_q=0.0),
+        "b6b26854a66f57a54bb80f1e13525a607ee3298df7f7a062ec0f5dcae2c94959",
+    ),
+    (
+        Bb84Params(photons=500, channel=HEAVY_NOISE_CHANNEL, eve_q=0.0),
+        "c0ad64ea81c82c6e0641960d16c311fdefc9483d487531e725b7676c8674ad3f",
+    ),
+]
 
 
 def _digest(dtmc) -> str:
@@ -768,7 +789,7 @@ def merge_calls(monkeypatch) -> list[tuple[tuple[float, int], ...]]:
     compile_walk = explorer_module._compile_walk
 
     def spy(*args):
-        walk = compile_walk(*args)
+        walk, weights = compile_walk(*args)
 
         def counted(codes, targets, _row, _merge, *rest):
             def merge(pairs, c):
@@ -777,7 +798,7 @@ def merge_calls(monkeypatch) -> list[tuple[tuple[float, int], ...]]:
 
             walk(codes, targets, _row, merge, *rest)
 
-        return counted
+        return counted, weights
 
     monkeypatch.setattr(explorer_module, "_compile_walk", spy)
     return calls
@@ -792,20 +813,115 @@ class TestPinnedOutput:
     def test_protocol_model_export(self, params, digest):
         assert _digest(build(validate(model_ast(params)))) == digest
 
-    @pytest.mark.parametrize("params, digest", REDUCED_DIGESTS)
+    @pytest.mark.parametrize("params, digest", REDUCED_DIGESTS + NO_EVE_500)
     def test_reduced_protocol_model_export(self, params, digest):
         assert _digest(build(validate(model_ast(params)), reduce=True)) == digest
 
     @pytest.mark.parametrize(
         "params, reduce",
-        [(params, True) for params, _ in REDUCED_DIGESTS] + [(params, False) for params in HEAVY_40],
+        [(params, True) for params, _ in REDUCED_DIGESTS]
+        + [(params, False) for params in HEAVY_40]
+        + [(params, True) for params, _ in NO_EVE_500],
     )
     def test_no_bb84_row_reaches_merge(self, monkeypatch, params, reduce):
         # Their rows repeat targets or find them out of order, and the walk
-        # stores each inline, as `_merge` would.
+        # stores each inline, as `_merge` would. Without Eve, the reset of
+        # dead variables writes several successors of a row alike, and the
+        # generator merges those.
         calls = merge_calls(monkeypatch)
         build(validate(model_ast(params)), reduce=reduce)
         assert calls == []
+
+
+def _walk_misses(vm, **kwargs) -> int:
+    """Code cache misses of one build: 1 where its walk was compiled."""
+    before = compiled.cache_info().misses
+    build(vm, **kwargs)
+    return compiled.cache_info().misses - before
+
+
+# (params, reduce) of each pinned bb84 chain.
+PINNED_BB84 = [(params, False) for params, _ in PROTOCOL_DIGESTS] + [
+    (params, True) for params, _ in REDUCED_DIGESTS + NO_EVE_500
+]
+
+
+class TestCodeCache:
+    def test_fig2_compiles_two_walks_for_three_curves(self):
+        # weak_eve and medium_eve differ only in probabilities; full_eve
+        # (eve_q 1) drops Eve's pass-through branch, so its walk differs.
+        vms = [
+            validate(model_ast(Bb84Params(photons=_FIG2.n_stop, channel=c.channel, eve_q=c.eve_q)))
+            for c in _FIG2.curves
+        ]
+        assert [c.key for c in _FIG2.curves] == ["weak_eve", "medium_eve", "full_eve"]
+        compiled.cache_clear()
+        assert [_walk_misses(vm, reduce=True) for vm in vms] == [1, 0, 1]
+        # Every later build of any of them hits.
+        assert [_walk_misses(vm, reduce=True) for vm in vms] == [0, 0, 0]
+
+    @pytest.mark.parametrize("params, reduce", PINNED_BB84)
+    def test_a_cold_and_a_warm_build_store_the_same_bits(self, params, reduce):
+        vm = validate(model_ast(params))
+        runs = []
+        for cold in (True, False):
+            if cold:
+                compiled.cache_clear()
+            dtmc = build(vm, reduce=reduce)
+            report = prob_until(dtmc, parse_property('P=? [ F "detected" ]'))
+            runs.append((dtmc.export_text(), array("d", report.values).tobytes()))
+        assert compiled.cache_info().hits > 0
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("name", sorted(EXPORT_DIGESTS))
+    def test_a_cold_and_a_warm_golden_build_export_alike(self, golden, name):
+        vm = validate(parse(golden(name)))
+        compiled.cache_clear()
+        cold = build(vm).export_text()
+        assert _walk_misses(vm) == 0
+        assert build(vm).export_text() == cold
+
+    def test_no_walk_source_holds_a_probability(self, monkeypatch, golden):
+        sources = walk_sources(monkeypatch)
+        for params, reduce in PINNED_BB84:
+            build(validate(model_ast(params)), reduce=reduce)
+        for name in EXPORT_DIGESTS:
+            explore(golden(name))
+        # 1e-200 and 0.3 reach the walk of a product row as weights too.
+        explore(
+            "dtmc\nmodule m0\n  x : [0..2] init 0;\n  [a] x=0 -> 0.3:(x'=1) + 0.7:(x'=2);\n"
+            "  [a] x>0 -> (x'=x);\nendmodule\nmodule m1\n  y : [0..1] init 0;\n"
+            "  [a] y=0 -> 1e-200:(y'=1) + 1:(y'=0);\n  [a] y=1 -> (y'=y);\nendmodule\n"
+        )
+        assert len(sources) > len(PINNED_BB84)
+        assert "= _row(c, " in sources[-1]
+        for source in sources:
+            numbers = [
+                token.string
+                for token in tokenize.generate_tokens(io.StringIO(source).readline)
+                if token.type == tokenize.NUMBER
+            ]
+            assert all(number.isdigit() for number in numbers)
+
+    def test_the_cache_stays_at_its_size(self):
+        compiled.cache_clear()
+        photon_counts = range(1, CODE_CACHE_SIZE + 5)
+        for photons in photon_counts:
+            build(validate(model_ast(Bb84Params(photons=photons))))
+        info = compiled.cache_info()
+        assert info.maxsize == info.currsize == CODE_CACHE_SIZE
+        assert info.misses > CODE_CACHE_SIZE
+
+    def test_scans_and_guards_share_compiled_code(self):
+        dtmc = protocol_dtmc(photons=3)
+        compiled.cache_clear()
+        detected = dtmc.states_where(dtmc.labels["detected"])
+        assert dtmc.states_where(dtmc.labels["detected"]) == detected
+        guard = parse("dtmc\nmodule m\n  x : [0..1] init 0;\n  [] x=1 -> (x'=0);\nendmodule\n")
+        expr = guard.modules[0].commands[0].guard
+        first, second = (compile_expr(expr, {"x": 0}, {}) for _ in range(2))
+        assert first.__code__ is second.__code__ and first((1,)) and not second((0,))
+        assert compiled.cache_info()[:2] == (2, 2)  # (hits, misses)
 
 
 class TestScale:
@@ -823,13 +939,7 @@ class TestScale:
             + ";\nendmodule\n"
             for k in range(3000)
         ]
-        sources = []
-
-        def spy(source, *args):
-            sources.append(source)
-            return builtins.compile(source, *args)
-
-        monkeypatch.setattr(explorer_module, "compile", spy, raising=False)
+        sources = walk_sources(monkeypatch)
         dtmc = explore("dtmc\n" + "".join(modules))
         assert ("= _row(c, " in sources[0]) == (2**branching > explorer_module.MAX_UNROLLED_PAIRS)
         successors = 2**branching
@@ -1028,9 +1138,11 @@ def small_models(draw) -> str:
     return "\n".join(lines) + "\n"
 
 
+# At x=3, x'=x-2 reaches the state x'=1 reaches: one target from two
+# sources, so only the run time finds it repeated.
 _REPEATED_AMONG_THREE = (
     "dtmc\nmodule m\n  x : [0..3] init 0;\n  [] x=0 -> 0.5:(x'=3) + 0.5:(x'=1);\n"
-    "  [] x=3 -> 0.2:(x'=1) + 0.3:(x'=3) + 0.5:(x'=1);\nendmodule\n"
+    "  [] x=3 -> 0.2:(x'=1) + 0.3:(x'=3) + 0.5:(x'=x-2);\nendmodule\n"
 )
 
 
@@ -1070,6 +1182,12 @@ _REPEATED_AMONG_THREE = (
 )
 # x=1 repeated among three pairs: that row goes to _merge.
 @example(_REPEATED_AMONG_THREE)
+# The same row with one successor written twice: the generator merges it.
+@example(_REPEATED_AMONG_THREE.replace("x'=x-2", "x'=1"))
+# Pairs merged by the generator whose target recurs at run time, among two
+# distinct successors and among three: both rows go to _merge.
+@example(_REPEATED_AMONG_THREE.replace("0.3:(x'=3) + 0.5:(x'=x-2)", "0.3:(x'=x-2) + 0.5:(x'=1)"))
+@example(_REPEATED_AMONG_THREE.replace("0.2:(x'=1)", "0.1:(x'=1) + 0.1:(x'=x-2)"))
 # Two pairs in descending order, of unequal probabilities.
 @example(
     "dtmc\nmodule m\n  x : [0..2] init 0;\n"
@@ -1106,6 +1224,15 @@ def test_a_target_repeated_among_three_pairs_reaches_merge(monkeypatch):
     dtmc = explore(_REPEATED_AMONG_THREE)
     assert calls == [((0.2, 2), (0.3, 1), (0.5, 2))]
     assert dtmc.row(1) == ((1, 0.3), (2, 0.7))
+
+
+def test_a_successor_repeated_in_the_source_is_merged_by_the_generator(monkeypatch):
+    # Both x'=1 updates render as one successor: the generator sums them,
+    # 0.0 + 0.2 + 0.5 as `_merge` would, and the walk stores the row inline.
+    calls = merge_calls(monkeypatch)
+    dtmc = explore(_REPEATED_AMONG_THREE.replace("x'=x-2", "x'=1"))
+    assert calls == []
+    assert dtmc.row(1) == ((1, 0.3), (2, 0.0 + 0.2 + 0.5))
 
 
 @settings(max_examples=400, deadline=None)
