@@ -32,7 +32,7 @@ begins.
 The model is written as text, in the canonical form `print_model` gives:
 its fixed lines are one literal, and only the photon constant n, the bound
 of i and three distributions (Alice's draw, the channel load, Eve's
-resend) are computed. `model_ast` parses that text.
+resend) are computed.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import enum
 import math
 import re
 
-from qkdmc.lang import ast, parse
+from qkdmc.lang import ast
 from qkdmc.record import Record
 
 CHANNEL_SUM_TOL = 1e-12
@@ -197,11 +197,6 @@ def generate(params: Bb84Params) -> str:
         load=load,
         resend=resend,
     )
-
-
-def model_ast(params: Bb84Params) -> ast.Model:
-    """The full model as a syntax tree, parsed from generate()."""
-    return parse(generate(params))
 
 
 def detected_event_definition() -> ast.Expr:

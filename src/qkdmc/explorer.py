@@ -14,9 +14,9 @@ each one by occurrence (w0, w1, ...), and `build` passes the weights in a
 tuple that the walk unpacks once. Models that differ only in their
 probabilities, such as fig2's weak and medium Eve or a grid over eve_q,
 so share one source wherever they drop the same zero products and pass
-the same row-sum checks. Compiled code is shared per process by source
-(`analysis.compiled`); each build still `exec`s it into a fresh
-namespace, with its own diagnostics helpers. The walk visits its list of
+the same row-sum checks. One function per source serves the process
+(`analysis.compiled`), and a build passes in all that is its own: the
+weights, helpers and checks naming its lines. The walk visits its list of
 state codes in order while it appends newly found states to it, so it is
 the breadth-first search. In it, every guard is inlined: each group has one
 test, in which a module with several commands for the group's action picks
@@ -76,9 +76,9 @@ its CSR columns and passes in as arguments:
   source stays linear in the model text;
 - `_dead(si)` stores a deadlock's self-loop.
 
-Passed as arguments, the helpers and the bound methods the walk calls stay
-out of the reference cycle between the function and its `exec` namespace,
-so nothing they reach outlives the build. The walk keys each state by its
+Passed as arguments, nothing of a build stays reachable from the shared
+walk, and the walk forms no reference cycle with its namespace, so all of
+it is freed when `build` returns. The walk keys each state by its
 code, one int with a bit field per variable (see `Layout`). It reads a
 variable as ``(c >> offset & mask)`` and builds a successor as
 ``c & KEEP | CONST | value << offset``; a value in range, tested or
@@ -236,8 +236,8 @@ class Dtmc(Record):
         those, so its one long run would stay on the generic bytecode.
         """
         source = render_expr(expr, self.layout.reads, self.constants)
-        truths = eval(compiled(f"lambda codes: [{source} for c in codes]"), {"__builtins__": {}})
-        return frozenset(compress(count(), truths(self.codes)))
+        scan = compiled(f"def scan(codes): return [{source} for c in codes]")
+        return frozenset(compress(count(), scan(self.codes)))
 
     def row(self, index: int) -> tuple[tuple[int, float], ...]:
         """The (target, probability) pairs of one row, sorted by target."""
@@ -301,7 +301,7 @@ def build(vm: ValidatedModel, *, reduce: bool = False) -> Dtmc:
                 for at, held in dead_on_entry.items()
             },
         )
-    explore, weights = _compile_walk(vm, layout, resets)
+    explore, arguments = _compile_walk(vm, layout, resets)
     # The walk folds the resets into an unrolled row's masks; `row` applies
     # them to each successor it forms, as (keep, initial bits) per location.
     rebase: dict[int, tuple[int, int]] = {}
@@ -373,7 +373,7 @@ def build(vm: ValidatedModel, *, reduce: bool = False) -> Dtmc:
         add_prob(1.0)
         end_row(len(targets))
 
-    explore(codes, targets, row, merge, dead, index, add_state, add_target, add_prob, end_row, weights)
+    explore(codes, targets, row, merge, dead, index, add_state, add_target, add_prob, end_row, *arguments)
     # The index holds an entry per state; freeing it, and the bound method
     # the walk was handed, before the codes are copied lowers the build's
     # peak memory.
@@ -408,9 +408,10 @@ MAX_UNROLLED_PAIRS = 16
 
 def _compile_walk(
     vm: ValidatedModel, layout: Layout, resets: tuple[int, dict[int, dict[int, int]]] | None
-) -> tuple[Callable[..., None], tuple[float, ...]]:
+) -> tuple[Callable[..., None], tuple[object, ...]]:
     """Compile the model into the walk, explore(codes, targets, _row,
-    _merge, _dead, index, add, at, ap, end, weights), and its weights.
+    _merge, _dead, index, add, at, ap, end, weights, *checks), and the
+    arguments after `end`: its weights, then the checks its source calls.
 
     The walk's source names each probability it stores or hands on by
     occurrence, w0, w1, ..., and unpacks `weights` into those names once:
@@ -541,34 +542,6 @@ def _compile_walk(
         tests.append(f"if {' and '.join(dict.fromkeys(terms))}:")
         bodies.append([f"    {line}" for line in [*body, "continue"]])
 
-    # A group fires at its test only where validation proved the groups
-    # disjoint and decided every pick, so no pick goes to `_pick`. An
-    # undecided pick may raise in the test of a later group, so then every
-    # group is tested, as without the proof.
-    enable: list[str] = []
-    if not vm.disjoint_groups or picks:
-        enable = ["g = -1"]
-        for gi, test in enumerate(tests):
-            enable.append(f"{test} g = {gi} if g < 0 else _nondeterminism(c, g, {gi})")
-        tests = [f"if g == {gi}:" for gi in range(len(tests))]
-    # Flat ifs, not an elif chain: Python compiles a chain of elifs as
-    # nested statements, and one of 3,000 groups passes its recursion
-    # limit.
-    fire = [line for test, body in zip(tests, bodies) for line in [test, *body]]
-    # codes grows while it is walked, so the walk is breadth-first.
-    unpack = f"    {''.join(f'w{k}, ' for k in range(len(weights)))}= weights\n" if weights else ""
-    source = "\n        ".join(
-        [
-            "def explore(codes, targets, _row, _merge, _dead, index, add, at, ap, end, weights):\n"
-            f"{unpack}    n = len(codes)\n    for si, c in enumerate(codes):",
-            *binds,
-            *enable,
-            *fire,
-            # In a deadlock no group fires.
-            "_dead(si)",
-        ]
-    )
-
     def pick(hits: tuple[bool, ...], code: int, site: int) -> int:
         if hits.count(True) > 1:
             module, action, lines = picks[site]
@@ -603,14 +576,39 @@ def _compile_walk(
             code="NONDETERMINISM",
         )
 
-    namespace = {
-        "__builtins__": {"enumerate": enumerate, "len": len, "sorted": sorted},
-        "_pick": pick,
-        "_bounds": out_of_range,
-        "_nondeterminism": nondeterminism,
-    }
-    exec(compiled(source, "<explore>", "exec"), namespace)
-    return namespace["explore"], tuple(weights)
+    # A group fires at its test only where validation proved the groups
+    # disjoint and decided every pick, so no pick goes to `_pick`. An
+    # undecided pick may raise in the test of a later group, so then every
+    # group is tested, as without the proof.
+    enable: list[str] = []
+    if not vm.disjoint_groups or picks:
+        enable = ["g = -1"]
+        for gi, test in enumerate(tests):
+            enable.append(f"{test} g = {gi} if g < 0 else _nondeterminism(c, g, {gi})")
+        tests = [f"if g == {gi}:" for gi in range(len(tests))]
+    # Flat ifs, not an elif chain: Python compiles a chain of elifs as
+    # nested statements, and one of 3,000 groups passes its recursion
+    # limit.
+    fire = [line for test, body in zip(tests, bodies) for line in [test, *body]]
+    # After its weights the walk takes the checks its source calls, no other.
+    calls = [("_pick", pick, picks), ("_bounds", out_of_range, bound_sites),
+             ("_nondeterminism", nondeterminism, enable)]
+    checks = {name: check for name, check, sites in calls if sites}
+    # codes grows while it is walked, so the walk is breadth-first.
+    unpack = f"    {''.join(f'w{k}, ' for k in range(len(weights)))}= weights\n" if weights else ""
+    source = "\n        ".join(
+        [
+            "def explore(codes, targets, _row, _merge, _dead, index, add, at, ap, end, weights"
+            f"{''.join(f', {name}' for name in checks)}):\n"
+            f"{unpack}    n = len(codes)\n    for si, c in enumerate(codes):",
+            *binds,
+            *enable,
+            *fire,
+            # In a deadlock no group fires.
+            "_dead(si)",
+        ]
+    )
+    return compiled(source), (tuple(weights), *checks.values())
 
 
 def _unrolled_row(

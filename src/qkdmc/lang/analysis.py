@@ -13,9 +13,10 @@ code, into its walk and state queries. The parser's nesting and operator
 limits keep that source within what Python compiles.
 
 Every generated function (the overlap guards of ``compile_expr``, the
-explorer's walk and its state scans) is compiled by ``compiled``, which
-keeps the code of the last CODE_CACHE_SIZE sources per process: a model
-built again, or one of the same shape with other probabilities, reuses it.
+explorer's walk and its state scans) is made by ``compiled``, which keeps
+the functions of the last CODE_CACHE_SIZE sources per process: a model
+built again, or one of the same shape with other probabilities, reuses
+its function, so a generated function keeps no state of one use.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from types import CodeType
-from typing import Callable, Mapping
+from typing import Any, Callable, Mapping
 
 from qkdmc.errors import ValidationError
 from qkdmc.lang import ast
@@ -161,16 +161,20 @@ def render_expr(
     return render(expr, leaf, _PYTHON_SPELLING)
 
 
-# The most compiled sources `compiled` keeps: a figure or a grid over one
-# model shape makes a handful, and a code object is freed once it leaves.
+# The most sources `compiled` keeps: a figure or a grid over one model
+# shape makes a handful, and a function is freed once it leaves.
 CODE_CACHE_SIZE = 32
 
 
 @functools.lru_cache(maxsize=CODE_CACHE_SIZE)
-def compiled(source: str, filename: str = "<generated>", mode: str = "eval") -> CodeType:
-    """The code of generated source, compiled once per process while it is
-    among the last CODE_CACHE_SIZE sources asked for."""
-    return compile(source, filename, mode)
+def compiled(source: str) -> Callable[..., Any]:
+    """The function that generated source defines, made once per process
+    while the source is among the last CODE_CACHE_SIZE asked for. It sees
+    only the walk's builtins, tracebacks show its file as ``<explore>``, and
+    it is popped from its namespace, so the two form no reference cycle."""
+    namespace = {"__builtins__": {"enumerate": enumerate, "len": len, "sorted": sorted}}
+    exec(compile(source, "<explore>", "exec"), namespace)
+    return namespace.popitem()[1]
 
 
 def compile_expr(
@@ -181,7 +185,7 @@ def compile_expr(
     """Compile a kind-checked expression to one function over a state tuple.
 
     Variables read ``s[i]``. Used for guard-overlap enumeration; equal
-    sources share their code (see `compiled`).
+    sources share one function (see `compiled`).
     """
     source = render_expr(expr, {name: f"s[{i}]" for name, i in var_index.items()}, constants)
-    return eval(compiled(f"lambda s: {source}"), {"__builtins__": {}})
+    return compiled(f"def guard(s): return {source}")

@@ -61,10 +61,6 @@ class ValidatedModel(Record):
                      "decided_picks", "dead_on_entry", "disjoint_groups")  # the model only
 
     @property
-    def action_order(self) -> tuple[str, ...]:
-        return tuple(action for action, _ in self.groups if action is not None)
-
-    @property
     def initial_state(self) -> tuple[int, ...]:
         return tuple(var.init for var in self.variables)
 
@@ -130,8 +126,7 @@ def validate(model: ast.Model) -> ValidatedModel:
     ]
     decided_picks = set()
     for mi, module in enumerate(model.modules):
-        # None, as from a check switched off, proves nothing.
-        decided = _check_overlaps(module, boxes[mi], constants) or ()
+        decided = _check_overlaps(module, boxes[mi], constants)
         decided_picks.update((mi, label) for label in decided if label is not None)
 
     # A group's box holds each valuation that enables it: the meet over its
@@ -253,11 +248,7 @@ def _check_overlaps(
         index = {name: i for i, name in enumerate(order)}
         checks = [None] * len(commands)  # each guard compiled at most once
         for (i, box_a), (j, box_b) in itertools.combinations(enumerate(group_boxes), 2):
-            # `_meet` inlined: this runs once per pair of commands.
-            joint = dict(box_b)
-            for name, a in box_a.items():
-                b = box_b.get(name, a)
-                joint[name] = range(max(a.start, b.start), min(a.stop, b.stop))
+            joint = _meet([box_a, box_b])
             # 0 if two ranges do not meet; r.stop - r.start, not len(r): len
             # overflows past 2**63.
             size = math.prod(max(r.stop - r.start, 0) for r in joint.values())

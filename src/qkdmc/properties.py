@@ -34,10 +34,6 @@ class PropertyQuery(Record):
     constraint: Operand | None
     target: Operand
 
-    @property
-    def kind(self) -> str:
-        return "eventually" if self.constraint is None else "until"
-
 
 def parse_property(text: str) -> PropertyQuery:
     """Parse property text; resolution against a model happens separately."""

@@ -10,7 +10,6 @@ from qkdmc.bb84 import (
     Passthrough,
     detected_event_definition,
     generate,
-    model_ast,
     variable_schema,
 )
 from qkdmc.explorer import build
@@ -28,7 +27,7 @@ DONE = parse_property('P=? [ F "done" ]')
 
 
 def checked_probability(params: Bb84Params, prop=DETECTED):
-    dtmc = build(validate(model_ast(params)))
+    dtmc = build(validate(parse(generate(params))))
     return prob_until(dtmc, prop), dtmc
 
 

@@ -23,7 +23,7 @@ from hypothesis import example, given, reject, settings, strategies as st
 
 import _machine
 from qkdmc import cli
-from qkdmc.bb84 import Bb84Params, Passthrough, generate, model_ast
+from qkdmc.bb84 import Bb84Params, Passthrough, generate
 from qkdmc.errors import BuildError, PropertyError, ValidationError
 from qkdmc.explorer import ROW_SUM_TOL, Dtmc, build
 from qkdmc.lang import parse, print_expr, validate
@@ -205,7 +205,7 @@ class TestBuildErrors:
     def test_two_enabled_commands_of_one_module_are_nondeterminism(self, monkeypatch):
         # The validator rejects these overlapping guards statically; with its
         # check switched off, exploration must still refuse to pick one.
-        monkeypatch.setattr(validate_module, "_check_overlaps", lambda *args: None)
+        monkeypatch.setattr(validate_module, "_check_overlaps", lambda *args: set())
         source = (
             "dtmc\nmodule m\n  x : [0..2] init 0;\n"
             "  [a] x=0 -> (x'=1);\n  [a] x<2 -> (x'=2);\nendmodule\n"
@@ -375,7 +375,7 @@ def range_tests(monkeypatch, vm) -> list[tuple[str, str]]:
 class TestRangeTests:
     def test_only_the_photon_counter_step_is_tested_in_the_bb84_walk(self, monkeypatch):
         # Every other assignment provably fits, as ch_bas'=1-al_bas over [0..1].
-        vm = validate(model_ast(Bb84Params(photons=5, channel=HEAVY_NOISE_CHANNEL, eve_q=0.5)))
+        vm = validate(parse(generate(Bb84Params(photons=5, channel=HEAVY_NOISE_CHANNEL, eve_q=0.5))))
         read_i = explorer_module.Layout(vm.variables).reads["i"]
         assert range_tests(monkeypatch, vm) == [(f"{read_i} + (1)", "4")]
 
@@ -401,7 +401,7 @@ class TestProvenChecks:
     def test_the_bb84_walk_checks_no_pick_and_no_pair_of_groups(self, monkeypatch):
         # Validate decided the channel's three [compare] commands and
         # separated the six actions on phase.
-        vm = validate(model_ast(Bb84Params(photons=5, channel=HEAVY_NOISE_CHANNEL, eve_q=0.5)))
+        vm = validate(parse(generate(Bb84Params(photons=5, channel=HEAVY_NOISE_CHANNEL, eve_q=0.5))))
         assert vm.disjoint_groups and vm.decided_picks == {(1, "compare")}
         sources = walk_sources(monkeypatch)
         build(vm)
@@ -650,13 +650,13 @@ class TestFlatStorage:
     def test_retained_size_per_transition(self):
         # Flat columns cost 16 bytes per transition plus a row start and a
         # code per state; a tuple per transition alone would cost 56.
-        assert self.retained_per_transition(validate(model_ast(self.PARAMS))) <= 48
+        assert self.retained_per_transition(validate(parse(generate(self.PARAMS)))) <= 48
 
     def test_build_peak_per_state(self):
         # The walk's list and index hold one int per state. CPython 3.11
         # peaked at 142 bytes per state so, and at 238 with a tuple per state
         # packed into struct records after the walk.
-        dtmc, _, peak = self.traced_build(validate(model_ast(self.PARAMS)))
+        dtmc, _, peak = self.traced_build(validate(parse(generate(self.PARAMS))))
         assert peak / dtmc.state_count <= 180
 
     def test_a_label_on_every_state_costs_no_size(self):
@@ -666,7 +666,7 @@ class TestFlatStorage:
 
 
 def protocol_dtmc(**kwargs):
-    return build(validate(model_ast(Bb84Params(**kwargs))))
+    return build(validate(parse(generate(Bb84Params(**kwargs)))))
 
 
 class TestProtocolStateCounts:
@@ -789,7 +789,7 @@ def merge_calls(monkeypatch) -> list[tuple[tuple[float, int], ...]]:
     compile_walk = explorer_module._compile_walk
 
     def spy(*args):
-        walk, weights = compile_walk(*args)
+        walk, arguments = compile_walk(*args)
 
         def counted(codes, targets, _row, _merge, *rest):
             def merge(pairs, c):
@@ -798,7 +798,7 @@ def merge_calls(monkeypatch) -> list[tuple[tuple[float, int], ...]]:
 
             walk(codes, targets, _row, merge, *rest)
 
-        return counted, weights
+        return counted, arguments
 
     monkeypatch.setattr(explorer_module, "_compile_walk", spy)
     return calls
@@ -811,11 +811,11 @@ class TestPinnedOutput:
 
     @pytest.mark.parametrize("params, digest", PROTOCOL_DIGESTS)
     def test_protocol_model_export(self, params, digest):
-        assert _digest(build(validate(model_ast(params)))) == digest
+        assert _digest(build(validate(parse(generate(params))))) == digest
 
     @pytest.mark.parametrize("params, digest", REDUCED_DIGESTS + NO_EVE_500)
     def test_reduced_protocol_model_export(self, params, digest):
-        assert _digest(build(validate(model_ast(params)), reduce=True)) == digest
+        assert _digest(build(validate(parse(generate(params))), reduce=True)) == digest
 
     @pytest.mark.parametrize(
         "params, reduce",
@@ -829,7 +829,7 @@ class TestPinnedOutput:
         # dead variables writes several successors of a row alike, and the
         # generator merges those.
         calls = merge_calls(monkeypatch)
-        build(validate(model_ast(params)), reduce=reduce)
+        build(validate(parse(generate(params))), reduce=reduce)
         assert calls == []
 
 
@@ -851,7 +851,7 @@ class TestCodeCache:
         # weak_eve and medium_eve differ only in probabilities; full_eve
         # (eve_q 1) drops Eve's pass-through branch, so its walk differs.
         vms = [
-            validate(model_ast(Bb84Params(photons=_FIG2.n_stop, channel=c.channel, eve_q=c.eve_q)))
+            validate(parse(generate(Bb84Params(photons=_FIG2.n_stop, channel=c.channel, eve_q=c.eve_q))))
             for c in _FIG2.curves
         ]
         assert [c.key for c in _FIG2.curves] == ["weak_eve", "medium_eve", "full_eve"]
@@ -862,7 +862,7 @@ class TestCodeCache:
 
     @pytest.mark.parametrize("params, reduce", PINNED_BB84)
     def test_a_cold_and_a_warm_build_store_the_same_bits(self, params, reduce):
-        vm = validate(model_ast(params))
+        vm = validate(parse(generate(params)))
         runs = []
         for cold in (True, False):
             if cold:
@@ -884,7 +884,7 @@ class TestCodeCache:
     def test_no_walk_source_holds_a_probability(self, monkeypatch, golden):
         sources = walk_sources(monkeypatch)
         for params, reduce in PINNED_BB84:
-            build(validate(model_ast(params)), reduce=reduce)
+            build(validate(parse(generate(params))), reduce=reduce)
         for name in EXPORT_DIGESTS:
             explore(golden(name))
         # 1e-200 and 0.3 reach the walk of a product row as weights too.
@@ -907,7 +907,7 @@ class TestCodeCache:
         compiled.cache_clear()
         photon_counts = range(1, CODE_CACHE_SIZE + 5)
         for photons in photon_counts:
-            build(validate(model_ast(Bb84Params(photons=photons))))
+            build(validate(parse(generate(Bb84Params(photons=photons)))))
         info = compiled.cache_info()
         assert info.maxsize == info.currsize == CODE_CACHE_SIZE
         assert info.misses > CODE_CACHE_SIZE
@@ -922,6 +922,83 @@ class TestCodeCache:
         first, second = (compile_expr(expr, {"x": 0}, {}) for _ in range(2))
         assert first.__code__ is second.__code__ and first((1,)) and not second((0,))
         assert compiled.cache_info()[:2] == (2, 2)  # (hits, misses)
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_a_shared_walk_names_each_models_own_lines_and_names(self, order):
+        # Two models differ in their variable, module and action names and
+        # their line numbers, none of which reaches the walk's source, so
+        # one walk serves both. The initial state picks which check fails:
+        # an undecided pick at x=2, two groups at x=1, a range at y=1.
+        namings = [("x", "y", "m", "w", "a", ""), ("u", "v", "p", "q", "go", "\n\n\n")]
+
+        def model(x, y, m, w, a, gap, init):
+            return (
+                f"dtmc\n{gap}module {m}\n  {x} : [0..4611686018427387904] init {init[0]};\n"
+                f"  [{a}] {x}+0<3 & {y}=0 -> ({x}'={x}+1);\n"
+                f"  [{a}] {x}+0=2 & {y}=0 -> ({x}'=0);\nendmodule\n"
+                f"module {w}\n  {y} : [0..1] init {init[1]};\n  [] {y}=1 -> ({y}'={y}+1);\n"
+                f"  [] {y}=0 & {x}+0=1 -> ({y}'=0);\nendmodule\n"
+            )
+
+        def messages(x, y, m, w, a, gap):
+            line = len(gap)
+            return {
+                (2, 0): f"module {m}: commands at line {line + 4} and line {line + 5} are both "
+                f"enabled for action [{a}] in state ({x}=2, {y}=0)",
+                (1, 0): f"unlabeled command (module {w}) and action [{a}] both enabled in "
+                f"state ({x}=1, {y}=0)",
+                (0, 1): f"update at line {line + 9} sets {y}=2, outside [0..1], in state "
+                f"({x}=0, {y}=1)",
+            }
+
+        compiled.cache_clear()
+        for init in [(2, 0), (1, 0), (0, 1)]:
+            for naming in (namings[i] for i in order):
+                vm = validate(parse(model(*naming, init)))
+                assert not vm.decided_picks and not vm.disjoint_groups
+                with pytest.raises(BuildError) as info:
+                    build(vm)
+                assert str(info.value) == messages(*naming)[init]
+        assert compiled.cache_info().misses == 1
+
+
+class TestNoReferenceCycle:
+    """What a build makes is freed by reference counting when it returns,
+    with nothing left for the cycle collector, cold or warm."""
+
+    UNDECIDED_PICK = (
+        "dtmc\nmodule m\n  x : [0..4611686018427387904] init 0;\n"
+        "  [a] x+0<5 -> (x'=5);\n  [a] x+0>=5 & x+0<6 -> (x'=6);\nendmodule\n"
+    )
+    NOT_PROVEN_DISJOINT = (
+        "dtmc\nmodule m\n  x : [0..1] init 0;\n  y : [0..1] init 0;\n"
+        "  [a] x=0 & y=0 -> (x'=1);\n  [b] x=1 & y=0 -> (y'=1);\n"
+        "  [c] x=1 & y=1 -> (x'=0);\n  [d] x=0 & y=1 -> (y'=0);\nendmodule\n"
+    )
+
+    @pytest.mark.parametrize(
+        "source, reduce, disjoint, decided",
+        [
+            (generate(Bb84Params(photons=5)), False, True, {(1, "compare")}),
+            (generate(Bb84Params(photons=5)), True, True, {(1, "compare")}),
+            (UNDECIDED_PICK, False, True, set()),
+            (NOT_PROVEN_DISJOINT, False, False, set()),
+        ],
+        ids=["bb84", "bb84-reduced", "undecided-pick", "not-proven-disjoint"],
+    )
+    def test_a_build_leaves_no_cycle(self, source, reduce, disjoint, decided):
+        vm = validate(parse(source))
+        assert (vm.disjoint_groups, vm.decided_picks) == (disjoint, decided)
+        gc.collect()
+        gc.disable()
+        try:
+            for cold in (True, False):
+                if cold:
+                    compiled.cache_clear()
+                build(vm, reduce=reduce)
+                assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestScale:
@@ -1029,7 +1106,7 @@ def reference_build(vm) -> tuple[list[tuple[int, ...]], Dtmc]:
             [updates] for own in commands for label, guard, updates in own
             if label is None and guard(s)
         ]
-        for action in vm.action_order:
+        for action in [a for a, _ in vm.groups if a is not None]:
             chosen = []
             for own in commands:
                 if all(label != action for label, _, _ in own):
@@ -1254,7 +1331,7 @@ def test_what_validate_proves_holds_at_every_valuation(source):
     ]
     for s in itertools.product(*(range(var.low, var.high + 1) for var in vm.variables)):
         enabled = sum(label is None and guard(s) for own in guards for label, guard in own)
-        for action in vm.action_order:
+        for action in [a for a, _ in vm.groups if a is not None]:
             fires = True
             for mi, own in enumerate(guards):
                 hits = [label for label, guard in own if label == action and guard(s)]
@@ -1441,7 +1518,7 @@ class TestReduction:
             assert vm.dead_on_entry[0] == "p"
 
     def test_the_bb84_resets_are_found(self):
-        vm = validate(model_ast(Bb84Params(photons=3)))
+        vm = validate(parse(generate(Bb84Params(photons=3))))
         location, dead = vm.dead_on_entry
         assert location == "phase"
         assert {"eve_bas", "eve_bit"} <= dead[4] & dead[5]
@@ -1478,7 +1555,7 @@ class TestReduction:
             assert info.value.code == "BOUNDS"
 
     def test_an_expression_over_a_reset_variable_is_refused(self):
-        vm = validate(model_ast(Bb84Params(photons=3, eve_q=0.5)))
+        vm = validate(parse(generate(Bb84Params(photons=3, eve_q=0.5))))
         reduced = build(vm, reduce=True)
         assert {"ch_bas", "eve_bit"} <= reduced.reset
         with pytest.raises(PropertyError) as info:

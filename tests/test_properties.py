@@ -25,14 +25,12 @@ def dtmc():
 class TestParsing:
     def test_eventually_label(self):
         query = parse_property('P=? [ F "detected" ]')
-        assert query.kind == "eventually"
         assert query.constraint is None
         assert isinstance(query.target, LabelOperand)
         assert query.target.name == "detected"
 
     def test_until_with_label_operands(self):
         query = parse_property('P=? [ "a" U "b" ]')
-        assert query.kind == "until"
         assert query.constraint == LabelOperand("a")
 
     def test_until_with_expressions(self):

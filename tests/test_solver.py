@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qkdmc.bb84 import Bb84Params, Passthrough, model_ast
+from qkdmc.bb84 import Bb84Params, Passthrough, generate
 from qkdmc.explorer import Dtmc, build
 from qkdmc.lang import ast, parse, validate
 from qkdmc.properties import parse_property
@@ -182,7 +182,7 @@ VALUE_DIGESTS = [
 class TestPinnedValues:
     @pytest.mark.parametrize("model, prop, digest", VALUE_DIGESTS)
     def test_solved_vector_bits(self, model, prop, digest):
-        tree = parse(model) if isinstance(model, str) else model_ast(model)
+        tree = parse(model if isinstance(model, str) else generate(model))
         report = prob_until(build(validate(tree)), parse_property(prop))
         packed = struct.pack(f"<{len(report.values)}d", *report.values)
         assert hashlib.sha256(packed).hexdigest() == digest
