@@ -20,7 +20,7 @@ _EXPORTS = {
     "lang": "parse print_expr print_model validate",
     "oracle": "detect_prob per_photon_detect_prob photon_outcomes",
     "properties": "PropertyQuery parse_property",
-    "solver": "SolveReport prob0_states prob1_states prob_until",
+    "solver": "SolveReport prob_until",
     "sweep": "SweepSpec analyze run_figure run_sweep",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -227,11 +227,11 @@ _ROLES = {
 _DECLARATION = re.compile(r"^  (\w+) : \[(\d+)\.\.(\d+)\] init", re.MULTILINE)
 
 
-def variable_schema(params: Bb84Params) -> tuple[tuple[str, int, int, str], ...]:
-    """(name, low, high, role) for every variable of the emitted model, read
-    from its declaration lines.
+def variable_schema(model: str) -> tuple[tuple[str, int, int, str], ...]:
+    """(name, low, high, role) for every variable of a model `generate`
+    emitted, read from its declaration lines.
     """
     return tuple(
         (name, int(low), int(high), _ROLES[name])
-        for name, low, high in _DECLARATION.findall(generate(params))
+        for name, low, high in _DECLARATION.findall(model)
     )

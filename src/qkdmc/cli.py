@@ -26,10 +26,10 @@ from pathlib import Path
 from typing import Callable, NoReturn
 
 from qkdmc import solver, sweep
-from qkdmc.bb84 import Bb84Params, Passthrough, detected_event_definition, generate, variable_schema
+from qkdmc.bb84 import Bb84Params, Passthrough, generate, variable_schema
 from qkdmc.errors import AcceptanceViolation, ParseError, QkdmcError
 from qkdmc.explorer import build
-from qkdmc.lang import parse, print_expr, validate
+from qkdmc.lang import parse, validate
 from qkdmc.properties import parse_property
 from qkdmc.sweep import SweepSpec, format_probability
 
@@ -137,16 +137,18 @@ def check(args: argparse.Namespace) -> None:
 def bb84(args: argparse.Namespace) -> None:
     """Generate a BB84 intercept-resend model file."""
     params = Bb84Params(photons=_parse_count(args.photons), **_model_options(args))
-    _write(args.emit, generate(params))
+    model = generate(params)
+    _write(args.emit, model)
     print(f"wrote {args.emit}")
     print(
         f"photons={params.photons} channel={params.channel} eve_q={params.eve_q} "
         f"bias={params.bias} passthrough={params.passthrough.value}"
     )
     print("variables:")
-    for name, low, high, role in variable_schema(params):
+    for name, low, high, role in variable_schema(model):
         print(f"  {name:<9} [{low}..{high}]  {role}")
-    print(f'label "detected" = {print_expr(detected_event_definition())}')
+    # The model's own label line, in the canonical form it is written in.
+    print(next(line for line in model.splitlines() if line.startswith('label "detected"'))[:-1])
 
 
 def sweep_cmd(args: argparse.Namespace) -> None:

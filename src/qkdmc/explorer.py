@@ -9,18 +9,24 @@ unlabeled command) may be enabled; zero enabled groups makes a flagged
 deadlock that receives a probability-1 self-loop.
 
 `build` renders the whole model as the Python source of one function,
-the walk, and calls it once. The source holds no probability: it names
-each one by occurrence (w0, w1, ...), and `build` passes the weights in a
-tuple that the walk unpacks once. Models that differ only in their
-probabilities, such as fig2's weak and medium Eve or a grid over eve_q,
-so share one source wherever they drop the same zero products and pass
-the same row-sum checks. One function per source serves the process
-(`analysis.compiled`), and a build passes in all that is its own: the
-weights, helpers and checks naming its lines. The walk visits its list of
-state codes in order while it appends newly found states to it, so it is
-the breadth-first search. In it, every guard is inlined: each group has one
-test, in which a module with several commands for the group's action picks
-one, and the branch of the group that fires stores the state's row.
+the walk, and calls it once. The source holds no probability. It stores
+each transition's term id: where the generator knows the probability, the
+index of its weight, and the generator lists the weights by occurrence.
+`build` gathers the probabilities from that table once the walk is done.
+Models that differ only in their probabilities, such as fig2's weak and
+medium Eve or a grid over eve_q, so share one source wherever they drop
+the same zero products and pass the same row-sum checks. One function per
+source serves the process (`analysis.compiled`), and a build passes in all
+that is its own: helpers and checks naming its lines. A model of the
+chain's shape needs no walk at all: `Dtmc.reweight` gathers its weights
+over the chain's term ids (the graph is shared and only the numbers on its
+edges change: Daws, ICTAC 2004; Hahn, Hermanns & Zhang, STTT 2011).
+
+The walk visits its list of state codes in order while it appends newly
+found states to it, so it is the breadth-first search. In it, every guard
+is inlined: each group has one test, in which a module with several
+commands for the group's action picks one, and the branch of the group
+that fires stores the state's row.
 Validation proved some of the semantics above over the declared ranges
 (`ValidatedModel.decided_picks` and `disjoint_groups`), and every reached
 state lies in them, so the walk checks at run time only the rest:
@@ -58,15 +64,15 @@ generation time. Every row of a bb84 model, full or reduced, takes that
 path. Other rows go to one of three helpers that `build` defines once over
 its CSR columns and passes in as arguments:
 
-- `_merge(pairs, c)` merges (probability, target) pairs by target,
-  checks that they sum to 1 within ROW_SUM_TOL (ROW_SUM, naming the
+- `_merge(pairs, c)` merges (weight id, target) pairs by target, in
+  order, checks that they sum to 1 within ROW_SUM_TOL (ROW_SUM, naming the
   state), sorts them by target and appends the row. An unrolled row
   goes here, with every pair of its product, whose sum misses 1, or whose
   targets coincide at run time among 3 or more successors or among pairs
   the generator merged;
 - `_row(c, b, u0, ..., uM)` forms a row at run time. b holds the bits
   no module of the group writes, and u{j} is module j's tuple of
-  (probability, bits) updates. It refuses a product of more than
+  (weight id, bits) updates. It refuses a product of more than
   MAX_ROW_PAIRS pairs (ROW_LIMIT, naming the state) before it forms any,
   then walks the product in order, multiplying the probabilities left to
   right and ORing the bits into b, drops a zero product, resets dead
@@ -74,7 +80,13 @@ its CSR columns and passes in as arguments:
   as `_merge` does. It takes the rows of a group in which two modules
   pick, and rows of more than MAX_UNROLLED_PAIRS pairs, so the generated
   source stays linear in the model text;
-- `_dead(si)` stores a deadlock's self-loop.
+- `_dead(si)` stores a deadlock's self-loop, term 0, whose weight is 1.
+
+Each row the two merging helpers store appends its probabilities to the
+term table as run-time terms, and the chain keeps the row's recipe: its
+weight ids per module and the target of each product, or -1 where the
+product was zero and dropped. `reweight` re-forms them from the new
+weights in the same order, with the same zero drops and row-sum check.
 
 Passed as arguments, nothing of a build stays reachable from the shared
 walk, and the walk forms no reference cycle with its namespace, so all of
@@ -163,6 +175,31 @@ class Layout:
         return " | ".join(terms) or "0"
 
 
+# A reduced build's resets: (location variable, {location: {variable dead
+# there: its initial value}}).
+Resets = tuple[int, dict[int, dict[int, int]]]
+
+
+class Terms(Record):
+    """How a build formed its probabilities, kept for `Dtmc.reweight`.
+
+    `ids` holds each transition's term id, in `probs` order. The term table
+    is the walk's weights, then one run-time term per transition of each
+    row in `rows`, in order. A row is (state index, weight ids per module,
+    the target of each product in product order, -1 where it was zero).
+    The rest is the chain's shape: the walk's source, and whether the build
+    reduced and its resets.
+    """
+
+    source: str
+    reduce: bool
+    resets: Resets | None
+    ids: array[int]
+    rows: tuple[tuple[int, tuple[tuple[int, ...], ...], array[int]], ...]
+
+    _not_shown = ("source", "ids", "rows")
+
+
 class Dtmc(Record):
     """Sparse explicit DTMC with BFS state indexing, stored flat.
 
@@ -180,7 +217,8 @@ class Dtmc(Record):
     `iter_states` and `describe_state`. `labels` maps each label name to its
     defining expression; `states_where` finds the states where one holds.
     `reset` names the variables a reduced build (see `build`) may have reset
-    to their initial values; it is empty for a full build.
+    to their initial values; it is empty for a full build. `terms`, where
+    a build made the chain, lets `reweight` put other probabilities on it.
     """
 
     variables: tuple[ast.VarDecl, ...]
@@ -193,7 +231,9 @@ class Dtmc(Record):
     labels: dict[str, ast.Expr]
     deadlocks: frozenset[int]
     reset: frozenset[str] = frozenset()
+    terms: Terms | None = None
 
+    _not_shown = ("terms",)
     __slots__ = ("__dict__",)  # where `layout` is cached
     __eq__ = object.__eq__
     __hash__ = object.__hash__
@@ -244,6 +284,40 @@ class Dtmc(Record):
         begin, end = self.row_starts[index], self.row_starts[index + 1]
         return tuple(zip(self.targets[begin:end], self.probs[begin:end]))
 
+    def reweight(self, vm: ValidatedModel) -> Dtmc:
+        """The chain `build(vm)` would make, with the same `reduce`, for a
+        model of this chain's shape: its probabilities gathered over this
+        chain's term ids, its graph this one's, and no walk.
+
+        The shape is the same where vm's walk source is this chain's (so it
+        drops the same zero updates and products, and passes the same
+        row-sum checks of the generator), and so are its initial code and
+        resets. Then the build's weights are the new model's, and each row
+        the walk merged at run time is re-formed from them, raising ROW_SUM
+        as the build would. Raises BuildError with code SHAPE where the
+        shape differs, or a product of a re-formed row is zero where it was
+        not or the other way round: the caller builds instead. A chain
+        `build` did not make has no shape to match.
+        """
+        terms = self.terms
+        if terms is None:
+            raise BuildError("the chain was not made by build: it has no terms", code="SHAPE")
+        layout = Layout(vm.variables)
+        resets = _resets(vm, terms.reduce)
+        if layout.encode(vm.initial_state) != self.codes[self.initial]:
+            differs = "its initial state differs"
+        elif resets != terms.resets:
+            differs = "it resets other variables"
+        elif (walk := _walk_source(vm, layout, resets))[0] != terms.source:
+            differs = "its walk differs"
+        else:
+            values = list(walk[1])
+            for si, parts, found in terms.rows:
+                values += [prob for _, prob in _merged(parts, found, values, self.codes[si], layout)]
+            return _chain(vm, resets, self.codes, self.row_starts, self.targets,
+                          array("d", [values[t] for t in terms.ids]), self.deadlocks, terms)
+        raise BuildError(f"the model is not of the chain's shape: {differs}", code="SHAPE")
+
     def describe_state(self, index: int) -> str:
         return self.layout.describe(self.state(index))
 
@@ -287,21 +361,13 @@ def build(vm: ValidatedModel, *, reduce: bool = False) -> Dtmc:
     state), BOUNDS (an update leaves a variable's range; reports state,
     command line and variable), ROW_LIMIT (a product row of more than
     MAX_ROW_PAIRS pairs; reports the state) or ROW_SUM (post-build
-    stochasticity assert).
+    stochasticity assert). The chain keeps how it formed each probability
+    (`Dtmc.terms`), so `Dtmc.reweight` puts a model of its shape on it.
     """
     layout = Layout(vm.variables)
-    # (location variable, {location: {dead variable: its initial value}})
-    resets = None
-    if reduce and vm.dead_on_entry is not None:
-        location, dead_on_entry = vm.dead_on_entry
-        resets = (
-            vm.var_index[location],
-            {
-                at: {vm.var_index[name]: vm.variables[vm.var_index[name]].init for name in held}
-                for at, held in dead_on_entry.items()
-            },
-        )
-    explore, arguments = _compile_walk(vm, layout, resets)
+    resets = _resets(vm, reduce)
+    source, weights, checks = _walk_source(vm, layout, resets)
+    explore = compiled(source)
     # The walk folds the resets into an unrolled row's masks; `row` applies
     # them to each successor it forms, as (keep, initial bits) per location.
     rebase: dict[int, tuple[int, int]] = {}
@@ -316,45 +382,45 @@ def build(vm: ValidatedModel, *, reduce: bool = False) -> Dtmc:
     code_index = {initial: 0}
     row_starts = array("q", [0])
     targets = array("q")
-    probs = array("d")
+    ids = array("I")  # each transition's term id (see `Terms`): "I" appends fastest
+    terms = list(weights)
+    rows: list[tuple[int, tuple[tuple[int, ...], ...], array[int]]] = []
     deadlocks: set[int] = set()
     # Bound once: the walk and the helpers call them once per state or
     # transition.
     index, add_state = code_index.setdefault, codes.append
-    add_target, add_prob, end_row = targets.append, probs.append, row_starts.append
+    add_target, add_id, end_row = targets.append, ids.append, row_starts.append
 
-    def merge(pairs: Iterable[tuple[float, int]], code: int) -> None:
-        # Merge the (probability, target) pairs by target, check the sum,
-        # store them sorted by target.
-        merged: dict[int, float] = {}
-        for prob, ti in pairs:
-            merged[ti] = merged.get(ti, 0.0) + prob
-        total = math.fsum(merged.values())
-        if abs(total - 1.0) > ROW_SUM_TOL:
-            raise BuildError(
-                f"row for state ({layout.describe(layout.decode(code))}) sums to {total:.12g}",
-                code="ROW_SUM",
-            )
-        for ti, prob in sorted(merged.items()):
+    def store(parts: tuple[tuple[int, ...], ...], found: array[int], code: int) -> None:
+        # Store a row formed at run time, its probabilities as new terms.
+        rows.append((len(row_starts) - 1, parts, found))
+        for ti, prob in _merged(parts, found, terms, code, layout):
             add_target(ti)
-            add_prob(prob)
+            add_id(len(terms))
+            terms.append(prob)
         end_row(len(targets))
 
-    def row(code: int, bits: int, *parts: tuple[tuple[float, int], ...]) -> int:
+    def merge(pairs: Iterable[tuple[int, int]], code: int) -> None:
+        parts, found = zip(*pairs)
+        store((parts,), array("q", found), code)
+
+    def row(code: int, bits: int, *updates: tuple[tuple[int, int], ...]) -> int:
         # `_row` of the module docstring; returns the new state count.
-        size = math.prod(map(len, parts))
+        size = math.prod(map(len, updates))
         if size > MAX_ROW_PAIRS:
             raise BuildError(
                 f"row for state ({layout.describe(layout.decode(code))}) is a product of "
                 f"{size} pairs; ROW_LIMIT is {MAX_ROW_PAIRS}",
                 code="ROW_LIMIT",
             )
-        pairs = [(p, bits | w) for p, w in parts[0]]
-        for part in parts[1:]:
-            pairs = [(q * p, key | w) for q, key in pairs for p, w in part]
-        indexed = []
-        for prob, key in pairs:
-            if not prob:
+        keys = [bits | b for _, b in updates[0]]
+        for part in updates[1:]:
+            keys = [key | b for key in keys for _, b in part]
+        parts = tuple(tuple(p for p, _ in part) for part in updates)
+        found = array("q")
+        for factors, key in zip(product(*parts), keys):
+            if not _product(factors, terms):
+                found.append(-1)
                 continue
             if rebase:
                 keep, bits = rebase.get(key >> offset & mask, (-1, 0))
@@ -363,33 +429,99 @@ def build(vm: ValidatedModel, *, reduce: bool = False) -> Dtmc:
             ti = index(key, fresh)
             if ti == fresh:
                 add_state(key)
-            indexed.append((prob, ti))
-        merge(indexed, code)
+            found.append(ti)
+        store(parts, found, code)
         return len(codes)
 
     def dead(si: int) -> None:
         deadlocks.add(si)
         add_target(si)
-        add_prob(1.0)
+        add_id(0)
         end_row(len(targets))
 
-    explore(codes, targets, row, merge, dead, index, add_state, add_target, add_prob, end_row, *arguments)
+    explore(codes, targets, row, merge, dead, index, add_state, add_target, add_id, end_row, *checks)
     # The index holds an entry per state; freeing it, and the bound method
-    # the walk was handed, before the codes are copied lowers the build's
-    # peak memory.
+    # the walk was handed, before the probabilities are gathered and the
+    # codes copied lowers the build's peak memory.
     del code_index, index
+    probs = array("d", [terms[t] for t in ids])
+    return _chain(
+        vm, resets, array("Q", codes) if layout.width <= 64 else codes, row_starts, targets, probs,
+        frozenset(deadlocks), Terms(source, reduce, resets, ids, tuple(rows)),
+    )
+
+
+def _resets(vm: ValidatedModel, reduce: bool) -> Resets | None:
+    """The resets of a build with `reduce`: (location variable, {location:
+    {variable dead on entry to it: its initial value}}), or None for a
+    full chain."""
+    if not reduce or vm.dead_on_entry is None:
+        return None
+    location, dead_on_entry = vm.dead_on_entry
+    return (
+        vm.var_index[location],
+        {
+            at: {vm.var_index[name]: vm.variables[vm.var_index[name]].init for name in held}
+            for at, held in dead_on_entry.items()
+        },
+    )
+
+
+def _chain(vm: ValidatedModel, resets: Resets | None, codes: array[int] | list[int],
+           row_starts: array[int], targets: array[int], probs: array[float],
+           deadlocks: frozenset[int], terms: Terms) -> Dtmc:
+    """The Dtmc of vm over the given states and columns."""
     return Dtmc(
         variables=vm.variables,
         constants=dict(vm.constants),
-        codes=array("Q", codes) if layout.width <= 64 else codes,
+        codes=codes,
         initial=0,
         row_starts=row_starts,
         targets=targets,
         probs=probs,
         labels={label.name: label.expr for label in vm.model.labels},
-        deadlocks=frozenset(deadlocks),
+        deadlocks=deadlocks,
         reset=frozenset().union(*vm.dead_on_entry[1].values()) if resets else frozenset(),
+        terms=terms,
     )
+
+
+def _product(factors: tuple[int, ...], values: list[float]) -> float:
+    """The product of the factors' values, left to right as `_row` forms it."""
+    q = values[factors[0]]
+    for w in factors[1:]:
+        q *= values[w]
+    return q
+
+
+def _merged(parts: tuple[tuple[int, ...], ...], found: array[int], values: list[float],
+            code: int, layout: Layout) -> list[tuple[int, float]]:
+    """The (target, probability) pairs of a row formed at run time, sorted.
+
+    The products of `parts`' weight ids, in product order, go to the
+    targets in `found`, merged by target in that order, and -1 marks a
+    product that was zero and dropped. A product whose zero pattern differs
+    raises SHAPE, and a row whose sum misses 1 ROW_SUM, naming the state of
+    `code`.
+    """
+    merged: dict[int, float] = {}
+    for factors, ti in zip(product(*parts), found):
+        prob = _product(factors, values)
+        if (ti < 0) != (not prob):
+            raise BuildError(
+                f"a product in the row of state ({layout.describe(layout.decode(code))}) "
+                "is zero in one model and not in the other",
+                code="SHAPE",
+            )
+        if ti >= 0:
+            merged[ti] = merged.get(ti, 0.0) + prob
+    total = math.fsum(merged.values())
+    if abs(total - 1.0) > ROW_SUM_TOL:
+        raise BuildError(
+            f"row for state ({layout.describe(layout.decode(code))}) sums to {total:.12g}",
+            code="ROW_SUM",
+        )
+    return sorted(merged.items())
 
 
 # One update as the generator sees it: its probability and, per variable it
@@ -406,24 +538,25 @@ MAX_ROW_PAIRS = 2**16
 MAX_UNROLLED_PAIRS = 16
 
 
-def _compile_walk(
-    vm: ValidatedModel, layout: Layout, resets: tuple[int, dict[int, dict[int, int]]] | None
-) -> tuple[Callable[..., None], tuple[object, ...]]:
-    """Compile the model into the walk, explore(codes, targets, _row,
-    _merge, _dead, index, add, at, ap, end, weights, *checks), and the
-    arguments after `end`: its weights, then the checks its source calls.
+def _walk_source(
+    vm: ValidatedModel, layout: Layout, resets: Resets | None
+) -> tuple[str, tuple[float, ...], tuple[Callable[..., None], ...]]:
+    """The source of the walk, explore(codes, targets, _row, _merge, _dead,
+    index, add, at, ap, end, *checks), its weights and the checks its
+    source calls, which `build` passes after `end`.
 
-    The walk's source names each probability it stores or hands on by
-    occurrence, w0, w1, ..., and unpacks `weights` into those names once:
-    models that differ only in their probabilities share the source, and
-    so its compiled code (`analysis.compiled`), where they drop the same
-    zero products and pass the same row-sum checks.
+    Where the walk stores a probability or hands one on, its source holds
+    the probability's weight id, the index in the weights: 0 is the
+    deadlock's 1.0, and the rest follow by occurrence. So models that
+    differ only in their probabilities share the source, and its compiled
+    code (`analysis.compiled`), where they drop the same zero products and
+    pass the same row-sum checks.
 
     It visits `codes` in order while it and `_row` append to it; `n` is
     the length of `codes`. It stores each state's row itself, with
     `index` (the state index's setdefault), `add` (the codes' append),
-    `at` and `ap` (the columns' appends) and `end` (the row starts'
-    append), where the generator knows the row's probabilities: at most one
+    `at` and `ap` (the appends of the targets and term ids) and `end` (the
+    row starts' append), where the generator knows the row's probabilities: at most one
     module of the firing group picks among several commands, and the row has
     at most MAX_UNROLLED_PAIRS pairs (see `_unrolled_row` for the ones that
     go to `_merge`). Any other row goes to `_row`, and a deadlock to `_dead`.
@@ -488,11 +621,11 @@ def _compile_walk(
             pairs.append((prob, values))
         return pairs
 
-    weights: list[float] = []
+    weights = [1.0]
 
     def weight(q: float) -> str:
         weights.append(q)
-        return f"w{len(weights) - 1}"
+        return str(len(weights) - 1)
 
     tests: list[str] = []
     bodies: list[list[str]] = []
@@ -590,17 +723,16 @@ def _compile_walk(
     # nested statements, and one of 3,000 groups passes its recursion
     # limit.
     fire = [line for test, body in zip(tests, bodies) for line in [test, *body]]
-    # After its weights the walk takes the checks its source calls, no other.
+    # After `end` the walk takes the checks its source calls, no other.
     calls = [("_pick", pick, picks), ("_bounds", out_of_range, bound_sites),
              ("_nondeterminism", nondeterminism, enable)]
     checks = {name: check for name, check, sites in calls if sites}
     # codes grows while it is walked, so the walk is breadth-first.
-    unpack = f"    {''.join(f'w{k}, ' for k in range(len(weights)))}= weights\n" if weights else ""
     source = "\n        ".join(
         [
-            "def explore(codes, targets, _row, _merge, _dead, index, add, at, ap, end, weights"
+            "def explore(codes, targets, _row, _merge, _dead, index, add, at, ap, end"
             f"{''.join(f', {name}' for name in checks)}):\n"
-            f"{unpack}    n = len(codes)\n    for si, c in enumerate(codes):",
+            "    n = len(codes)\n    for si, c in enumerate(codes):",
             *binds,
             *enable,
             *fire,
@@ -608,13 +740,13 @@ def _compile_walk(
             "_dead(si)",
         ]
     )
-    return compiled(source), (tuple(weights), *checks.values())
+    return source, tuple(weights), tuple(checks.values())
 
 
 def _unrolled_row(
     per_module: list[list[UpdateCode]],
     layout: Layout,
-    resets: tuple[int, dict[int, dict[int, int]]] | None,
+    resets: Resets | None,
     weight: Callable[[float], str],
 ) -> list[str]:
     """The statements that store the row of one choice of command per module

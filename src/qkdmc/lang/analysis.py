@@ -14,13 +14,15 @@ limits keep that source within what Python compiles.
 
 Every generated function (the overlap guards of ``compile_expr``, the
 explorer's walk and its state scans) is made by ``compiled``, which keeps
-the functions of the last CODE_CACHE_SIZE sources per process: a model
-built again, or one of the same shape with other probabilities, reuses
-its function, so a generated function keeps no state of one use.
+the functions of the last WALK_CACHE_SIZE walks and EXPR_CACHE_SIZE other
+sources per process, none longer than MAX_CACHED_SOURCE: a model built
+again, or one of the same shape with other probabilities, reuses its
+function, so a generated function keeps no state of one use.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import operator
@@ -161,20 +163,62 @@ def render_expr(
     return render(expr, leaf, _PYTHON_SPELLING)
 
 
-# The most sources `compiled` keeps: a figure or a grid over one model
-# shape makes a handful, and a function is freed once it leaves.
-CODE_CACHE_SIZE = 32
+# The most walks `compiled` keeps, and the most other functions (guards of
+# `compile_expr` and state scans): a figure or a grid over one model shape
+# makes a handful of walks, and a function is freed once it leaves. Guards
+# and scans have their own entries, so validating a model of many guards
+# evicts no walk. A source longer than MAX_CACHED_SOURCE characters (the
+# walk of a few hundred commands) is compiled at each use and not kept: 32
+# walks of 3,000 commands, at 1.7 MiB of source and code each, would hold
+# 55 MiB.
+WALK_CACHE_SIZE = 32
+EXPR_CACHE_SIZE = 16
+CODE_CACHE_SIZE = WALK_CACHE_SIZE + EXPR_CACHE_SIZE
+MAX_CACHED_SOURCE = 2**16
+
+CacheInfo = collections.namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
-@functools.lru_cache(maxsize=CODE_CACHE_SIZE)
-def compiled(source: str) -> Callable[..., Any]:
-    """The function that generated source defines, made once per process
-    while the source is among the last CODE_CACHE_SIZE asked for. It sees
-    only the walk's builtins, tracebacks show its file as ``<explore>``, and
-    it is popped from its namespace, so the two form no reference cycle."""
+def _define(source: str) -> Callable[..., Any]:
+    """The function that generated source defines. It sees only the walk's
+    builtins, tracebacks show its file as ``<explore>``, and it is popped
+    from its namespace, so the two form no reference cycle."""
     namespace = {"__builtins__": {"enumerate": enumerate, "len": len, "sorted": sorted}}
     exec(compile(source, "<explore>", "exec"), namespace)
     return namespace.popitem()[1]
+
+
+class _Compiled:
+    """`compiled`: the function a generated source defines, made once per
+    process while the source is among the last WALK_CACHE_SIZE walks or
+    EXPR_CACHE_SIZE other sources asked for, and at most MAX_CACHED_SOURCE
+    long. `cache_info` and `cache_clear` act on both caches, as those of
+    one `functools.lru_cache` would; a source too long to keep counts as a
+    miss."""
+
+    def __init__(self) -> None:
+        self._walks = functools.lru_cache(maxsize=WALK_CACHE_SIZE)(_define)
+        self._exprs = functools.lru_cache(maxsize=EXPR_CACHE_SIZE)(_define)
+        self._uncached = 0
+
+    def __call__(self, source: str) -> Callable[..., Any]:
+        if len(source) > MAX_CACHED_SOURCE:
+            self._uncached += 1
+            return _define(source)
+        return (self._walks if source.startswith("def explore(") else self._exprs)(source)
+
+    def cache_info(self) -> CacheInfo:
+        walks, exprs = self._walks.cache_info(), self._exprs.cache_info()
+        return CacheInfo(walks.hits + exprs.hits, walks.misses + exprs.misses + self._uncached,
+                         CODE_CACHE_SIZE, walks.currsize + exprs.currsize)
+
+    def cache_clear(self) -> None:
+        self._walks.cache_clear()
+        self._exprs.cache_clear()
+        self._uncached = 0
+
+
+compiled = _Compiled()
 
 
 def compile_expr(

@@ -247,18 +247,6 @@ def _solve(dtmc: Dtmc, query: PropertyQuery) -> tuple[list[float], bytearray, fl
     return values, kind, residual, solved
 
 
-def prob0_states(dtmc: Dtmc, query: PropertyQuery) -> frozenset[int]:
-    """States with until-probability exactly 0."""
-    kind = _solve(dtmc, query)[1]
-    return frozenset(s for s, bits in enumerate(kind) if bits == MISS)
-
-
-def prob1_states(dtmc: Dtmc, query: PropertyQuery) -> frozenset[int]:
-    """States with until-probability exactly 1 (reported, not used to solve)."""
-    kind = _solve(dtmc, query)[1]
-    return frozenset(s for s, bits in enumerate(kind) if bits == REACH)
-
-
 def prob_until(dtmc: Dtmc, query: PropertyQuery) -> SolveReport:
     """Probability of `constraint U target` from every state.
 

@@ -16,8 +16,8 @@ from typing import IO
 
 from qkdmc import explorer, oracle, solver
 from qkdmc.bb84 import Bb84Params, Passthrough, check_count, generate
-from qkdmc.errors import AcceptanceViolation
-from qkdmc.lang import parse, validate
+from qkdmc.errors import AcceptanceViolation, BuildError
+from qkdmc.lang import ast, parse, validate
 from qkdmc.properties import parse_property
 from qkdmc.record import Record
 
@@ -73,10 +73,23 @@ class ResultRow(Record):
     wall_ms: float
 
 
-def analyze(params: Bb84Params) -> tuple[solver.SolveReport, explorer.Dtmc]:
+def analyze(
+    params: Bb84Params, like: explorer.Dtmc | None = None
+) -> tuple[solver.SolveReport, explorer.Dtmc]:
     """Full pipeline for one parameter set, querying the detection event on
-    the reduced chain."""
-    dtmc = build(validate(parse(generate(params))))
+    the reduced chain. Given a chain `like` of the model's shape (see
+    `Dtmc.reweight`), the chain is `like` reweighted; otherwise, or if the
+    shape differs, it is built."""
+    vm = validate(parse(generate(params)))
+    dtmc = None
+    if like is not None:
+        try:
+            dtmc = like.reweight(vm)
+        except BuildError as error:
+            if error.code != "SHAPE":
+                raise
+    if dtmc is None:
+        dtmc = build(vm)
     report = solver.prob_until(dtmc, parse_property(DETECTED_PROPERTY))
     return report, dtmc
 
@@ -95,6 +108,18 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     oracle_check set, a row beyond the 1e-9 agreement tolerance raises
     AcceptanceViolation naming the offending n.
     """
+    return _curve(spec, None)[0]
+
+
+# A curve's chain, photon counts and {n: its round-start state}.
+_Curve = tuple[explorer.Dtmc, range, dict[int, int]]
+
+
+def _curve(spec: SweepSpec, last: _Curve | None) -> tuple[list[ResultRow], _Curve]:
+    """`run_sweep`'s rows, and the curve to pass as `last` to the next one:
+    where that one's model has this one's shape, its chain is this one
+    reweighted, with the same codes, and over the same photon counts its
+    round starts are this one's."""
     points = spec.points()
     top = points[-1]
     params = Bb84Params(
@@ -105,18 +130,18 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
         passthrough=spec.passthrough,
     )
     started = time.perf_counter()
-    report, dtmc = analyze(params)
+    report, dtmc = analyze(params, last and last[0])
     wall_ms = (time.perf_counter() - started) * 1000.0
     p1 = oracle.per_photon_detect_prob(spec.channel, spec.eve_q, spec.bias, spec.passthrough)
-    offset, mask = dtmc.layout.fields[dtmc.var_index["i"]]
-    initial = dtmc.codes[dtmc.initial] & ~(mask << offset)
-    row_of = {initial | (top - n) << offset: n for n in points}
-    start = {row_of[code]: s for s, code in enumerate(dtmc.codes) if code in row_of}
+    if last is not None and last[0].codes is dtmc.codes and last[1] == points:
+        starts = last[2]
+    else:
+        starts = _round_starts(dtmc, points)
     rows = []
     for n in points:
-        if n not in start:
+        if n not in starts:
             raise RuntimeError(f"internal error: no round-start state for n={n} in the chain")
-        p_checked = report.values[start[n]]
+        p_checked = report.values[starts[n]]
         p_oracle = oracle.detect_prob(n, p1)
         row = ResultRow(
             n=n,
@@ -132,7 +157,23 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
                 f"analytic {row.p_oracle!r} (|diff| = {row.abs_err:.3e} > {ORACLE_TOL})"
             )
         rows.append(row)
-    return rows
+    return rows, (dtmc, points, starts)
+
+
+def _round_starts(dtmc: explorer.Dtmc, points: range) -> dict[int, int]:
+    """{n: index of the round start with n photons left}, for each n of
+    `points` whose round start is in the chain: the states with every
+    variable but i at its initial value, found in one `states_where` scan.
+    The widest variable is tested first, so most states fail at the first
+    test (phase, in bb84)."""
+    top = points[-1]
+    i = dtmc.var_index["i"]
+    initial = dtmc.state(dtmc.initial)
+    others = sorted(set(range(len(initial))) - {i}, key=lambda k: -dtmc.variables[k].high)
+    tests = [ast.Binary("=", ast.Name(dtmc.variables[k].name), ast.IntLit(initial[k])) for k in others]
+    where = functools.reduce(lambda left, right: ast.Binary("&", left, right), tests)
+    found = {top - dtmc.state(s)[i]: s for s in dtmc.states_where(where)}
+    return {n: found[n] for n in points if n in found}
 
 
 def format_probability(value: float) -> str:
@@ -219,6 +260,7 @@ def run_figure(name: str, oracle_check: bool = False) -> FigureResult:
         raise ValueError(f"unknown figure '{name}' (have: {', '.join(sorted(FIGURES))})")
     spec = FIGURES[name]
     curves = []
+    last = None
     for curve in spec.curves:
         sweep_spec = SweepSpec(
             n_start=spec.n_start,
@@ -227,7 +269,8 @@ def run_figure(name: str, oracle_check: bool = False) -> FigureResult:
             eve_q=curve.eve_q,
             oracle_check=oracle_check,
         )
-        curves.append((curve, tuple(run_sweep(sweep_spec))))
+        rows, last = _curve(sweep_spec, last)
+        curves.append((curve, tuple(rows)))
     violations = []
     for index in range(len(curves[0][1])):
         n = curves[0][1][index].n

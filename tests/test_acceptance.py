@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from _qualitative import prob0_states
 from qkdmc import cli
 from qkdmc.bb84 import Bb84Params
 from qkdmc.errors import ValidationError
@@ -17,7 +18,7 @@ from qkdmc.explorer import build
 from qkdmc.lang import parse, print_model, validate
 from qkdmc.oracle import detect_prob, per_photon_detect_prob
 from qkdmc.properties import parse_property
-from qkdmc.solver import prob0_states, prob_until
+from qkdmc.solver import prob_until
 from qkdmc.sweep import (
     HEAVY_NOISE_CHANNEL,
     LIGHT_NOISE_CHANNEL,

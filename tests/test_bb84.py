@@ -168,11 +168,11 @@ class TestGeneratedSource:
             for module in model.modules
             for var in module.variables
         ]
-        schema = [(name, low, high) for name, low, high, _ in variable_schema(params)]
+        schema = [(name, low, high) for name, low, high, _ in variable_schema(generate(params))]
         assert schema == declared
 
     def test_schema_roles_cover_every_party(self):
-        roles = {role for _, _, _, role in variable_schema(Bb84Params(photons=2))}
+        roles = {role for _, _, _, role in variable_schema(generate(Bb84Params(photons=2)))}
         assert len(roles) >= 3
 
 

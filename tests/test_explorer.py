@@ -27,7 +27,7 @@ from qkdmc.bb84 import Bb84Params, Passthrough, generate
 from qkdmc.errors import BuildError, PropertyError, ValidationError
 from qkdmc.explorer import ROW_SUM_TOL, Dtmc, build
 from qkdmc.lang import parse, print_expr, validate
-from qkdmc.lang.analysis import CODE_CACHE_SIZE, compile_expr, compiled
+from qkdmc.lang.analysis import CODE_CACHE_SIZE, MAX_CACHED_SOURCE, compile_expr, compiled
 from qkdmc.properties import parse_property
 from qkdmc.solver import prob_until
 from qkdmc.sweep import FIGURES, HEAVY_NOISE_CHANNEL, PERFECT_CHANNEL
@@ -784,23 +784,33 @@ def _digest(dtmc) -> str:
 
 
 def merge_calls(monkeypatch) -> list[tuple[tuple[float, int], ...]]:
-    """The pairs handed to `_merge` by each walk `build` runs from here on."""
+    """The pairs handed to `_merge` by each walk `build` runs from here on,
+    each weight id read as its weight."""
     calls = []
-    compile_walk = explorer_module._compile_walk
+    walk_source, compiled_walk = explorer_module._walk_source, explorer_module.compiled
+    weights = []
 
-    def spy(*args):
-        walk, arguments = compile_walk(*args)
+    def source_spy(*args):
+        source, found, checks = walk_source(*args)
+        weights[:] = found
+        return source, found, checks
+
+    def compiled_spy(source):
+        walk = compiled_walk(source)
+        if not source.startswith("def explore("):
+            return walk
 
         def counted(codes, targets, _row, _merge, *rest):
             def merge(pairs, c):
-                calls.append(pairs)
+                calls.append(tuple((weights[w], t) for w, t in pairs))
                 _merge(pairs, c)
 
             walk(codes, targets, _row, merge, *rest)
 
-        return counted, arguments
+        return counted
 
-    monkeypatch.setattr(explorer_module, "_compile_walk", spy)
+    monkeypatch.setattr(explorer_module, "_walk_source", source_spy)
+    monkeypatch.setattr(explorer_module, "compiled", compiled_spy)
     return calls
 
 
@@ -912,6 +922,34 @@ class TestCodeCache:
         assert info.maxsize == info.currsize == CODE_CACHE_SIZE
         assert info.misses > CODE_CACHE_SIZE
 
+    def test_validating_many_guards_leaves_a_walk_cached(self):
+        # x+0=k gets no box narrowing, so validation compiles all 40 guards;
+        # they have their own entries, and the bb84 walk stays.
+        vm = validate(parse(generate(Bb84Params(photons=70, channel=HEAVY_NOISE_CHANNEL, eve_q=0.5))))
+        guards = (
+            "dtmc\nmodule m\n  x : [0..40] init 0;\n"
+            + "".join(f"  [] x+0={k} -> (x'={k + 1});\n" for k in range(40))
+            + "endmodule\n"
+        )
+        compiled.cache_clear()
+        assert _walk_misses(vm, reduce=True) == 1
+        before = compiled.cache_info().misses
+        validate(parse(guards))
+        assert compiled.cache_info().misses - before == 40
+        assert _walk_misses(vm, reduce=True) == 0
+
+    def test_a_walk_past_the_size_limit_is_not_kept(self, monkeypatch):
+        source = (
+            "dtmc\nmodule m\n  x : [0..500] init 0;\n"
+            + "".join(f"  [a{k}] x={k} -> (x'={k + 1});\n" for k in range(500))
+            + "endmodule\n"
+        )
+        vm = validate(parse(source))
+        sources = walk_sources(monkeypatch)
+        assert _walk_misses(vm) == 1 and _walk_misses(vm) == 1
+        assert len(sources) == 2 and len(sources[0]) > MAX_CACHED_SOURCE
+        assert compiled.cache_info().currsize == 0
+
     def test_scans_and_guards_share_compiled_code(self):
         dtmc = protocol_dtmc(photons=3)
         compiled.cache_clear()
@@ -960,6 +998,128 @@ class TestCodeCache:
                     build(vm)
                 assert str(info.value) == messages(*naming)[init]
         assert compiled.cache_info().misses == 1
+
+
+# Two modules pick on [a], so the walk forms the first row with `_row` at
+# run time; P and Q are m0's and m1's first probabilities, and N is added
+# to each of them.
+_BOTH_PICK = (
+    "dtmc\nmodule m0\n  x : [0..2] init 0;\n  [a] x=0 -> {P}{N}:(x'=1) + 1-{P}:(x'=2);\n"
+    "  [a] x>0 -> (x'=x);\nendmodule\nmodule m1\n  y : [0..2] init 0;\n"
+    "  [a] y=0 -> {Q}{N}:(y'=1) + 1-{Q}:(y'=2);\n  [a] y>0 -> (y'=y);\nendmodule\n"
+)
+
+
+def _both_pick(p="0.3", q="0.3", nudge=""):
+    return validate(parse(_BOTH_PICK.format(P=p, Q=q, N=nudge)))
+
+
+def _solved_bits(dtmc, prop='P=? [ F "detected" ]') -> bytes:
+    return array("d", prob_until(dtmc, parse_property(prop)).values).tobytes()
+
+
+class TestReweight:
+    @pytest.mark.parametrize("params, digest", PROTOCOL_DIGESTS + REDUCED_DIGESTS)
+    def test_a_reweighted_chain_exports_the_pinned_digest(self, params, digest):
+        reduce = (params, digest) in REDUCED_DIGESTS
+        vm = validate(parse(generate(params)))
+        # Another point of the same shape: eve_q strictly inside (0, 1)
+        # keeps Eve's two branches, as 0.5 and 0.2 have them, and 1 not.
+        other = Bb84Params(params.photons, params.channel, 0.37 if params.eve_q < 1 else 1.0,
+                           params.bias, params.passthrough)
+        chain = build(validate(parse(generate(other))), reduce=reduce)
+        reweighted = chain.reweight(vm)
+        assert _digest(reweighted) == digest
+        assert reweighted.codes is chain.codes and reweighted.targets is chain.targets
+        assert _solved_bits(reweighted) == _solved_bits(build(vm, reduce=reduce))
+
+    def test_a_figure_curve_reweights_without_a_walk(self, monkeypatch):
+        weak, medium = (
+            validate(parse(generate(Bb84Params(70, c.channel, c.eve_q)))) for c in _FIG2.curves[:2]
+        )
+        chain = build(weak, reduce=True)
+        sources = walk_sources(monkeypatch)
+        assert chain.reweight(medium).export_text() == build(medium, reduce=True).export_text()
+        # Only the build compiled a walk: reweight generated the source alone.
+        assert len([source for source in sources if source.startswith("def explore(")]) == 1
+
+    def test_a_run_time_row_is_re_formed(self):
+        chain = build(_both_pick())
+        other = _both_pick("0.25", "0.6")
+        assert chain.reweight(other).export_text() == build(other).export_text()
+        query = "P=? [ F (x=1 & y=1) ]"
+        assert _solved_bits(chain.reweight(other), query) == _solved_bits(build(other), query)
+
+    def test_a_row_sum_is_raised_as_the_build_raises_it(self):
+        # Each module's two probabilities sum to 1 + 8e-10, within the
+        # validator's tolerance; their product row misses 1 by 1.6e-9.
+        nudged = _both_pick(nudge="+8e-10")
+        with pytest.raises(BuildError) as built:
+            build(nudged)
+        with pytest.raises(BuildError) as reweighted:
+            build(_both_pick()).reweight(nudged)
+        assert built.value.code == reweighted.value.code == "ROW_SUM"
+        assert str(reweighted.value) == str(built.value)
+        assert str(built.value).startswith("row for state (x=0, y=0) sums to 1.0000000016")
+
+    @pytest.mark.parametrize("first, second", [("0.3", "1e-200"), ("1e-200", "0.3")])
+    def test_a_product_that_turns_zero_is_a_shape_error(self, first, second):
+        # 1e-200 * 1e-200 underflows to 0, and `_row` drops that product.
+        chain = build(_both_pick(first, first))
+        with pytest.raises(BuildError) as info:
+            chain.reweight(_both_pick(second, second))
+        assert info.value.code == "SHAPE"
+        assert "a product in the row of state (x=0, y=0) is zero" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "first, second, differs",
+        [
+            # eve_q 1 writes no pass-through update, and the reduction of
+            # its model resets other variables.
+            (Bb84Params(5, eve_q=0.5), Bb84Params(5, eve_q=1.0), "it resets other variables"),
+            # Five photons against six: the guards on i differ.
+            (Bb84Params(5, eve_q=0.5), Bb84Params(6, eve_q=0.5), "its walk differs"),
+        ],
+    )
+    def test_another_shape_is_refused(self, first, second, differs):
+        chain = build(validate(parse(generate(first))), reduce=True)
+        with pytest.raises(BuildError) as info:
+            chain.reweight(validate(parse(generate(second))))
+        assert info.value.code == "SHAPE"
+        assert str(info.value) == f"the model is not of the chain's shape: {differs}"
+
+    @pytest.mark.parametrize("first, second", [("0.5", "0"), ("0", "0.5")])
+    def test_a_zero_update_probability_elsewhere_changes_the_walk(self, first, second):
+        # The walk stores no successor of a zero update.
+        source = "dtmc\nmodule m\n  x : [0..2] init 0;\n  [] x=0 -> {}:(x'=1) + 1-{}:(x'=2);\nendmodule\n"
+        chain = explore(source.format(first, first))
+        with pytest.raises(BuildError, match="its walk differs"):
+            chain.reweight(validate(parse(source.format(second, second))))
+
+    def test_another_initial_state_is_refused(self):
+        source = "dtmc\nmodule m\n  x : [0..2] init {};\n  [] x<2 -> 0.5:(x'=x+1) + 0.5:(x'=x);\nendmodule\n"
+        chain = explore(source.format(0))
+        with pytest.raises(BuildError, match="its initial state differs") as info:
+            chain.reweight(validate(parse(source.format(1))))
+        assert info.value.code == "SHAPE"
+
+    def test_a_zero_product_formed_by_the_generator_changes_the_walk(self):
+        # One module picks: the generator forms the products and drops the
+        # zero one, so the walk's source differs.
+        source = (
+            "dtmc\nmodule m0\n  x : [0..1] init 0;\n  [a] true -> {p}:(x'=1) + 1:(x'=0);\nendmodule\n"
+            "module m1\n  y : [0..1] init 0;\n  [a] true -> {p}:(y'=1) + 1:(y'=0);\nendmodule\n"
+        )
+        chain = explore(source.format(p="1e-100"))
+        with pytest.raises(BuildError, match="its walk differs"):
+            chain.reweight(validate(parse(source.format(p="1e-200"))))
+
+    def test_a_chain_build_did_not_make_has_no_shape(self):
+        chain = build(_both_pick())
+        made = Dtmc(**{name: getattr(chain, name) for name in Dtmc._fields if name != "terms"})
+        with pytest.raises(BuildError) as info:
+            made.reweight(_both_pick())
+        assert info.value.code == "SHAPE"
 
 
 class TestNoReferenceCycle:
@@ -1294,6 +1454,72 @@ def test_build_matches_the_reference_explorer(source):
         assert info.value.code == error.code
     else:
         assert build(vm).export_text() == expected.export_text()
+
+
+def _reprobed(source: str, draw, nudged: bool = False) -> str:
+    """`source` with each command's update probabilities redrawn inside
+    (0, 1): k updates get a_1/t, ..., a_k/t, for a_i drawn from 1..9 and t
+    their sum. `nudged` adds 0, 4e-10 or 8e-10 to the first, within the
+    validator's tolerance but not always within ROW_SUM_TOL of a product.
+    """
+    lines = []
+    for line in source.splitlines():
+        if " -> " in line:
+            head, updates = line.split(" -> ")
+            bodies = [update.partition(":")[2] for update in updates[:-1].split(" + ")]
+            weights = [draw(st.integers(1, 9)) for _ in bodies]
+            probs = [f"{a}/{sum(weights)}" for a in weights]
+            if nudged:
+                probs[0] += f"+{draw(st.sampled_from([0.0, 4e-10, 8e-10]))!r}"
+            line = f"{head} -> {' + '.join(f'{p}:{body}' for p, body in zip(probs, bodies))};"
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+def _first_variable_query(vm) -> str:
+    return f"P=? [ F ({vm.variables[0].name}=1) ]"
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_models(), st.booleans(), st.data())
+def test_reweight_at_an_interior_point_is_a_fresh_build(source, reduce, data):
+    # Every probability strictly inside (0, 1), at two points: the second
+    # model has the first's shape, and its reweighted chain is bit for bit
+    # its fresh build, solved vector included.
+    try:
+        first, second = (validate(parse(_reprobed(source, data.draw))) for _ in range(2))
+        chain = build(first, reduce=reduce)
+    except (ValidationError, BuildError):
+        reject()
+    fresh, reweighted = build(second, reduce=reduce), chain.reweight(second)
+    assert reweighted.export_text() == fresh.export_text()
+    if not fresh.reset:
+        query = _first_variable_query(second)
+        assert _solved_bits(reweighted, query) == _solved_bits(fresh, query)
+
+
+def _outcome(make) -> object:
+    try:
+        return make().export_text()
+    except BuildError as error:
+        return error.code, str(error)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_models(), st.data())
+def test_reweight_or_a_build_is_what_a_build_gives(source, data):
+    # Near the validator's tolerance the row-sum check may fail. reweight
+    # either refuses the shape (the caller builds), or gives what the
+    # fresh build gives: the same chain, or ROW_SUM with its message.
+    try:
+        first = validate(parse(_reprobed(source, data.draw)))
+        second = validate(parse(_reprobed(source, data.draw, nudged=True)))
+        chain = build(first)
+    except (ValidationError, BuildError):
+        reject()
+    got = _outcome(lambda: chain.reweight(second))
+    refused = isinstance(got, tuple) and got[0] == "SHAPE"
+    assert refused or got == _outcome(lambda: build(second))
 
 
 def test_a_target_repeated_among_three_pairs_reaches_merge(monkeypatch):

@@ -68,6 +68,7 @@ def instances():
         *NODES,
         vm,
         dtmc,
+        dtmc.terms,
         report,
         LabelOperand("top"),
         ExprOperand(X),
@@ -101,7 +102,7 @@ def test_a_record_copies_and_pickles(record):
 
 def test_every_record_class_is_covered():
     covered = {type(record).__name__ for record in instances()}
-    assert len(covered) == 29
+    assert len(covered) == 30
 
 
 @pytest.mark.parametrize("node", NODES, ids=lambda node: type(node).__name__)

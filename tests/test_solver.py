@@ -8,11 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from _qualitative import prob0_states, prob1_states
 from qkdmc.bb84 import Bb84Params, Passthrough, generate
 from qkdmc.explorer import Dtmc, build
 from qkdmc.lang import ast, parse, validate
 from qkdmc.properties import parse_property
-from qkdmc.solver import prob0_states, prob1_states, prob_until
+from qkdmc.solver import prob_until
 from qkdmc.sweep import DETECTED_PROPERTY, HEAVY_NOISE_CHANNEL
 
 CHAIN = (

@@ -21,7 +21,7 @@ import qkdmc.sweep as sweep_module
 from qkdmc import cli
 from qkdmc.bb84 import Bb84Params, Passthrough, generate
 from qkdmc.errors import AcceptanceViolation
-from qkdmc.explorer import build
+from qkdmc.explorer import Dtmc, build
 from qkdmc.lang import parse, validate
 from qkdmc.lang.parser import MAX_NESTING
 from test_explorer import small_models
@@ -130,11 +130,24 @@ class TestOneBuildPerCurve:
         assert [row.n for row in rows] == [2, 5, 8, 11]
         assert photons == [11]
 
-    def test_a_figure_builds_once_per_curve(self, builds):
+    def test_a_figure_builds_once_per_curve(self, builds, monkeypatch):
+        # medium_eve's model has weak_eve's shape, so its chain is weak_eve's
+        # reweighted; full_eve (eve_q 1) drops Eve's pass-through branch and
+        # is built.
+        reweights = []
+        real = Dtmc.reweight
+
+        def counting(dtmc, vm):
+            chain = real(dtmc, vm)
+            reweights.append(chain)
+            return chain
+
+        monkeypatch.setattr(Dtmc, "reweight", counting)
         spec = FIGURES["fig2"]
         result = run_figure_with(type(spec)(spec.name, 3, 6, spec.curves))
         assert len(result.curves) == 3
-        assert len(builds) == 3
+        assert len(builds) == 2
+        assert len(reweights) == 1
 
 
 class TestReducedChain:
@@ -497,6 +510,37 @@ class TestCliCommands:
         check = cli.main(["check", "--model", str(path),
                           "--prop", 'P=? [ F "detected" ]'])
         assert check == 0
+
+    def test_bb84_prints_the_pinned_summary(self, tmp_path, capsys):
+        path = tmp_path / "model.pm"
+        code = cli.main(["bb84", "--photons", "7", "--channel", "0.4,0.2,0.2,0.2",
+                         "--eve-q", "0.3", "--bias", "0.4", "--passthrough", "source",
+                         "--emit", str(path)])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            f"wrote {path}\n"
+            "photons=7 channel=(0.4, 0.2, 0.2, 0.2) eve_q=0.3 bias=0.4 passthrough=source\n"
+            "variables:\n"
+            "  al_bas    [0..1]  Alice's basis choice\n"
+            "  al_bit    [0..1]  Alice's data bit\n"
+            "  phase     [0..6]  protocol phase (0 draw, 1 load, 2 eavesdrop, 3 resend, "
+            "4 receive, 5 compare, 6 stopped)\n"
+            "  ch_bas    [0..1]  basis of the photon on the channel\n"
+            "  ch_bit    [0..1]  bit of the photon on the channel\n"
+            "  i         [0..6]  zero-based index of the current photon\n"
+            '  detected  [0..1]  disturbance flag; defines label "detected"\n'
+            "  eve_bas   [0..1]  Eve's measurement basis\n"
+            "  eve_bit   [0..1]  Eve's measured bit\n"
+            "  bob_bas   [0..1]  Bob's measurement basis\n"
+            "  bob_bit   [0..1]  Bob's measured bit\n"
+            'label "detected" = detected=1\n'
+        )
+
+    def test_bb84_generates_the_model_once(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "generate", lambda params: calls.append(params) or generate(params))
+        assert cli.main(["bb84", "--photons", "3", "--emit", str(tmp_path / "m.pm")]) == 0
+        assert calls == [Bb84Params(3)]
 
     def test_sweep_writes_the_csv(self, tmp_path, capsys):
         out_path = tmp_path / "rows.csv"
