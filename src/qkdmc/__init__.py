@@ -14,7 +14,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "bb84": "Bb84Params Passthrough detected_event_definition generate",
+    "bb84": "Bb84Params Passthrough generate",
     "errors": "AcceptanceViolation BuildError ParseError PropertyError QkdmcError ValidationError",
     "explorer": "Dtmc build",
     "lang": "parse print_expr print_model validate",

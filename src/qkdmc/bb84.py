@@ -41,7 +41,6 @@ import enum
 import math
 import re
 
-from qkdmc.lang import ast
 from qkdmc.record import Record
 
 CHANNEL_SUM_TOL = 1e-12
@@ -197,15 +196,6 @@ def generate(params: Bb84Params) -> str:
         load=load,
         resend=resend,
     )
-
-
-def detected_event_definition() -> ast.Expr:
-    """Defining expression of label "detected".
-
-    The compare phase raises the flag exactly when Bob used Alice's basis
-    yet read the opposite bit.
-    """
-    return ast.Binary("=", ast.Name("detected"), ast.IntLit(1))
 
 
 _ROLES = {

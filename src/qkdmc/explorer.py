@@ -22,8 +22,8 @@ chain's shape needs no walk at all: `Dtmc.reweight` gathers its weights
 over the chain's term ids (the graph is shared and only the numbers on its
 edges change: Daws, ICTAC 2004; Hahn, Hermanns & Zhang, STTT 2011).
 
-The walk visits its list of state codes in order while it appends newly
-found states to it, so it is the breadth-first search. In it, every guard
+The walk visits its state codes in order while it appends newly found
+states to them, so it is the breadth-first search. In it, every guard
 is inlined: each group has one test, in which a module with several
 commands for the group's action picks one, and the branch of the group
 that fires stores the state's row.
@@ -106,7 +106,23 @@ BOUNDS is raised where a full build raises it. It evaluates no label: the
 Dtmc keeps their definitions, and `Dtmc.states_where` answers each state
 query in one scan of the codes. The Dtmc keeps the codes and the CSR
 arrays: a few flat buffers, not a container per row and per state for the
-GC to scan.
+GC to scan. The walk appends the codes to an ``array('Q')`` from the start
+where they fit 64 bits, so a state holds an int object only while the index
+holds it.
+
+Where validation proved a progress measure (`ValidatedModel.progress`,
+bb84's photon counter `i`), the build is a sweep-line search (Christensen,
+Kristensen & Mailund, TACAS 2001) in breadth-first order. A state outside
+the sink locations is indexed in the dict of its measure value, whose last
+entry is the last state appended with that value; a sink state, which is a
+deadlock and indexes nothing, in one dict kept to the end (the persistent
+states of Kristensen & Mailund, FME 2002). No step between states outside
+the sinks lowers the measure, so once the walk visits a state past the last
+state of the lowest value, no later row reaches that value, and its dict
+goes. A successor's dict is known where it is generated: c's own where the
+successor keeps c's value, else that of the value assigned. The exploration
+order, and so every state number, is the same as without the sweep, and a
+model without a proof generates the same walk as before.
 """
 
 from __future__ import annotations
@@ -115,7 +131,7 @@ import functools
 import math
 from array import array
 from itertools import accumulate, compress, count, product
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from qkdmc.errors import BuildError
 from qkdmc.lang import ast, names
@@ -180,6 +196,33 @@ class Layout:
 Resets = tuple[int, dict[int, dict[int, int]]]
 
 
+class SweepLine(NamedTuple):
+    """A proven progress measure (`ValidatedModel.progress`) by variable
+    index: the measure, the location variable or None, the sink locations."""
+
+    measure: int
+    location: int | None
+    sinks: frozenset[int]
+
+
+class Partitions(dict):
+    """A sweep-line build's index of the states outside the sinks: measure
+    value -> the setdefault of a dict {code: state index} of its states,
+    made on first use. Dropping a value frees its states' entries at once."""
+
+    def __missing__(self, value: int) -> Callable[[int, int], int]:
+        self[value] = setdefault = {}.setdefault
+        return setdefault
+
+
+def _sweep_line(vm: ValidatedModel) -> SweepLine | None:
+    if vm.progress is None:
+        return None
+    measure, sinks = vm.progress
+    location = vm.var_index[vm.dead_on_entry[0]] if vm.dead_on_entry else None
+    return SweepLine(vm.var_index[measure], location, sinks)
+
+
 class Terms(Record):
     """How a build formed its probabilities, kept for `Dtmc.reweight`.
 
@@ -207,15 +250,18 @@ class Dtmc(Record):
     solving. Two Dtmcs are equal only if they are the same object. The rows
     are in compressed sparse row (CSR) form, three stdlib arrays: row s
     occupies positions row_starts[s] to row_starts[s + 1] - 1 of `targets`
-    (state indices, 'q') and `probs` (probabilities, 'd'). Each row is
-    sorted by target, duplicates merged, zero-probability entries dropped;
-    `row_starts` ('q') has state_count + 1 entries.
+    (state indices) and `probs` (probabilities, 'd'). Each row is sorted by
+    target, duplicates merged, zero-probability entries dropped;
+    `row_starts` has state_count + 1 entries. A chain `build` made has 'I'
+    columns of 4 bytes an item, so it holds at most 2**32 - 1 states and
+    transitions (`build` raises SIZE_LIMIT past that).
 
     `codes` holds each state's code (see `Layout`) in index order: an
     ``array('Q')`` of 8 bytes per state if they fit 64 bits (21 in a
-    500-photon bb84 model), else a list. Decode them with `state`,
-    `iter_states` and `describe_state`. `labels` maps each label name to its
-    defining expression; `states_where` finds the states where one holds.
+    500-photon bb84 model), else a list; the walk appends to it. Decode
+    them with `state`, `iter_states` and `describe_state`. `labels` maps
+    each label name to its defining expression; `states_where` finds the
+    states where one holds.
     `reset` names the variables a reduced build (see `build`) may have reset
     to their initial values; it is empty for a full build. `terms`, where
     a build made the chain, lets `reweight` put other probabilities on it.
@@ -355,14 +401,23 @@ def build(vm: ValidatedModel, *, reduce: bool = False) -> Dtmc:
     differ only in values no label and no later step reads are built once.
     The reduced chain answers every label query as the full one does, and
     its `reset` names the variables that an expression query must not read.
-    A model without a location variable builds in full. Raises BuildError with code
-    NONDETERMINISM (two groups, or two commands of one module for one
-    action, enabled where validation did not prove them apart; reports the
-    state), BOUNDS (an update leaves a variable's range; reports state,
-    command line and variable), ROW_LIMIT (a product row of more than
-    MAX_ROW_PAIRS pairs; reports the state) or ROW_SUM (post-build
-    stochasticity assert). The chain keeps how it formed each probability
-    (`Dtmc.terms`), so `Dtmc.reweight` puts a model of its shape on it.
+    A model without a location variable builds in full.
+
+    Where validation proved a progress measure (`ValidatedModel.progress`),
+    the build forgets the states no later row can reach, all but the sinks
+    (see the module docstring), full or reduced. A full bb84 build at
+    n=500 so peaks at 54 traced bytes per state, against 142 with every
+    state indexed to the end; the chain is the same.
+
+    Raises BuildError with code NONDETERMINISM (two groups, or two commands
+    of one module for one action, enabled where validation did not prove
+    them apart; reports the state), BOUNDS (an update leaves a variable's
+    range; reports state, command line and variable), ROW_LIMIT (a product
+    row of more than MAX_ROW_PAIRS pairs; reports the state), ROW_SUM
+    (post-build stochasticity assert) or SIZE_LIMIT (more than
+    MAX_COLUMN_ITEM states or transitions). The chain keeps how it formed
+    each probability (`Dtmc.terms`), so `Dtmc.reweight` puts a model of its
+    shape on it.
     """
     layout = Layout(vm.variables)
     resets = _resets(vm, reduce)
@@ -378,11 +433,14 @@ def build(vm: ValidatedModel, *, reduce: bool = False) -> Dtmc:
             bits = sum(value << layout.fields[i][0] for i, value in values.items())
             rebase[at] = (layout.full & ~layout.mask(values), bits)
     initial = layout.encode(vm.initial_state)
-    codes = [initial]
-    code_index = {initial: 0}
-    row_starts = array("q", [0])
-    targets = array("q")
-    ids = array("I")  # each transition's term id (see `Terms`): "I" appends fastest
+    # An int object per state only while the index holds it: the codes are
+    # flat from the start where they fit 64 bits.
+    codes: array[int] | list[int] = array("Q", [initial]) if layout.width <= 64 else [initial]
+    code_index: dict[int, int] = {}
+    # "I" appends fastest: about half the cost of "q" (see `Terms` for ids).
+    row_starts = array("I", [0])
+    targets = array("I")
+    ids = array("I")  # each transition's term id (see `Terms`)
     terms = list(weights)
     rows: list[tuple[int, tuple[tuple[int, ...], ...], array[int]]] = []
     deadlocks: set[int] = set()
@@ -390,6 +448,40 @@ def build(vm: ValidatedModel, *, reduce: bool = False) -> Dtmc:
     # transition.
     index, add_state = code_index.setdefault, codes.append
     add_target, add_id, end_row = targets.append, ids.append, row_starts.append
+
+    # With a progress measure, the states outside the sinks are indexed in
+    # one dict per measure value, the sinks in `code_index` (see `_walk_source`).
+    sweep = _sweep_line(vm)
+    by_value = Partitions()
+    moff = mmask = loff = lmask = 0
+    sinks: frozenset[int] = frozenset()
+    if sweep:
+        moff, mmask = layout.fields[sweep.measure]
+        if sweep.location is not None:
+            (loff, lmask), sinks = layout.fields[sweep.location], sweep.sinks
+
+    def index_of(code: int) -> Callable[[int, int], int]:
+        # The setdefault of the dict that indexes `code`.
+        if not sweep or code >> loff & lmask in sinks:
+            return index
+        return by_value[code >> moff & mmask]
+
+    index_of(initial)(initial, 0)
+
+    def sweep_to(si: int) -> int:
+        # The walk calls this at state si once si passes `until`. While the
+        # lowest value's last state comes before si, no state from si on,
+        # nor any they reach outside the sinks, has that value: its dict
+        # goes. Returns the state to call it after: the last state of the
+        # lowest value left, and at least SWEEP_EVERY on; or the state count
+        # where no value is left, as then the walk adds no state.
+        while by_value:
+            low = min(by_value)
+            last = next(reversed(by_value[low].__self__.values()), -1)
+            if last >= si:
+                return max(last, si + SWEEP_EVERY)
+            del by_value[low]
+        return len(codes)
 
     def store(parts: tuple[tuple[int, ...], ...], found: array[int], code: int) -> None:
         # Store a row formed at run time, its probabilities as new terms.
@@ -426,7 +518,7 @@ def build(vm: ValidatedModel, *, reduce: bool = False) -> Dtmc:
                 keep, bits = rebase.get(key >> offset & mask, (-1, 0))
                 key = key & keep | bits
             fresh = len(codes)
-            ti = index(key, fresh)
+            ti = index_of(key)(key, fresh)
             if ti == fresh:
                 add_state(key)
             found.append(ti)
@@ -439,14 +531,24 @@ def build(vm: ValidatedModel, *, reduce: bool = False) -> Dtmc:
         add_id(0)
         end_row(len(targets))
 
-    explore(codes, targets, row, merge, dead, index, add_state, add_target, add_id, end_row, *checks)
-    # The index holds an entry per state; freeing it, and the bound method
-    # the walk was handed, before the probabilities are gathered and the
-    # codes copied lowers the build's peak memory.
-    del code_index, index
+    walked = (by_value, sweep_to) if sweep else ()
+    try:
+        explore(codes, targets, row, merge, dead, index, add_state, add_target, add_id, end_row,
+                *walked, *checks)
+    except OverflowError:
+        # An "I" column refused an item past 2**32 - 1.
+        raise BuildError(
+            f"the chain has more than {MAX_COLUMN_ITEM} states or transitions, "
+            "the most its 4-byte columns hold",
+            code="SIZE_LIMIT",
+        ) from None
+    # The index holds an entry per state it kept; freeing it, and the bound
+    # methods the walk was handed, before the probabilities are gathered
+    # lowers the build's peak memory.
+    del code_index, index, by_value, walked, index_of, sweep_to
     probs = array("d", [terms[t] for t in ids])
     return _chain(
-        vm, resets, array("Q", codes) if layout.width <= 64 else codes, row_starts, targets, probs,
+        vm, resets, codes, row_starts, targets, probs,
         frozenset(deadlocks), Terms(source, reduce, resets, ids, tuple(rows)),
     )
 
@@ -537,13 +639,25 @@ MAX_ROW_PAIRS = 2**16
 # The most pairs one row is unrolled into; `_row` forms a longer one.
 MAX_UNROLLED_PAIRS = 16
 
+# The largest state index and column position a chain holds: its "I"
+# columns take 4 bytes an item (SIZE_LIMIT past it).
+MAX_COLUMN_ITEM = 2**32 - 1
+
+# The fewest states a sweep-line walk visits between two calls to its sweep,
+# which cost about as much as a visit each. Each state a call waits keeps
+# at most one dict entry, about 100 bytes, a little longer. Without it,
+# bb84's walk would call the sweep at every breadth-first level, six times
+# a round, and drop a round at one of them.
+SWEEP_EVERY = 256
+
 
 def _walk_source(
     vm: ValidatedModel, layout: Layout, resets: Resets | None
 ) -> tuple[str, tuple[float, ...], tuple[Callable[..., None], ...]]:
     """The source of the walk, explore(codes, targets, _row, _merge, _dead,
     index, add, at, ap, end, *checks), its weights and the checks its
-    source calls, which `build` passes after `end`.
+    source calls, which `build` passes after `end`. With a progress measure
+    (`vm.progress`) the walk takes `parts` and `_sweep` before the checks.
 
     Where the walk stores a probability or hands one on, its source holds
     the probability's weight id, the index in the weights: 0 is the
@@ -574,6 +688,12 @@ def _walk_source(
     `resets`, if given, is (location variable, {location: {variable dead
     there: its initial value}}); an unrolled row's successors take those
     values (see `_unrolled_row`), and `_row` applies them itself.
+
+    With a progress measure, `index` indexes the sinks alone, and `parts`
+    maps each measure value to the setdefault of its states' index (see
+    `Partitions`). A row binds c's own to `here` where a successor keeps c's
+    value. The walk calls `_sweep(si)`, which drops the values no later row
+    reaches, once si passes `until`, the state the last call returned.
     """
     var_index = vm.var_index
     modules = vm.model.modules
@@ -627,6 +747,18 @@ def _walk_source(
         weights.append(q)
         return str(len(weights) - 1)
 
+    sweep = _sweep_line(vm)
+    here = f"here = parts[{reads[vm.variables[sweep.measure].name]}]" if sweep else ""
+
+    def index_name(values: dict[int, int | str]) -> str:
+        # Where a successor of the given values is indexed: a sink, or any
+        # state without a measure, in `index`; else in its value's dict,
+        # c's own, bound to `here`, where it keeps c's value.
+        if sweep is None or values.get(sweep.location) in sweep.sinks:
+            return "index"
+        value = values.get(sweep.measure)
+        return "here" if value is None else f"parts[{value}]"
+
     tests: list[str] = []
     bodies: list[list[str]] = []
     # A group is enabled when each of its modules has an enabled command.
@@ -663,10 +795,10 @@ def _walk_source(
                 body = []
                 for c, branch in enumerate(branches):
                     body.append(f"if k{gi}_{picker} == {c}:")
-                    rows = [*_unrolled_row(branch, layout, resets, weight), "continue"]
-                    body.extend(f"    {line}" for line in rows)
+                    rows = _unrolled_row(branch, layout, resets, weight, index_name, here)
+                    body.extend(f"    {line}" for line in [*rows, "continue"])
             else:
-                body = _unrolled_row(branches[0], layout, resets, weight)
+                body = _unrolled_row(branches[0], layout, resets, weight, index_name, here)
         else:
             body = _product_row(gi, choices, layout, weight)
         # A guard has no side effects and holds wherever an equal earlier term
@@ -723,16 +855,21 @@ def _walk_source(
     # nested statements, and one of 3,000 groups passes its recursion
     # limit.
     fire = [line for test, body in zip(tests, bodies) for line in [test, *body]]
-    # After `end` the walk takes the checks its source calls, no other.
     calls = [("_pick", pick, picks), ("_bounds", out_of_range, bound_sites),
              ("_nondeterminism", nondeterminism, enable)]
     checks = {name: check for name, check, sites in calls if sites}
+    # After `end` the walk takes, with a progress measure, the index of each
+    # measure value's states and the sweep, which it calls once si passes
+    # `until`; then the checks its source calls, no other.
+    params = ["parts", "_sweep", *checks] if sweep else [*checks]
+    head = "    n = len(codes)\n" + "    until = 0\n" * bool(sweep)
     # codes grows while it is walked, so the walk is breadth-first.
     source = "\n        ".join(
         [
             "def explore(codes, targets, _row, _merge, _dead, index, add, at, ap, end"
-            f"{''.join(f', {name}' for name in checks)}):\n"
-            "    n = len(codes)\n    for si, c in enumerate(codes):",
+            f"{''.join(f', {name}' for name in params)}):\n"
+            f"{head}    for si, c in enumerate(codes):",
+            *["if si > until: until = _sweep(si)"] * bool(sweep),
             *binds,
             *enable,
             *fire,
@@ -748,10 +885,14 @@ def _unrolled_row(
     layout: Layout,
     resets: Resets | None,
     weight: Callable[[float], str],
+    index_name: Callable[[dict[int, int | str]], str],
+    here: str,
 ) -> list[str]:
     """The statements that store the row of one choice of command per module
     of a group, each of whose probabilities the generator knows. `weight`
-    names a probability in the walk's source.
+    names a probability in the walk's source, `index_name` the index a
+    successor of the given values is looked up in, and `here` binds the
+    one named `here`.
 
     With `resets`, (location variable, {location: {variable: value}}), a
     successor whose location is known takes the values given for it. They
@@ -783,6 +924,7 @@ def _unrolled_row(
         return local
 
     per_module = [[(prob, bind(values)) for prob, values in updates] for updates in per_module]
+    bound, bind_here = len(lines), bool(here)
     pairs: list[tuple[float, str]] = []
     # {successor source: (its target's local, its summed probability)}
     merged: dict[str, tuple[str, float]] = {}
@@ -803,7 +945,11 @@ def _unrolled_row(
         successor = layout.code(values, layout.full)
         if successor not in merged:
             t = f"t{len(merged)}"
-            lines.append(f"if ({t} := index(k := {successor}, n)) == n: add(k); n += 1")
+            lookup = index_name(values)
+            if lookup == "here" and bind_here:
+                lines.insert(bound, here)
+                bind_here = False
+            lines.append(f"if ({t} := {lookup}(k := {successor}, n)) == n: add(k); n += 1")
             merged[successor] = (t, 0.0)
         t, total = merged[successor]
         merged[successor] = (t, total + q)

@@ -45,6 +45,10 @@ class ValidatedModel(Record):
     ``dead_on_entry`` is ``(location variable, {location: the variables dead
     on entry to it})``, by name, from `_dead_on_entry`; None if the model
     has no location variable.
+
+    ``progress`` is ``(progress measure, sink locations)`` from `_progress`:
+    a variable that no step of a firing group lowers, except one that enters
+    a location where no group fires; None if no variable is proven one.
     """
 
     model: ast.Model
@@ -55,10 +59,12 @@ class ValidatedModel(Record):
     groups: tuple[Group, ...]
     decided_picks: frozenset[tuple[int, str]]
     dead_on_entry: tuple[str, dict[int, frozenset[str]]] | None
+    progress: tuple[str, frozenset[int]] | None
     disjoint_groups: bool
 
     _not_compared = ("constants", "variables", "var_index", "update_probs", "groups",
-                     "decided_picks", "dead_on_entry", "disjoint_groups")  # the model only
+                     "decided_picks", "dead_on_entry", "progress",
+                     "disjoint_groups")  # the model only
 
     @property
     def initial_state(self) -> tuple[int, ...]:
@@ -142,6 +148,7 @@ def validate(model: ast.Model) -> ValidatedModel:
     # An empty range is false: such a box holds no valuation.
     firing = [i for i, box in enumerate(group_boxes) if all(box.values())]
 
+    dead_on_entry = _dead_on_entry(model, variables, groups, boxes, group_boxes, firing, constants)
     return ValidatedModel(
         model=model,
         constants=constants,
@@ -150,8 +157,9 @@ def validate(model: ast.Model) -> ValidatedModel:
         update_probs=tuple(update_probs),
         groups=tuple(groups),
         decided_picks=frozenset(decided_picks),
-        dead_on_entry=_dead_on_entry(
-            model, variables, groups, boxes, group_boxes, firing, constants
+        dead_on_entry=dead_on_entry,
+        progress=_progress(
+            model, variables, groups, group_boxes, firing, dead_on_entry, constants
         ),
         disjoint_groups=_groups_disjoint([group_boxes[i] for i in firing]),
     )
@@ -402,6 +410,70 @@ def _dead_on_entry(
     return location, {
         at: frozenset(name for name, b in bit.items() if not held & b) for at, held in live.items()
     }
+
+
+def _progress(
+    model: ast.Model,
+    variables: list[ast.VarDecl],
+    groups: list[Group],
+    group_boxes: list[dict[str, range]],
+    firing: list[int],
+    dead_on_entry: tuple[str, dict[int, frozenset[str]]] | None,
+    constants: dict[str, int | float],
+) -> tuple[str, frozenset[int]] | None:
+    """The first variable, in declaration order, proven a progress measure,
+    and the sink locations; None if no variable is one.
+
+    A sink location is one where no group in `firing` is, so a state there
+    is a deadlock and indexes no successor. A progress measure is a
+    variable other than the location variable that some update raises by a
+    positive constant (`x + k` or `k + x`), and that every update of a
+    group in `firing` leaves as it is or raises by a non-negative constant,
+    except one that enters a sink location; nor is it dead on entry to a
+    location that is not a sink, where a reduced build would reset it. So
+    every step between states outside the sinks keeps or raises it, and a
+    breadth-first walk past the last queued state of a value reaches no
+    state of that value again outside the sinks (the sweep-line method:
+    Christensen, Kristensen & Mailund, TACAS 2001).
+    """
+    location, dead = dead_on_entry or (None, {})
+    fired = {group_boxes[gi][location].start for gi in firing} if location else set()
+    sinks = frozenset(dead) - fired
+    steps = [
+        (update, assign, _step(assign, constants))
+        for gi in firing
+        for mi, cis in groups[gi][1]
+        for ci in cis
+        for update in model.modules[mi].commands[ci].updates
+        for assign in update.assignments
+    ]
+    candidates = {assign.var for _, assign, step in steps if (step or 0) > 0} - {location}
+    candidates -= {name for at, held in dead.items() if at not in sinks for name in held}
+    ranges = {var.name: (var.low, var.high) for var in variables}
+    for update, assign, step in steps:
+        if assign.var in candidates and (step is None or step < 0) and not any(
+            # `_dead_on_entry` proved each value assigned to the location a
+            # constant.
+            a.var == location and analysis.bounds(a.value, ranges, constants)[0] in sinks
+            for a in update.assignments
+        ):
+            candidates.discard(assign.var)
+    return next(((var.name, sinks) for var in variables if var.name in candidates), None)
+
+
+def _step(assign: ast.Assignment, constants: dict[str, int | float]) -> int | None:
+    """k where the assignment sets its variable x to x + k (or k + x, or x
+    for k = 0) for a constant k; None for any other value."""
+    value = assign.value
+    if isinstance(value, ast.Name) and value.ident == assign.var:
+        return 0
+    if not (isinstance(value, ast.Binary) and value.op == "+"):
+        return None
+    for own, other in ((value.left, value.right), (value.right, value.left)):
+        if (isinstance(own, ast.Name) and own.ident == assign.var
+                and names.expr_names(other) <= constants.keys()):
+            return analysis.bounds(other, {}, constants)[0]
+    return None
 
 
 def _hull(boxes: list[dict[str, range]]) -> dict[str, range]:

@@ -8,7 +8,6 @@ import pytest
 from qkdmc.bb84 import (
     Bb84Params,
     Passthrough,
-    detected_event_definition,
     generate,
     variable_schema,
 )
@@ -153,12 +152,6 @@ class TestGeneratedSource:
         labels = {label.name: print_expr(label.expr) for label in model.labels}
         assert labels["detected"] == "detected=1"
         assert "phase=6" in labels["done"] and "detected=0" in labels["done"]
-
-    def test_detected_event_definition_matches_the_label(self):
-        params = Bb84Params(photons=1)
-        model = parse(generate(params))
-        printed = {label.name: print_expr(label.expr) for label in model.labels}
-        assert print_expr(detected_event_definition()) == printed["detected"]
 
     def test_variable_schema_matches_the_declarations(self):
         params = Bb84Params(photons=6, eve_q=0.5)

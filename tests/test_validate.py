@@ -577,6 +577,62 @@ class TestValidatedModel:
         assert actions == tuple(action for action, _ in vm.groups) == first_use(vm.model)
 
 
+# r is raised at p=0; p=1 leads to the sink p=2 and reads nothing.
+_RAISED = (
+    "dtmc\nmodule m\n  p : [0..2] init 0;\n  r : [0..3] init 0;\n"
+    "  [a] p=0 & r<3 -> 0.5:(p'=0)&(r'=r+1) + 0.5:(p'=1);\n  [b] p=1 -> (p'=2);\nendmodule\n"
+)
+
+
+class TestProgressMeasure:
+    def test_bb84s_photon_counter_is_one_and_its_stop_phase_a_sink(self):
+        # i is set to 0 as the run stops: that enters phase 6, where no
+        # group is. detected is never raised by a constant step.
+        vm = validate(parse(generate(Bb84Params(photons=3, eve_q=0.5))))
+        assert vm.progress == ("i", frozenset({6}))
+
+    def test_a_variable_no_label_reads_after_it_is_raised(self):
+        # r is dead on entry to p=1, which is no sink: a reduced build would
+        # reset r there, so it is no measure. A label that reads r keeps it
+        # live, and then it is one.
+        assert check(_RAISED + 'label "goal" = p=2;\n').progress is None
+        vm = check(_RAISED + 'label "goal" = p=2 & r=1;\n')
+        assert vm.progress == ("r", frozenset({2}))
+
+    @pytest.mark.parametrize(
+        "update, measure",
+        [
+            ("(r'=r+1)", "r"),
+            ("(r'=2+r)", "r"),
+            ("(r'=r+k)", "r"),
+            ("(r'=r-1)", None),
+            ("(r'=r+1-1)", None),
+            ("(r'=r)", None),
+            ("(r'=0)", None),
+        ],
+    )
+    def test_a_measure_steps_up_by_a_constant(self, update, measure):
+        # One update at p=0 raises, keeps or lowers r; entering the sink p=2
+        # sets it to 0. A variable never raised is no measure.
+        vm = check(
+            "dtmc\nconst int k = 1;\nmodule m\n  p : [0..2] init 0;\n  r : [0..3] init 0;\n"
+            f"  [a] p=0 & r<3 -> 0.5:(p'=0)&{update} + 0.5:(p'=1);\n"
+            "  [b] p=1 -> 0.5:(p'=0) + 0.5:(p'=2)&(r'=0);\nendmodule\n"
+            'label "goal" = r=1;\n'
+        )
+        assert vm.progress == (None if measure is None else (measure, frozenset({2})))
+
+    def test_without_a_location_every_update_must_keep_or_raise_it(self):
+        assert check(
+            "dtmc\nmodule m\n  x : [0..9] init 0;\n"
+            "  [] x<9 -> 0.5:(x'=x+1) + 0.5:(x'=x);\nendmodule\n"
+        ).progress == ("x", frozenset())
+        assert check(
+            "dtmc\nmodule m\n  x : [0..9] init 5;\n"
+            "  [] x>0 & x<9 -> 0.5:(x'=x+1) + 0.5:(x'=x-1);\nendmodule\n"
+        ).progress is None
+
+
 def first_use(model) -> tuple[str, ...]:
     """Each action once, in module order, then command order."""
     labels = (command.label for module in model.modules for command in module.commands)
