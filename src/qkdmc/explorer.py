@@ -83,10 +83,8 @@ its CSR columns and passes in as arguments:
 - `_dead(si)` stores a deadlock's self-loop, term 0, whose weight is 1.
 
 Each row the two merging helpers store appends its probabilities to the
-term table as run-time terms, and the chain keeps the row's recipe: its
-weight ids per module and the target of each product, or -1 where the
-product was zero and dropped. `reweight` re-forms them from the new
-weights in the same order, with the same zero drops and row-sum check.
+term table as run-time terms. A chain with such a row keeps no terms, so
+`reweight` refuses it and the caller builds; no bb84 chain has one.
 
 Passed as arguments, nothing of a build stays reachable from the shared
 walk, and the walk forms no reference cycle with its namespace, so all of
@@ -224,23 +222,20 @@ def _sweep_line(vm: ValidatedModel) -> SweepLine | None:
 
 
 class Terms(Record):
-    """How a build formed its probabilities, kept for `Dtmc.reweight`.
+    """How a build formed its probabilities, kept for `Dtmc.reweight` where
+    the walk stored every row itself.
 
-    `ids` holds each transition's term id, in `probs` order. The term table
-    is the walk's weights, then one run-time term per transition of each
-    row in `rows`, in order. A row is (state index, weight ids per module,
-    the target of each product in product order, -1 where it was zero).
-    The rest is the chain's shape: the walk's source, and whether the build
-    reduced and its resets.
+    `ids` holds each transition's term id, in `probs` order: the index of
+    its weight in the walk's weights. The rest is the chain's shape: the
+    walk's source, and whether the build reduced and its resets.
     """
 
     source: str
     reduce: bool
     resets: Resets | None
     ids: array[int]
-    rows: tuple[tuple[int, tuple[tuple[int, ...], ...], array[int]], ...]
 
-    _not_shown = ("source", "ids", "rows")
+    _not_shown = ("source", "ids")
 
 
 class Dtmc(Record):
@@ -264,7 +259,8 @@ class Dtmc(Record):
     states where one holds.
     `reset` names the variables a reduced build (see `build`) may have reset
     to their initial values; it is empty for a full build. `terms`, where
-    a build made the chain, lets `reweight` put other probabilities on it.
+    a build made the chain and its walk stored every row, lets `reweight`
+    put other probabilities on it.
     """
 
     variables: tuple[ast.VarDecl, ...]
@@ -338,16 +334,17 @@ class Dtmc(Record):
         The shape is the same where vm's walk source is this chain's (so it
         drops the same zero updates and products, and passes the same
         row-sum checks of the generator), and so are its initial code and
-        resets. Then the build's weights are the new model's, and each row
-        the walk merged at run time is re-formed from them, raising ROW_SUM
-        as the build would. Raises BuildError with code SHAPE where the
-        shape differs, or a product of a re-formed row is zero where it was
-        not or the other way round: the caller builds instead. A chain
-        `build` did not make has no shape to match.
+        resets. Then the build's weights are the new model's. Raises
+        BuildError with code SHAPE, and no other, where the shape differs
+        or the chain has no terms: `build` did not make it, or its walk
+        formed a row at run time. The caller builds instead.
         """
         terms = self.terms
         if terms is None:
-            raise BuildError("the chain was not made by build: it has no terms", code="SHAPE")
+            raise BuildError(
+                "the chain has no terms: build did not make it, or formed a row at run time",
+                code="SHAPE",
+            )
         layout = Layout(vm.variables)
         resets = _resets(vm, terms.reduce)
         if layout.encode(vm.initial_state) != self.codes[self.initial]:
@@ -357,11 +354,9 @@ class Dtmc(Record):
         elif (walk := _walk_source(vm, layout, resets))[0] != terms.source:
             differs = "its walk differs"
         else:
-            values = list(walk[1])
-            for si, parts, found in terms.rows:
-                values += [prob for _, prob in _merged(parts, found, values, self.codes[si], layout)]
+            weights = walk[1]
             return _chain(vm, resets, self.codes, self.row_starts, self.targets,
-                          array("d", [values[t] for t in terms.ids]), self.deadlocks, terms)
+                          array("d", [weights[t] for t in terms.ids]), self.deadlocks, terms)
         raise BuildError(f"the model is not of the chain's shape: {differs}", code="SHAPE")
 
     def describe_state(self, index: int) -> str:
@@ -415,9 +410,10 @@ def build(vm: ValidatedModel, *, reduce: bool = False) -> Dtmc:
     range; reports state, command line and variable), ROW_LIMIT (a product
     row of more than MAX_ROW_PAIRS pairs; reports the state), ROW_SUM
     (post-build stochasticity assert) or SIZE_LIMIT (more than
-    MAX_COLUMN_ITEM states or transitions). The chain keeps how it formed
-    each probability (`Dtmc.terms`), so `Dtmc.reweight` puts a model of its
-    shape on it.
+    MAX_COLUMN_ITEM states or transitions). Where the walk stored every
+    row itself, the chain keeps how it formed each probability
+    (`Dtmc.terms`), so `Dtmc.reweight` puts a model of its shape on it;
+    a chain with a row `_merge` or `_row` formed keeps none.
     """
     layout = Layout(vm.variables)
     resets = _resets(vm, reduce)
@@ -442,7 +438,6 @@ def build(vm: ValidatedModel, *, reduce: bool = False) -> Dtmc:
     targets = array("I")
     ids = array("I")  # each transition's term id (see `Terms`)
     terms = list(weights)
-    rows: list[tuple[int, tuple[tuple[int, ...], ...], array[int]]] = []
     deadlocks: set[int] = set()
     # Bound once: the walk and the helpers call them once per state or
     # transition.
@@ -483,18 +478,27 @@ def build(vm: ValidatedModel, *, reduce: bool = False) -> Dtmc:
             del by_value[low]
         return len(codes)
 
-    def store(parts: tuple[tuple[int, ...], ...], found: array[int], code: int) -> None:
-        # Store a row formed at run time, its probabilities as new terms.
-        rows.append((len(row_starts) - 1, parts, found))
-        for ti, prob in _merged(parts, found, terms, code, layout):
+    def store(pairs: Iterable[tuple[int, float]], code: int) -> None:
+        # Store a row formed at run time from its (target, probability)
+        # pairs, merged by target in order and sorted, its probabilities as
+        # new terms.
+        merged: dict[int, float] = {}
+        for ti, prob in pairs:
+            merged[ti] = merged.get(ti, 0.0) + prob
+        total = math.fsum(merged.values())
+        if abs(total - 1.0) > ROW_SUM_TOL:
+            raise BuildError(
+                f"row for state ({layout.describe(layout.decode(code))}) sums to {total:.12g}",
+                code="ROW_SUM",
+            )
+        for ti, prob in sorted(merged.items()):
             add_target(ti)
             add_id(len(terms))
             terms.append(prob)
         end_row(len(targets))
 
     def merge(pairs: Iterable[tuple[int, int]], code: int) -> None:
-        parts, found = zip(*pairs)
-        store((parts,), array("q", found), code)
+        store([(ti, terms[w]) for w, ti in pairs], code)
 
     def row(code: int, bits: int, *updates: tuple[tuple[int, int], ...]) -> int:
         # `_row` of the module docstring; returns the new state count.
@@ -505,14 +509,13 @@ def build(vm: ValidatedModel, *, reduce: bool = False) -> Dtmc:
                 f"{size} pairs; ROW_LIMIT is {MAX_ROW_PAIRS}",
                 code="ROW_LIMIT",
             )
-        keys = [bits | b for _, b in updates[0]]
+        # The product in order, its probabilities multiplied left to right.
+        pairs = [(bits | b, terms[w]) for w, b in updates[0]]
         for part in updates[1:]:
-            keys = [key | b for key in keys for _, b in part]
-        parts = tuple(tuple(p for p, _ in part) for part in updates)
-        found = array("q")
-        for factors, key in zip(product(*parts), keys):
-            if not _product(factors, terms):
-                found.append(-1)
+            pairs = [(key | b, q * terms[w]) for key, q in pairs for w, b in part]
+        found = []
+        for key, q in pairs:
+            if not q:
                 continue
             if rebase:
                 keep, bits = rebase.get(key >> offset & mask, (-1, 0))
@@ -521,8 +524,8 @@ def build(vm: ValidatedModel, *, reduce: bool = False) -> Dtmc:
             ti = index_of(key)(key, fresh)
             if ti == fresh:
                 add_state(key)
-            found.append(ti)
-        store(parts, found, code)
+            found.append((ti, q))
+        store(found, code)
         return len(codes)
 
     def dead(si: int) -> None:
@@ -547,10 +550,9 @@ def build(vm: ValidatedModel, *, reduce: bool = False) -> Dtmc:
     # lowers the build's peak memory.
     del code_index, index, by_value, walked, index_of, sweep_to
     probs = array("d", [terms[t] for t in ids])
-    return _chain(
-        vm, resets, codes, row_starts, targets, probs,
-        frozenset(deadlocks), Terms(source, reduce, resets, ids, tuple(rows)),
-    )
+    # A row formed at run time added terms: no reweight re-forms it.
+    kept = Terms(source, reduce, resets, ids) if len(terms) == len(weights) else None
+    return _chain(vm, resets, codes, row_starts, targets, probs, frozenset(deadlocks), kept)
 
 
 def _resets(vm: ValidatedModel, reduce: bool) -> Resets | None:
@@ -571,7 +573,7 @@ def _resets(vm: ValidatedModel, reduce: bool) -> Resets | None:
 
 def _chain(vm: ValidatedModel, resets: Resets | None, codes: array[int] | list[int],
            row_starts: array[int], targets: array[int], probs: array[float],
-           deadlocks: frozenset[int], terms: Terms) -> Dtmc:
+           deadlocks: frozenset[int], terms: Terms | None) -> Dtmc:
     """The Dtmc of vm over the given states and columns."""
     return Dtmc(
         variables=vm.variables,
@@ -586,44 +588,6 @@ def _chain(vm: ValidatedModel, resets: Resets | None, codes: array[int] | list[i
         reset=frozenset().union(*vm.dead_on_entry[1].values()) if resets else frozenset(),
         terms=terms,
     )
-
-
-def _product(factors: tuple[int, ...], values: list[float]) -> float:
-    """The product of the factors' values, left to right as `_row` forms it."""
-    q = values[factors[0]]
-    for w in factors[1:]:
-        q *= values[w]
-    return q
-
-
-def _merged(parts: tuple[tuple[int, ...], ...], found: array[int], values: list[float],
-            code: int, layout: Layout) -> list[tuple[int, float]]:
-    """The (target, probability) pairs of a row formed at run time, sorted.
-
-    The products of `parts`' weight ids, in product order, go to the
-    targets in `found`, merged by target in that order, and -1 marks a
-    product that was zero and dropped. A product whose zero pattern differs
-    raises SHAPE, and a row whose sum misses 1 ROW_SUM, naming the state of
-    `code`.
-    """
-    merged: dict[int, float] = {}
-    for factors, ti in zip(product(*parts), found):
-        prob = _product(factors, values)
-        if (ti < 0) != (not prob):
-            raise BuildError(
-                f"a product in the row of state ({layout.describe(layout.decode(code))}) "
-                "is zero in one model and not in the other",
-                code="SHAPE",
-            )
-        if ti >= 0:
-            merged[ti] = merged.get(ti, 0.0) + prob
-    total = math.fsum(merged.values())
-    if abs(total - 1.0) > ROW_SUM_TOL:
-        raise BuildError(
-            f"row for state ({layout.describe(layout.decode(code))}) sums to {total:.12g}",
-            code="ROW_SUM",
-        )
-    return sorted(merged.items())
 
 
 # One update as the generator sees it: its probability and, per variable it

@@ -17,7 +17,7 @@ from typing import IO
 from qkdmc import explorer, oracle, solver
 from qkdmc.bb84 import Bb84Params, Passthrough, check_count, generate
 from qkdmc.errors import AcceptanceViolation, BuildError
-from qkdmc.lang import ast, parse, validate
+from qkdmc.lang import parse, validate
 from qkdmc.properties import parse_property
 from qkdmc.record import Record
 
@@ -85,9 +85,8 @@ def analyze(
     if like is not None:
         try:
             dtmc = like.reweight(vm)
-        except BuildError as error:
-            if error.code != "SHAPE":
-                raise
+        except BuildError:
+            pass  # another shape (SHAPE, reweight's only code): build it
     if dtmc is None:
         dtmc = build(vm)
     report = solver.prob_until(dtmc, parse_property(DETECTED_PROPERTY))
@@ -99,7 +98,7 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
 
     The model has as many photons as the range's last point, top. The
     round-start state with i = top - n (the initial valuation otherwise)
-    has n photons left to send, so its solved value is P(n); one scan of
+    has n photons left to send, so its solved value is P(n); one pass over
     the state codes finds every row's. The chain is reduced (see `analyze`);
     that state survives the reduction, as the compare step resets every
     other variable itself. A round start missing from the chain is an
@@ -111,15 +110,9 @@ def run_sweep(spec: SweepSpec) -> list[ResultRow]:
     return _curve(spec, None)[0]
 
 
-# A curve's chain, photon counts and {n: its round-start state}.
-_Curve = tuple[explorer.Dtmc, range, dict[int, int]]
-
-
-def _curve(spec: SweepSpec, last: _Curve | None) -> tuple[list[ResultRow], _Curve]:
-    """`run_sweep`'s rows, and the curve to pass as `last` to the next one:
-    where that one's model has this one's shape, its chain is this one
-    reweighted, with the same codes, and over the same photon counts its
-    round starts are this one's."""
+def _curve(spec: SweepSpec, like: explorer.Dtmc | None) -> tuple[list[ResultRow], explorer.Dtmc]:
+    """`run_sweep`'s rows, and the chain to pass as `like` to the next
+    curve (see `analyze`)."""
     points = spec.points()
     top = points[-1]
     params = Bb84Params(
@@ -130,13 +123,10 @@ def _curve(spec: SweepSpec, last: _Curve | None) -> tuple[list[ResultRow], _Curv
         passthrough=spec.passthrough,
     )
     started = time.perf_counter()
-    report, dtmc = analyze(params, last and last[0])
+    report, dtmc = analyze(params, like)
     wall_ms = (time.perf_counter() - started) * 1000.0
     p1 = oracle.per_photon_detect_prob(spec.channel, spec.eve_q, spec.bias, spec.passthrough)
-    if last is not None and last[0].codes is dtmc.codes and last[1] == points:
-        starts = last[2]
-    else:
-        starts = _round_starts(dtmc, points)
+    starts = _round_starts(dtmc, points)
     rows = []
     for n in points:
         if n not in starts:
@@ -157,23 +147,18 @@ def _curve(spec: SweepSpec, last: _Curve | None) -> tuple[list[ResultRow], _Curv
                 f"analytic {row.p_oracle!r} (|diff| = {row.abs_err:.3e} > {ORACLE_TOL})"
             )
         rows.append(row)
-    return rows, (dtmc, points, starts)
+    return rows, dtmc
 
 
 def _round_starts(dtmc: explorer.Dtmc, points: range) -> dict[int, int]:
     """{n: index of the round start with n photons left}, for each n of
-    `points` whose round start is in the chain: the states with every
-    variable but i at its initial value, found in one `states_where` scan.
-    The widest variable is tested first, so most states fail at the first
-    test (phase, in bb84)."""
-    top = points[-1]
-    i = dtmc.var_index["i"]
-    initial = dtmc.state(dtmc.initial)
-    others = sorted(set(range(len(initial))) - {i}, key=lambda k: -dtmc.variables[k].high)
-    tests = [ast.Binary("=", ast.Name(dtmc.variables[k].name), ast.IntLit(initial[k])) for k in others]
-    where = functools.reduce(lambda left, right: ast.Binary("&", left, right), tests)
-    found = {top - dtmc.state(s)[i]: s for s in dtmc.states_where(where)}
-    return {n: found[n] for n in points if n in found}
+    `points` whose round start is in the chain. Its code is the initial
+    code with i's field set to top - n; one pass over the codes finds them
+    all."""
+    offset, mask = dtmc.layout.fields[dtmc.var_index["i"]]
+    initial = dtmc.codes[dtmc.initial] & ~(mask << offset)
+    row_of = {initial | (points[-1] - n) << offset: n for n in points}
+    return {row_of[code]: s for s, code in enumerate(dtmc.codes) if code in row_of}
 
 
 def format_probability(value: float) -> str:
@@ -260,7 +245,7 @@ def run_figure(name: str, oracle_check: bool = False) -> FigureResult:
         raise ValueError(f"unknown figure '{name}' (have: {', '.join(sorted(FIGURES))})")
     spec = FIGURES[name]
     curves = []
-    last = None
+    chain = None
     for curve in spec.curves:
         sweep_spec = SweepSpec(
             n_start=spec.n_start,
@@ -269,7 +254,7 @@ def run_figure(name: str, oracle_check: bool = False) -> FigureResult:
             eve_q=curve.eve_q,
             oracle_check=oracle_check,
         )
-        rows, last = _curve(sweep_spec, last)
+        rows, chain = _curve(sweep_spec, chain)
         curves.append((curve, tuple(rows)))
     violations = []
     for index in range(len(curves[0][1])):

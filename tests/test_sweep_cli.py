@@ -7,6 +7,7 @@ as the console script would return them.
 import codecs
 import contextlib
 import ctypes
+import functools
 import io
 import re
 import sys
@@ -22,7 +23,7 @@ from qkdmc import cli
 from qkdmc.bb84 import Bb84Params, Passthrough, generate
 from qkdmc.errors import AcceptanceViolation
 from qkdmc.explorer import Dtmc, build
-from qkdmc.lang import parse, validate
+from qkdmc.lang import ast, parse, validate
 from qkdmc.lang.parser import MAX_NESTING
 from test_explorer import small_models
 from test_validate import HUGE_RESIDUAL
@@ -150,6 +151,21 @@ class TestOneBuildPerCurve:
         assert len(reweights) == 1
 
 
+def _scanned_round_starts(dtmc: Dtmc, points: range) -> dict[int, int]:
+    """The round starts as one `states_where` scan finds them: the states
+    with every variable but i at its initial value, keyed by top - i."""
+    i = dtmc.var_index["i"]
+    initial = dtmc.state(dtmc.initial)
+    tests = [
+        ast.Binary("=", ast.Name(var.name), ast.IntLit(initial[k]))
+        for k, var in enumerate(dtmc.variables)
+        if k != i
+    ]
+    where = functools.reduce(lambda left, right: ast.Binary("&", left, right), tests)
+    found = {points[-1] - dtmc.state(s)[i]: s for s in dtmc.states_where(where)}
+    return {n: found[n] for n in points if n in found}
+
+
 class TestReducedChain:
     """A sweep solves the reduced chain, which keeps every round start."""
 
@@ -167,6 +183,36 @@ class TestReducedChain:
             start = list(vm.initial_state)
             start[i] = top - n
             assert tuple(start) in states
+
+    @pytest.mark.parametrize("name", sorted(FIGURES))
+    def test_figure_round_starts_are_the_scanned_ones(self, name):
+        # Each curve's chain as `run_figure` makes it: built, or the last
+        # curve's reweighted (same codes).
+        spec = FIGURES[name]
+        points = range(spec.n_start, spec.n_stop + 1)
+        chain, reweighted = None, []
+        for curve in spec.curves:
+            _, dtmc = analyze(Bb84Params(points[-1], curve.channel, curve.eve_q), chain)
+            reweighted.append(chain is not None and dtmc.codes is chain.codes)
+            starts = sweep_module._round_starts(dtmc, points)
+            assert starts == _scanned_round_starts(dtmc, points) and len(starts) == len(points)
+            chain = dtmc
+        assert reweighted.count(True) == 1
+
+    @pytest.mark.parametrize(
+        "photons, points",
+        [
+            (59, range(3, 62, 4)),  # n_start 3, n_step 4: top 59
+            (2, range(3, 6)),  # a chain too short for some round starts
+        ],
+    )
+    def test_sweep_round_starts_are_the_scanned_ones(self, photons, points):
+        params = Bb84Params(photons, HEAVY_NOISE_CHANNEL, 0.3, 0.4)
+        dtmc = sweep_module.build(validate(parse(generate(params))))
+        starts = sweep_module._round_starts(dtmc, points)
+        assert starts == _scanned_round_starts(dtmc, points)
+        # A round start has i = top - n, and i is below the model's photons.
+        assert starts.keys() == {n for n in points if points[-1] - n < photons}
 
     def test_a_missing_round_start_is_an_internal_error_naming_n(self, monkeypatch):
         # A chain of two photons for a sweep up to five: i never reaches 2.
