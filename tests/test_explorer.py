@@ -1053,22 +1053,37 @@ class TestReweight:
 
     def test_a_chain_with_a_run_time_row_is_refused(self):
         # `_row` forms the first row, so the chain keeps no terms and
-        # reweight refuses every model with SHAPE; the caller's build then
-        # raises what the model raises.
+        # reweight refuses a model of the same shape with SHAPE.
         chain = build(_both_pick())
         assert chain.terms is None
-        for other in (_both_pick("0.25", "0.6"), _both_pick(nudge="+8e-10")):
-            with pytest.raises(BuildError) as info:
-                chain.reweight(other)
-            assert info.value.code == "SHAPE"
+        with pytest.raises(BuildError) as info:
+            chain.reweight(_both_pick("0.25", "0.6"))
+        assert info.value.code == "SHAPE"
+        assert str(info.value).endswith("formed a row at run time")
+
+    def test_a_row_sum_is_raised_as_the_build_raises_it(self):
         # Each module's two probabilities sum to 1 + 8e-10, within the
         # validator's tolerance; their product row misses 1 by 1.6e-9.
+        # reweight refuses the chain, and the caller's build raises ROW_SUM.
+        nudged = _both_pick(nudge="+8e-10")
+        with pytest.raises(BuildError) as reweighted:
+            build(_both_pick()).reweight(nudged)
+        assert reweighted.value.code == "SHAPE"
         with pytest.raises(BuildError) as built:
-            build(_both_pick(nudge="+8e-10"))
+            build(nudged)
         assert built.value.code == "ROW_SUM"
         assert str(built.value).startswith("row for state (x=0, y=0) sums to 1.0000000016")
-        # 1e-200 * 1e-200 underflows to 0, and `_row` drops that product.
-        assert (1, 1) not in build(_both_pick("1e-200", "1e-200")).iter_states()
+
+    @pytest.mark.parametrize("first, second", [("0.3", "1e-200"), ("1e-200", "0.3")])
+    def test_a_product_that_turns_zero_is_a_shape_error(self, first, second):
+        # 1e-200 * 1e-200 underflows to 0, and `_row` drops that product;
+        # the row is formed at run time, so reweight refuses either way.
+        chain = build(_both_pick(first, first))
+        assert ((1, 1) in chain.iter_states()) == (first != "1e-200")
+        with pytest.raises(BuildError) as info:
+            chain.reweight(_both_pick(second, second))
+        assert info.value.code == "SHAPE"
+        assert str(info.value).endswith("formed a row at run time")
 
     @pytest.mark.parametrize(
         "first, second, differs",
