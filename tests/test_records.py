@@ -162,6 +162,17 @@ def test_solve_report_compares_its_values():
     assert SolveReport(**fields, values=(0.5,)) != SolveReport(**fields, values=(0.25,))
 
 
+def test_a_solved_report_hashes_without_its_vector():
+    # prob_until hands over its 'd' array uncopied, and an array is
+    # unhashable: the hash skips it, and equal reports still hash alike.
+    dtmc = build(validate(parse(SOURCE)))
+    query = parse_property('P=? [ F "top" ]')
+    report, again = prob_until(dtmc, query), prob_until(dtmc, query)
+    assert report.values.typecode == "d"
+    assert report == again and hash(report) == hash(again)
+    assert hash(copy.deepcopy(report)) == hash(report)
+
+
 def test_repr_is_unchanged():
     assert repr(ast.Name("x", P)) == "Name(ident='x')"
     assert repr(ast.Pos(1, 2)) == "Pos(line=1, col=2)" and str(ast.Pos(1, 2)) == "1:2"

@@ -399,5 +399,5 @@ class TestBfsShapedChains:
         case = _chain(rows, frozenset({0}), None)
         _assert_matches_the_references(*case)
         report = prob_until(case[0], case[1])
-        assert report.values == (1.0, 0.5, 0.0, 0.625)
+        assert tuple(report.values) == (1.0, 0.5, 0.0, 0.625)
         assert (report.prob0_count, report.prob1_count) == (1, 1)
