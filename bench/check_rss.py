@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 bench/check_rss.py [--photons 2000] [--max-mib 75]
+    python3 bench/check_rss.py [--photons 2000] [--max-mib 50]
 
 Writes the model with `qkdmc bb84` (the heavy-noise channel, eve_q 0.5) in
 one subprocess, then runs `qkdmc check --prop 'P=? [ F "detected" ]'` on it

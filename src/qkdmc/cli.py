@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import codecs
 import contextlib
-import ctypes
 import functools
 import io
 import os
@@ -228,29 +227,8 @@ def _parser() -> _Parser:
     return parser
 
 
-# glibc raises its mmap threshold to the size of each mapped block it frees.
-# Once the explorer's state index has resized a few times, the transition
-# arrays and the state list then grow inside the heap, where whether realloc
-# extends them in place depends on what else lies there: the peak memory of
-# one build varied by up to 3 MiB with the probabilities printed in the
-# model. Pinned at glibc's default, every block of 128 KiB or more stays
-# mapped and grows by remapping, and the peak is the same from run to run.
-M_MMAP_THRESHOLD = -3
-MMAP_THRESHOLD_BYTES = 128 * 1024
-
-
-@functools.cache  # once per process: tests and perfbench call main many times
-def _pin_mmap_threshold() -> None:
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return  # no glibc-style allocator to tune
-    mallopt(M_MMAP_THRESHOLD, MMAP_THRESHOLD_BYTES)
-
-
 def main(argv: list[str] | None = None) -> int:
     """Run the CLI, mapping exception classes to the documented exit codes."""
-    _pin_mmap_threshold()
     try:
         args = _parser().parse_args(argv)
         # A command's output goes out in one write, so a reader that stops

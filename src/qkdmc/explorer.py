@@ -362,29 +362,6 @@ class Dtmc(Record):
     def describe_state(self, index: int) -> str:
         return self.layout.describe(self.state(index))
 
-    def export_text(self) -> str:
-        """Plain-text dump for diffing; not a stability contract.
-
-        One `src dst prob` line per transition, then a label section and the
-        deadlock list. Probabilities use repr for lossless round trips.
-        """
-        lines = [
-            f"states {self.state_count}",
-            f"initial {self.initial}",
-            f"transitions {self.transition_count}",
-        ]
-        starts, targets, probs = self.row_starts, self.targets, self.probs
-        for src in range(self.state_count):
-            for k in range(starts[src], starts[src + 1]):
-                lines.append(f"{src} {targets[k]} {probs[k]!r}")
-        lines.append("labels")
-        for name in sorted(self.labels):
-            members = " ".join(str(i) for i in sorted(self.states_where(self.labels[name])))
-            lines.append(f'"{name}" {members}'.rstrip())
-        dead = " ".join(str(i) for i in sorted(self.deadlocks))
-        lines.append(f"deadlocks {dead}".rstrip())
-        return "\n".join(lines) + "\n"
-
 
 def build(vm: ValidatedModel, *, reduce: bool = False) -> Dtmc:
     """Breadth-first exploration from the initial valuation.

@@ -27,6 +27,7 @@ def test_the_cli_does_not_load_dataclasses():
     modules = loaded_after("import qkdmc.cli")
     assert "qkdmc.lang.ast" in modules
     assert "dataclasses" not in modules
+    assert "ctypes" not in modules
 
 
 def test_the_cli_loads_only_the_standard_library_and_qkdmc():

@@ -171,6 +171,10 @@ def test_a_solved_report_hashes_without_its_vector():
     assert report.values.typecode == "d"
     assert report == again and hash(report) == hash(again)
     assert hash(copy.deepcopy(report)) == hash(report)
+    # The hash still reads the other fields.
+    halved = SolveReport(report.probability / 2, report.iterations, report.residual,
+                         report.prob0_count, report.prob1_count, report.values)
+    assert hash(halved) != hash(report)
 
 
 def test_repr_is_unchanged():

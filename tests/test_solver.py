@@ -109,6 +109,16 @@ class TestExactToys:
         assert report.probability == 0.0
         assert report.iterations == 0
         assert report.prob0_count == 1
+        # A cyclic SCC that cannot reach the target is settled without solving.
+        report, _ = solve(
+            "dtmc\nmodule m\n  x : [0..2] init 0;\n"
+            "  [] x=0 -> (x'=1);\n  [] x=1 -> (x'=0);\nendmodule\n"
+            'label "t" = x=2;\n',
+            'P=? [ F "t" ]',
+        )
+        assert report.probability == 0.0
+        assert report.iterations == 0
+        assert report.prob0_count == 2
 
     def test_cyclic_pair_matches_the_closed_form(self):
         # P(x0) = 0.1 + 0.81 P(x0)  =>  10/19

@@ -6,7 +6,6 @@ as the console script would return them.
 
 import codecs
 import contextlib
-import ctypes
 import functools
 import io
 import re
@@ -673,14 +672,6 @@ class TestCliCommands:
         assert cli.main([command, *argv]) == 0
         assert stdout.writes == 1
         assert stdout.getvalue().count("\n") >= (1 if command == "sweep" else 4)
-
-    def test_the_mmap_threshold_is_pinned_once_per_process(self, tmp_path, capsys, monkeypatch):
-        loads, load = [], ctypes.CDLL
-        monkeypatch.setattr(ctypes, "CDLL", lambda name: loads.append(name) or load(name))
-        cli._pin_mmap_threshold.cache_clear()
-        for _ in range(3):
-            assert cli.main(["bb84", "--photons", "1", "--emit", str(tmp_path / "m.pm")]) == 0
-        assert loads == [None]
 
     def test_figure_ordering_violation_is_exit_4(self, tmp_path, capsys, monkeypatch):
         spec = FIGURES["fig2"]
